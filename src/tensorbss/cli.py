@@ -2,10 +2,10 @@
 
 Subcommands: ``gen`` (synthetic mixtures), ``cumulants``, ``ica``,
 ``parafac``, ``sylvester``, ``rank1``, ``tables``, ``score``.  Exit status is
-0 on success, 1 on usage errors, and 2 on numerical failures, which also
-print a machine-readable ``{"error": ..., "message": ...}`` object on
-stderr.  All randomness is seeded via ``--seed``, so runs are reproducible
-byte for byte.
+0 on success, 1 on usage errors and malformed input files, and 2 on
+numerical failures, which also print a machine-readable ``{"error": ...,
+"message": ...}`` object on stderr.  All randomness is seeded via
+``--seed``, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, tio.SamplesFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, np.linalg.LinAlgError) as exc:

@@ -14,7 +14,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import comb, isqrt
 
 import numpy as np
@@ -268,18 +267,6 @@ def symmetrize(t) -> SymTensor:
     sums = np.bincount(pos, weights=flat, minlength=packed_length(n, d))
     counts = np.bincount(pos, minlength=packed_length(n, d))
     return SymTensor(n, d, sums / counts)
-
-
-def symmetrize_dense(t) -> DenseTensor:
-    """Permutation-averaged dense tensor (no packing); exact for small orders."""
-    arr = _as_array(t)
-    out = np.zeros_like(arr)
-    axes = range(arr.ndim)
-    nperm = 0
-    for perm in permutations(axes):
-        out += np.transpose(arr, perm)
-        nperm += 1
-    return DenseTensor(out / nperm)
 
 
 def rank1_sym(w, d: int, weight: float = 1.0) -> DenseTensor:

@@ -7,10 +7,16 @@ the order-4 pairing formula
 
 This choice keeps the estimators exactly multilinear, so transforming the
 samples by any matrix M and transforming the tensor by the Tucker product
-with M on every mode give identical results up to rounding.  Each distinct
-entry is computed once per multi-index and broadcast, so the returned tensors
-are symmetric by construction, and the sequential reduction order makes
-results bit-reproducible.
+with M on every mode give identical results up to rounding.
+
+The sums run as matrix products over blocks of ``BLOCK_ROWS`` rows: with the
+pair products ``p = [x_i x_j]``, ``i <= j``, of a centered row ``x``, order 4
+accumulates ``p p^T``, order 3 ``p x^T`` and order 2 ``x x^T``.  Each distinct
+entry is then gathered once from those matrices and broadcast, so the
+returned tensors are symmetric by construction.  The same input, in the same
+process and with the same BLAS thread count, gives identical bytes; nothing
+is promised across machines, BLAS builds or thread counts, which may sum in
+another order.
 
 Samples are plain arrays with one observation per row.
 """
@@ -20,9 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SymTensor
-from .indexing import multi_indices, representative_axes
+from .indexing import sorted_axes
 
 MAX_ORDER = 4
+# Rows per block: the pair products of a block stay small (512 x 136 at 16
+# sensors) and never grow with the sample count.
+BLOCK_ROWS = 512
 
 
 def as_samples(z) -> np.ndarray:
@@ -36,22 +45,29 @@ def as_samples(z) -> np.ndarray:
     return z
 
 
-def _packed_products(z: np.ndarray, d: int) -> np.ndarray:
-    """Mean of the d-fold column products, one value per multi-index."""
+def _packed_moment(z: np.ndarray, shift: np.ndarray, d: int):
+    """Packed order-``d`` moment (``d`` 2 to 4) of the rows of ``x = z - shift``, and
+    the matrix of second moments."""
     n = z.shape[1]
-    powers = [None, z]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * z)
-    out = np.empty(len(multi_indices(n, d)))
-    for pos, j in enumerate(multi_indices(n, d)):
-        acc = None
-        for var, count in enumerate(j):
-            if count == 0:
-                continue
-            col = powers[count][:, var]
-            acc = col if acc is None else acc * col
-        out[pos] = float(acc.mean())
-    return out
+    iu, ju = np.triu_indices(n)
+    m2 = np.zeros((n, n))
+    high = np.zeros((iu.size, n if d == 3 else iu.size)) if d > 2 else None
+    for start in range(0, z.shape[0], BLOCK_ROWS):
+        x = z[start : start + BLOCK_ROWS] - shift
+        m2 += x.T @ x
+        if d > 2:
+            p = x[:, iu] * x[:, ju]
+            high += p.T @ (x if d == 3 else p)
+    m2 /= z.shape[0]
+    a = sorted_axes(n, d).T
+    if d == 2:
+        return m2[a[0], a[1]], m2
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[iu, ju] = np.arange(iu.size)
+    high /= z.shape[0]
+    if d == 3:
+        return high[pair[a[0], a[1]], a[2]], m2
+    return high[pair[a[0], a[1]], pair[a[2], a[3]]], m2
 
 
 def moment_tensor(z, d: int) -> SymTensor:
@@ -59,7 +75,10 @@ def moment_tensor(z, d: int) -> SymTensor:
     if not 1 <= d <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     z = as_samples(z)
-    return SymTensor(z.shape[1], d, _packed_products(z, d))
+    n = z.shape[1]
+    if d == 1:
+        return SymTensor(n, 1, z.mean(axis=0))
+    return SymTensor(n, d, _packed_moment(z, np.zeros(n), d)[0])
 
 
 def cumulant_tensor(z, d: int) -> SymTensor:
@@ -72,18 +91,11 @@ def cumulant_tensor(z, d: int) -> SymTensor:
         return SymTensor(n, 1, z.mean(axis=0))
     if z.shape[0] < 2:
         raise ValueError("orders >= 2 need at least two samples")
-    zc = z - z.mean(axis=0)
-    if d in (2, 3):
-        return SymTensor(n, d, _packed_products(zc, d))
-    m2 = (zc.T @ zc) / zc.shape[0]
-    m4 = _packed_products(zc, 4)
-    packed = np.empty_like(m4)
-    for pos, j in enumerate(multi_indices(n, 4)):
-        i, k, l, m = representative_axes(j)
-        packed[pos] = (
-            m4[pos] - m2[i, k] * m2[l, m] - m2[i, l] * m2[k, m] - m2[i, m] * m2[k, l]
-        )
-    return SymTensor(n, 4, packed)
+    packed, m2 = _packed_moment(z, z.mean(axis=0), d)
+    if d == 4:
+        i, k, l, m = sorted_axes(n, 4).T
+        packed = packed - m2[i, k] * m2[l, m] - m2[i, l] * m2[k, m] - m2[i, m] * m2[k, l]
+    return SymTensor(n, d, packed)
 
 
 def offdiag_ratio(c: SymTensor) -> float:
@@ -91,10 +103,7 @@ def offdiag_ratio(c: SymTensor) -> float:
     total = c.norm()
     if total == 0.0:
         return 0.0
-    diag_sq = sum(
-        float(c.packed[pos]) ** 2
-        for pos, j in enumerate(multi_indices(c.dim, c.order))
-        if max(j) == c.order
-    )
+    axes = sorted_axes(c.dim, c.order)
+    diag_sq = float(np.sum(c.packed[axes[:, 0] == axes[:, -1]] ** 2))
     off_sq = max(total**2 - diag_sq, 0.0)
     return float(np.sqrt(off_sq)) / total

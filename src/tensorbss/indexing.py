@@ -10,7 +10,7 @@ first, ``(0,..,0,d)`` last).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
@@ -82,25 +82,39 @@ def multiplicities(nvars: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def sorted_axes(nvars: int, degree: int) -> np.ndarray:
+    """Sorted 0-based axes of every packed multi-index, one row each, read-only.
+
+    Row ``p`` lists each variable of the ``p``-th multi-index as often as it
+    occurs.  Descending-lex order on axis counts is ascending-lex order on
+    sorted axes, so the rows are the sorted tuples in the order
+    ``combinations_with_replacement`` yields them.  Gathers index matrices
+    with these columns to fill packed storage without a loop over
+    multi-indices.
+    """
+    out = np.array(
+        list(combinations_with_replacement(range(nvars), degree)), dtype=np.intp
+    ).reshape(packed_length(nvars, degree), degree)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def packing_positions(nvars: int, degree: int) -> np.ndarray:
     """Packed position of every full index tuple, flattened in C order.
 
     Entry ``t`` of the result is the packed slot of the multi-index obtained
     by counting the axes of the ``t``-th tuple in ``product(range(nvars),
-    repeat=degree)``.
+    repeat=degree)``: the tuple's axes are sorted and located among the
+    rows of :func:`sorted_axes` by their row-major key.
     """
-    pos = mindex_position(nvars, degree)
-    out = np.array(
-        [pos[counts_from_axes(idx, nvars)] for idx in product(range(nvars), repeat=degree)],
-        dtype=np.intp,
-    )
+    size = nvars**degree
+    key = nvars ** np.arange(degree - 1, -1, -1, dtype=np.intp)
+    axes = np.indices((nvars,) * degree, dtype=np.intp).reshape(degree, size)
+    axes.sort(axis=0)
+    slot = np.empty(size, dtype=np.intp)
+    slot[sorted_axes(nvars, degree) @ key] = np.arange(packed_length(nvars, degree))
+    out = slot[key @ axes]
     out.setflags(write=False)
     return out
 
-
-def representative_axes(j) -> tuple[int, ...]:
-    """A canonical 0-based index tuple whose axis counts equal ``j`` (sorted)."""
-    axes: list[int] = []
-    for var, count in enumerate(j):
-        axes.extend([var] * count)
-    return tuple(axes)

@@ -122,16 +122,42 @@ def save_samples(path, samples: np.ndarray, names=None) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+class SamplesFormatError(ValueError):
+    """A samples CSV that is empty, has no data rows, a ragged row or a non-numeric cell."""
+
+
 def load_samples(path) -> tuple[np.ndarray, list[str]]:
     with open(path) as fh:
-        header = fh.readline().strip()
+        header = fh.readline()
+        if not header.strip():
+            raise SamplesFormatError(f"{path}, line 1: no header row (empty file or blank line)")
         names = [h.strip() for h in header.split(",")]
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(names):
-        raise ValueError("malformed samples file: rows do not match the header")
-    return data, names
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise SamplesFormatError(
+                    f"{path}, line {lineno}: expected {len(names)} values as in the header, "
+                    f"found {len(cells)}"
+                )
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError:
+                col = next(k for k, v in enumerate(cells) if not _is_number(v))
+                raise SamplesFormatError(
+                    f"{path}, line {lineno}, column {col + 1}: {cells[col].strip()!r} "
+                    "is not a number"
+                ) from None
+    if not rows:
+        raise SamplesFormatError(f"{path}: no samples after the header row")
+    return np.asarray(rows, dtype=float), names
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

@@ -162,19 +162,25 @@ def solve_weights(p: BinaryQuantic, forms) -> tuple[np.ndarray, float]:
 
     Solves the generalized Vandermonde system in the least-squares sense and
     reports the relative residual; proportional forms make the system
-    singular and are rejected.
+    singular and are rejected.  Each form enters the system scaled to
+    max(|a|, |b|) = 1, so a root far from the origin does not swamp the
+    columns, and the returned weight absorbs the d-th power of that scale.
     """
     d = p.degree
     forms = [(complex(a), complex(b)) for a, b in forms]
     if not _all_distinct(forms):
         raise ValueError("forms must be pairwise non-proportional")
-    v = np.array([[a**i * b ** (d - i) for a, b in forms] for i in range(d + 1)])
+    scales = np.array([max(abs(a), abs(b)) for a, b in forms])
+    v = np.array(
+        [[(a / m) ** i * (b / m) ** (d - i) for (a, b), m in zip(forms, scales)]
+         for i in range(d + 1)]
+    )
     weights, _, rank, _ = np.linalg.lstsq(v, p.gamma.astype(complex), rcond=None)
     if rank < len(forms):
         raise ValueError("singular weight system: forms too close to proportional")
     scale = float(np.linalg.norm(p.gamma))
     residual = float(np.linalg.norm(v @ weights - p.gamma)) / (scale if scale > 0 else 1.0)
-    return weights, residual
+    return weights / scales**d, residual
 
 
 def _normalize_terms(weights, roots, degree):

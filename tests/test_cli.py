@@ -221,3 +221,21 @@ class TestCliRoundTrips:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert self.run("cumulants", "--order", "2", "--in", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "c.json")) == 1
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("", "line 1"),
+            ("y1,y2\n", "no samples"),
+            ("y1,y2\n1.0,2.0\n3.0\n", "line 3: expected 2 values"),
+            ("y1,y2\n1.0,2.0\n3.0,abc\n", "line 3, column 2: 'abc'"),
+        ],
+        ids=["empty", "header-only", "ragged-row", "non-numeric-cell"],
+    )
+    def test_malformed_samples_exit_1(self, tmp_path, capsys, text, where):
+        samples = tmp_path / "s.csv"
+        samples.write_text(text)
+        code = self.run("ica", "--in", str(samples), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and where in err

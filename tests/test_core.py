@@ -21,6 +21,7 @@ from tensorbss.core import (
     unvecs,
     vecs,
 )
+from tensorbss.indexing import counts_from_axes, mindex_position, packing_positions
 
 rng = np.random.default_rng(20240811)
 
@@ -301,6 +302,17 @@ class TestSymTensor:
         t = rng.standard_normal((3, 3, 3))
         with pytest.raises(ValueError, match="not symmetric"):
             SymTensor.from_dense(t)
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_packing_positions_match_tuple_definition(self, n, d):
+        pos = mindex_position(n, d)
+        expected = [
+            pos[counts_from_axes(idx, n)] for idx in itertools.product(range(n), repeat=d)
+        ]
+        np.testing.assert_array_equal(packing_positions(n, d), expected)
 
 
 class TestDenseTensor:

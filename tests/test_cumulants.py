@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbss.core import symmetrize, tucker_transform
-from tensorbss.cumulants import cumulant_tensor, moment_tensor, offdiag_ratio
+from tensorbss.cumulants import BLOCK_ROWS, cumulant_tensor, moment_tensor, offdiag_ratio
 
 rng = np.random.default_rng(99)
 
@@ -15,6 +15,54 @@ def kurtosis_oracle(x):
     """Marginal fourth cumulant from raw sample moments (independent route)."""
     x = x - x.mean()
     return np.mean(x**4) - 3 * np.mean(x**2) ** 2
+
+
+def einsum_moment(x, d):
+    """Mean over rows of the d-fold outer products, summed by einsum."""
+    subs = "ijkl"[:d]
+    return np.einsum(",".join("n" + c for c in subs) + "->" + subs, *[x] * d) / len(x)
+
+
+def einsum_cumulant(z, d):
+    """Plug-in cumulant of order d from centered einsum moments (pairing formula at 4)."""
+    if d == 1:
+        return z.mean(axis=0)
+    x = z - z.mean(axis=0)
+    out = einsum_moment(x, d)
+    if d == 4:
+        m2 = einsum_moment(x, 2)
+        for pairing in ("ij,kl->ijkl", "ik,jl->ijkl", "il,jk->ijkl"):
+            out = out - np.einsum(pairing, m2, m2)
+    return out
+
+
+def assert_close_to_oracle(actual, oracle):
+    # rtol 1e-12 against the largest entry: cumulant entries that cancel to
+    # near zero carry the rounding of the whole sum
+    np.testing.assert_allclose(actual, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize(
+    "nsamples",
+    [1, 7, BLOCK_ROWS, 2 * BLOCK_ROWS + 37],
+    ids=["one", "under-a-block", "one-block", "tail-block"],
+)
+def test_blocked_kernel_matches_einsum(n, nsamples):
+    r = np.random.default_rng([n, nsamples])
+    z = r.exponential(size=(nsamples, n)) + r.standard_normal(n)
+    for d in range(1, 5):
+        assert_close_to_oracle(moment_tensor(z, d).expand().array, einsum_moment(z, d))
+        if nsamples >= 2:
+            assert_close_to_oracle(cumulant_tensor(z, d).expand().array, einsum_cumulant(z, d))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_same_input_gives_identical_bytes(d):
+    # the promise: same input, same process, same BLAS thread count
+    z = np.random.default_rng(5).standard_normal((3 * BLOCK_ROWS + 11, 7))
+    first = cumulant_tensor(z, d).packed.tobytes()
+    assert cumulant_tensor(z.copy(), d).packed.tobytes() == first
 
 
 class TestMoments:

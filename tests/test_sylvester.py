@@ -205,6 +205,15 @@ class TestCandBinary:
                 dec = cand_binary(BinaryQuantic(d, r.standard_normal(d + 1)))
                 assert dec.rank == expected
 
+    def test_generic_rank_with_a_far_root(self):
+        # the kernel polynomial has a root with |tau| about 50; unscaled forms
+        # made the weight system look rank deficient and the rank came out 6
+        p = BinaryQuantic(9, np.random.default_rng([0, 9]).standard_normal(10))
+        dec = cand_binary(p)
+        assert dec.rank == generic_rank_binary(9)[0]
+        assert dec.residual <= 1e-8
+        assert np.linalg.norm(dec.reconstruct() - p.gamma) <= 1e-8 * np.linalg.norm(p.gamma)
+
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError, match="zero form"):
             cand_binary(BinaryQuantic(2, [0.0, 0.0, 0.0]))
