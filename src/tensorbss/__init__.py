@@ -41,7 +41,6 @@ from .poly import (
     HomogPoly,
     apolar_inner,
     evaluate,
-    index_map,
     multiplicity,
     poly_multiply,
     poly_to_tensor,

@@ -69,7 +69,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=int, choices=(1, 2), default=2)
     p.add_argument("--strategy", choices=("cyclic", "greedy"), default="cyclic")
     p.add_argument("--max-sweeps", type=int, default=None)
-    p.add_argument("--update", choices=("tensor", "data"), default="tensor")
     p.add_argument("--sources", type=int, default=None,
                    help="expected source count; refused when above the observation dimension")
     p.add_argument("--in", dest="infile", required=True)
@@ -157,10 +156,7 @@ def _cmd_ica(args) -> int:
             "for canonical decompositions beyond the dimension"
         )
     spec = ContrastSpec(alpha=args.alpha, order=args.order)
-    whitener, res = ica(
-        samples, spec, strategy=args.strategy, max_sweeps=args.max_sweeps,
-        update=args.update,
-    )
+    whitener, res = ica(samples, spec, strategy=args.strategy, max_sweeps=args.max_sweeps)
     separator = res.Q.T @ whitener.T
     out = {
         "Q": res.Q.tolist(),

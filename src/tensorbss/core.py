@@ -14,7 +14,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -276,3 +276,20 @@ def rank1_sym(w, d: int, weight: float = 1.0) -> DenseTensor:
     for _ in range(d):
         out = np.multiply.outer(out, w)
     return DenseTensor(out)
+
+
+def greedy_match(score) -> list[int]:
+    """Greedy one-to-one assignment of rows to columns by descending score.
+
+    Repeatedly takes the largest remaining entry, the first in row-major
+    order on ties, and retires its row and column.  Entry ``r`` of the result
+    is the column given to row ``r``, or -1 when the columns ran out first.
+    """
+    s = np.array(score, dtype=float)
+    match = [-1] * s.shape[0]
+    for _ in range(min(s.shape)):
+        r, c = divmod(int(np.argmax(s)), s.shape[1])
+        match[r] = c
+        s[r, :] = -np.inf
+        s[:, c] = -np.inf
+    return match

@@ -18,16 +18,16 @@ import numpy as np
 
 @lru_cache(maxsize=None)
 def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All weight-``degree`` multi-indices on ``nvars`` variables, descending lex order."""
+    """All weight-``degree`` multi-indices on ``nvars`` variables, descending lex order.
+
+    Counts the axes of each row of :func:`sorted_axes`, so the two share one order.
+    """
     if nvars <= 0:
         raise ValueError("nvars must be positive")
-    if nvars == 1:
-        return ((degree,),)
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in multi_indices(nvars - 1, degree - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    axes = sorted_axes(nvars, degree)
+    counts = np.zeros((len(axes), nvars), dtype=np.intp)
+    np.add.at(counts, (np.arange(len(axes))[:, None], axes), 1)
+    return tuple(map(tuple, counts.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -46,12 +46,10 @@ def count_index(idx, nvars: int) -> tuple[int, ...]:
     ``count_index([1, 1, 4], 4) == (2, 0, 0, 1)``; the result has weight
     ``len(idx)`` regardless of the ordering of ``idx``.
     """
-    counts = [0] * nvars
     for i in idx:
         if not 1 <= i <= nvars:
             raise ValueError(f"index {i} out of range 1..{nvars}")
-        counts[i - 1] += 1
-    return tuple(counts)
+    return counts_from_axes([i - 1 for i in idx], nvars)
 
 
 def counts_from_axes(idx, nvars: int) -> tuple[int, ...]:

@@ -123,7 +123,10 @@ def save_samples(path, samples: np.ndarray, names=None) -> None:
 
 
 class SamplesFormatError(ValueError):
-    """A samples CSV that is empty, has no data rows, a ragged row or a non-numeric cell."""
+    """A malformed samples CSV.
+
+    It is empty or header-only, or has a ragged row or a cell that is not a finite number.
+    """
 
 
 def load_samples(path) -> tuple[np.ndarray, list[str]]:
@@ -132,9 +135,10 @@ def load_samples(path) -> tuple[np.ndarray, list[str]]:
         if not header.strip():
             raise SamplesFormatError(f"{path}, line 1: no header row (empty file or blank line)")
         names = [h.strip() for h in header.split(",")]
-        rows = []
+        rows, blank = [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
+                blank.append(lineno)
                 continue
             cells = line.split(",")
             if len(cells) != len(names):
@@ -152,7 +156,19 @@ def load_samples(path) -> tuple[np.ndarray, list[str]]:
                 ) from None
     if not rows:
         raise SamplesFormatError(f"{path}: no samples after the header row")
-    return np.asarray(rows, dtype=float), names
+    samples = np.asarray(rows, dtype=float)
+    # min and max see every nan and infinity without a sample-sized temporary
+    if not np.isfinite([samples.min(), samples.max()]).all():
+        k, col = np.argwhere(~np.isfinite(samples))[0]
+        lineno = k + 2
+        for b in blank:  # each blank line before the row moves it one line down
+            if b <= lineno:
+                lineno += 1
+        raise SamplesFormatError(
+            f"{path}, line {lineno}, column {col + 1}: {float(samples[k, col])!r} "
+            "is not a finite number"
+        )
+    return samples, names
 
 
 def _is_number(text: str) -> bool:

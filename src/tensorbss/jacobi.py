@@ -15,7 +15,10 @@ pair, the contrast is a trigonometric polynomial of the rotation angle:
 Root finding uses companion matrices throughout, and the candidate with the
 largest restricted contrast (ties going to the smallest angle) wins.  A
 rotation is applied only when its contrast gain is strictly positive, so the
-recorded contrast trace never decreases.
+recorded contrast trace never decreases.  Sweeps stop once no rotation of
+a whole sweep exceeds ``ANGLE_TOL`` (cyclic), once the best pair's angle
+falls below it or no pair gains (greedy), or after ``max_sweeps`` sweeps
+(``max_sweeps`` times the pair count in rotations, for greedy).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .whiten import Whitener, standardize
 
 SUPPORTED_SPECS = {(1, 3), (1, 4), (2, 3), (2, 4), (2, 2)}
 QUADRATIC_FORM_SPECS = {(2, 2), (2, 3), (1, 4)}
+ANGLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,9 @@ class ICAResult:
     low_confidence: bool = False
 
 
-def _dense(z) -> np.ndarray:
-    return _as_array(z)
-
-
 def contrast_value(z, spec: ContrastSpec) -> float:
     """Sum of |diagonal| entries to the alpha; the signed sum when alpha is 1."""
-    arr = _dense(z)
+    arr = _as_array(z)
     if arr.ndim != spec.order:
         raise ValueError(f"tensor order {arr.ndim} does not match contrast order {spec.order}")
     n = arr.shape[0]
@@ -223,7 +223,7 @@ def pair_rotation_optimal(g, p: int, q: int, spec: ContrastSpec) -> PairRotation
     """Angle in (-pi/2, pi/2] maximizing the contrast restricted to the pair."""
     if p == q:
         raise ValueError("pair indices must be distinct")
-    zd = _dense(g)
+    zd = _as_array(g)
     if zd.ndim != spec.order:
         raise ValueError("tensor order does not match the contrast order")
     phi, _ = _best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)
@@ -251,33 +251,8 @@ def _rotate_rows(v: np.ndarray, p: int, q: int, phi: float) -> None:
     v[q] = -s * vp + c * vq
 
 
-class _DataUpdater:
-    """Re-estimates the working cumulant from rotated samples after each step."""
-
-    def __init__(self, samples: np.ndarray, order: int):
-        self.y = np.array(samples, dtype=float)
-        self.order = order
-
-    def rotate(self, p: int, q: int, phi: float) -> np.ndarray:
-        c, s = cos(phi), sin(phi)
-        yp, yq = self.y[:, p].copy(), self.y[:, q].copy()
-        self.y[:, p] = c * yp + s * yq
-        self.y[:, q] = -s * yp + c * yq
-        return cumulant_tensor(self.y, self.order).expand().array.copy()
-
-
-def _run_sweeps(
-    g,
-    spec: ContrastSpec,
-    *,
-    greedy: bool,
-    max_sweeps: int | None,
-    max_rotations: int | None,
-    angle_tol: float,
-    min_gain: float,
-    data_updater: _DataUpdater | None = None,
-) -> ICAResult:
-    zd = _dense(g).copy()
+def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
+    zd = _as_array(g).copy()
     if zd.ndim != spec.order:
         raise ValueError("tensor order does not match the contrast order")
     n = zd.shape[0]
@@ -290,25 +265,21 @@ def _run_sweeps(
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
-    if max_rotations is None:
-        max_rotations = len(pairs) * max_sweeps
 
     def accept(p, q, phi, gain):
         _apply_rotation(zd, p, q, phi)
         _rotate_rows(v, p, q, phi)
         trace.append(trace[-1] + gain)
         result.rotations += 1
-        if data_updater is not None:
-            zd[...] = data_updater.rotate(p, q, phi)
 
     if greedy:
-        while result.rotations < max_rotations:
+        while result.rotations < len(pairs) * max_sweeps:
             best = max(
                 ((p, q, *_best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)) for p, q in pairs),
                 key=lambda t: t[3],
             )
             p, q, phi, gain = best
-            if gain <= min_gain or abs(phi) < angle_tol:
+            if gain <= 0.0 or abs(phi) < ANGLE_TOL:
                 break
             accept(p, q, phi, gain)
         result.sweeps = ceil(result.rotations / len(pairs))
@@ -317,73 +288,55 @@ def _run_sweeps(
             largest_phi = 0.0
             for p, q in pairs:
                 phi, gain = _best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)
-                if gain > min_gain and phi != 0.0:
+                if gain > 0.0 and phi != 0.0:
                     accept(p, q, phi, gain)
                     largest_phi = max(largest_phi, abs(phi))
             result.sweeps += 1
-            if largest_phi < angle_tol:
+            if largest_phi < ANGLE_TOL:
                 break
 
     result.Q = v.T.copy()
     result.Z = symmetrize(zd)
-    result.trace = trace
     return result
 
 
-def sweep_cyclic(
-    g,
-    spec: ContrastSpec,
-    max_sweeps: int | None = None,
-    angle_tol: float = 1e-8,
-    min_gain: float = 0.0,
-) -> ICAResult:
-    """Process all pairs cyclically by rows until angles fall below ``angle_tol``."""
-    return _run_sweeps(
-        g, spec, greedy=False, max_sweeps=max_sweeps, max_rotations=None,
-        angle_tol=angle_tol, min_gain=min_gain,
-    )
+def sweep_cyclic(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
+    """Process all pairs cyclically by rows until angles fall below ``ANGLE_TOL``."""
+    return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)
 
 
-def sweep_greedy(
-    g,
-    spec: ContrastSpec,
-    max_rotations: int | None = None,
-    angle_tol: float = 1e-8,
-    min_gain: float = 0.0,
-) -> ICAResult:
-    """Rotate the pair with the largest contrast gain until no pair improves."""
-    return _run_sweeps(
-        g, spec, greedy=True, max_sweeps=None, max_rotations=max_rotations,
-        angle_tol=angle_tol, min_gain=min_gain,
-    )
+def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
+    """Rotate the pair with the largest contrast gain until no pair improves.
+
+    Stops after at most ``max_sweeps`` times the pair count rotations.
+    """
+    return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)
 
 
 def stationarity_residual(z, d: int) -> float:
     """Largest violation of the pairwise stationarity relations; 0 when diagonal."""
-    zd = _dense(z)
-    n = zd.shape[0]
-    worst = 0.0
-    for q in range(n):
-        for r in range(n):
-            if q == r:
-                continue
-            if d == 2:
-                val = (zd[q, q] - zd[r, r]) * zd[q, r]
-            elif d == 3:
-                val = zd[q, q, q] * zd[q, q, r] - zd[r, r, r] * zd[q, r, r]
-            elif d == 4:
-                val = zd[q, q, q, q] * zd[q, q, q, r] - zd[r, r, r, r] * zd[q, r, r, r]
-            else:
-                raise ValueError("stationarity defined for orders 2, 3, 4")
-            worst = max(worst, abs(val))
-    return worst
+    if d not in (2, 3, 4):
+        raise ValueError("stationarity defined for orders 2, 3, 4")
+    zd = _as_array(z)
+    if zd.ndim != d:
+        raise ValueError(f"tensor order {zd.ndim} does not match the stated order {d}")
+    i = np.arange(zd.shape[0])
+    diag = zd[(i,) * d]
+    if d == 2:
+        val = (diag[:, None] - diag[None, :]) * zd
+    else:
+        head = zd[(i,) * (d - 1)]  # head[q, r] = z[q, .., q, r]
+        tail = zd[(slice(None),) + (i,) * (d - 1)]  # tail[q, r] = z[q, r, .., r]
+        val = diag[:, None] * head - diag[None, :] * tail
+    val[i, i] = 0.0
+    return float(np.abs(val).max(initial=0.0))
 
 
 def convexity_margin(z, d: int, q: int, r: int) -> float:
     """Second-differential expression for the pair; negative at strict local maxima."""
     if q == r:
         raise ValueError("pair indices must be distinct")
-    zd = _dense(z)
+    zd = _as_array(z)
     if d == 2:
         return 4.0 * zd[q, r] ** 2 - (zd[q, q] - zd[r, r]) ** 2
     if d == 3:
@@ -410,28 +363,21 @@ def ica(
     *,
     strategy: str = "cyclic",
     max_sweeps: int | None = None,
-    angle_tol: float = 1e-8,
-    update: str = "tensor",
-    confidence_floor: float | None = None,
 ) -> tuple[Whitener, ICAResult]:
     """Standardize, estimate the cumulant tensor, and sweep it diagonal.
 
     Returns the whitener and the sweep result; the composite separator is
     ``result.Q.T @ whitener.T`` (rotated sources are ``samples @ separator.T``
-    after centering).  ``update='data'`` re-estimates affected cumulant
-    entries from rotated samples instead of rotating the tensor.  The result
-    is flagged low-confidence when every rotated diagonal cumulant is smaller
-    than ``confidence_floor``, as happens for Gaussian data; the default
-    floor is five standard errors of a diagonal cumulant estimate under the
-    Gaussian null (marginal cumulant variances 2, 6, 24 over the sample
-    count, for orders 2, 3, 4).
+    after centering).  The result is flagged low-confidence when every rotated
+    diagonal cumulant is smaller than five standard errors of a diagonal
+    cumulant estimate under the Gaussian null (marginal cumulant variances
+    2, 6, 24 over the sample count, for orders 2, 3, 4), as happens for
+    Gaussian data.
     """
     z = as_samples(samples)
     n = z.shape[1]
     if strategy not in ("cyclic", "greedy"):
         raise ValueError("strategy must be 'cyclic' or 'greedy'")
-    if update not in ("tensor", "data"):
-        raise ValueError("update must be 'tensor' or 'data'")
 
     zc = z - z.mean(axis=0)
     r_y = zc.T @ zc / z.shape[0]
@@ -442,15 +388,9 @@ def ica(
     if n == 1:
         res = ICAResult(Q=np.eye(1), Z=g, trace=[contrast_value(g, spec)])
     else:
-        updater = _DataUpdater(y, spec.order) if update == "data" else None
-        res = _run_sweeps(
-            g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps,
-            max_rotations=None, angle_tol=angle_tol, min_gain=0.0,
-            data_updater=updater,
-        )
-    if confidence_floor is None:
-        null_var = {2: 2.0, 3: 6.0, 4: 24.0}[spec.order]
-        confidence_floor = 5.0 * sqrt(null_var / z.shape[0])
+        res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
+    null_var = {2: 2.0, 3: 6.0, 4: 24.0}[spec.order]
+    confidence_floor = 5.0 * sqrt(null_var / z.shape[0])
     diag = res.Z.expand().array[tuple([np.arange(n)] * spec.order)]
     res.low_confidence = bool(np.max(np.abs(diag), initial=0.0) < confidence_floor)
     return wh, res

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_array, mode_n_unfold
+from .core import DenseTensor, _as_array, greedy_match, mode_n_unfold
 
 
 @dataclass(frozen=True)
@@ -227,15 +227,5 @@ def congruence_match(f: KruskalFactors, ref: KruskalFactors) -> tuple[list[int],
         * (unit(f.B).T @ unit(ref.B))
         * (unit(f.C).T @ unit(ref.C))
     )
-    remaining = set(range(f.rank))
-    perm = [-1] * f.rank
-    matched = np.zeros(f.rank)
-    for _ in range(f.rank):
-        best = max(
-            ((r, s) for r in range(f.rank) if perm[r] < 0 for s in remaining),
-            key=lambda rs: score[rs],
-        )
-        perm[best[0]] = best[1]
-        matched[best[0]] = score[best]
-        remaining.remove(best[1])
-    return perm, matched
+    perm = greedy_match(score)
+    return perm, score[np.arange(f.rank), perm]

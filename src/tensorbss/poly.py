@@ -19,9 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import SymTensor
-from .indexing import count_index, mindex_position, multi_indices, multiplicity
-
-index_map = count_index
+from .indexing import mindex_position, multi_indices, multiplicity
 
 
 @dataclass(frozen=True)

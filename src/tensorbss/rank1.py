@@ -60,13 +60,9 @@ class Rank1Approx:
         )
 
 
-def _dense(c) -> np.ndarray:
-    return _as_array(c)
-
-
 def contract_to_vector(c, w) -> np.ndarray:
     """``C`` contracted ``d - 1`` times with ``w``; matrix-vector product at d = 2."""
-    arr = _dense(c)
+    arr = _as_array(c)
     w = np.asarray(w, dtype=float).reshape(-1)
     if np.linalg.norm(w) == 0.0:
         raise ValueError("contraction vector must be nonzero")
@@ -87,7 +83,7 @@ def omega_criteria(c, w, sigma: float) -> tuple[float, float, float]:
     Returns ``(norm(C - sigma w^d), norm(C.w^(d-1) - lambda w), |lambda|)``
     with ``lambda`` the full contraction at ``w``.
     """
-    arr = _dense(c)
+    arr = _as_array(c)
     w = np.asarray(w, dtype=float).reshape(-1)
     d = arr.ndim
     omega0 = float(np.linalg.norm(arr - rank1_sym(w, d, sigma).array))
@@ -142,7 +138,7 @@ def rayleigh_iterate(
     satisfy the stationarity relation with residual of order
     ``tol * norm(C)``.
     """
-    arr = _dense(c)
+    arr = _as_array(c)
     d = arr.ndim
     w = np.asarray(init, dtype=float).reshape(-1)
     nrm = np.linalg.norm(w)
@@ -187,7 +183,7 @@ def rayleigh_iterate(
 
 def hosvd_init(c) -> np.ndarray:
     """Dominant left singular vector of the first unfolding."""
-    arr = _dense(c)
+    arr = _as_array(c)
     u, _, _ = np.linalg.svd(arr.reshape(arr.shape[0], -1), full_matrices=False)
     return u[:, 0]
 
@@ -202,7 +198,7 @@ def best_rank1(
 ) -> Rank1Approx:
     """Power iteration with restarts; the largest final contraction wins, ties
     by earliest start."""
-    arr = _dense(c)
+    arr = _as_array(c)
     rng = np.random.default_rng(seed)
     starts = []
     if init == "hosvd":
@@ -224,7 +220,7 @@ def nonsymmetric_rank1_order3(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Alternating unit-vector variant for order-3 tensors: each factor is the
     tensor contracted with the other two, renormalized."""
-    arr = _dense(c)
+    arr = _as_array(c)
     if arr.ndim != 3:
         raise ValueError("the non-symmetric variant is provided for order 3")
     rng = np.random.default_rng(seed)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import greedy_match
+
 DISTRIBUTIONS = ("bpsk", "uniform", "gaussian")
 MIXINGS = ("orthogonal", "general", "given")
 
@@ -108,15 +110,7 @@ def score(separator: np.ndarray, mixing: np.ndarray) -> dict:
     dominance = np.abs(g).max(axis=1) / norms
 
     score_matrix = np.abs(g) / norms[:, None]
-    remaining = set(range(g.shape[1]))
-    matching = [-1] * g.shape[0]
-    for _ in range(min(g.shape)):
-        best = max(
-            ((r, c) for r in range(g.shape[0]) if matching[r] < 0 for c in remaining),
-            key=lambda rc: score_matrix[rc],
-        )
-        matching[best[0]] = best[1]
-        remaining.remove(best[1])
+    matching = greedy_match(score_matrix)
     angles = [
         float(np.degrees(np.arccos(min(1.0, score_matrix[r, c]))))
         for r, c in enumerate(matching)

@@ -229,8 +229,12 @@ class TestCliRoundTrips:
             ("y1,y2\n", "no samples"),
             ("y1,y2\n1.0,2.0\n3.0\n", "line 3: expected 2 values"),
             ("y1,y2\n1.0,2.0\n3.0,abc\n", "line 3, column 2: 'abc'"),
+            ("y1,y2\n1.0,nan\n3.0,4.0\n", "line 2, column 2: nan"),
+            ("y1,y2\n1.0,2.0\n\ninf,4.0\n\n", "line 4, column 1: inf"),
+            ("y1,y2\n1.0,2.0\n3.0,-inf\n", "line 3, column 2: -inf"),
         ],
-        ids=["empty", "header-only", "ragged-row", "non-numeric-cell"],
+        ids=["empty", "header-only", "ragged-row", "non-numeric-cell", "nan-cell", "inf-cell",
+             "negative-inf-cell"],
     )
     def test_malformed_samples_exit_1(self, tmp_path, capsys, text, where):
         samples = tmp_path / "s.csv"

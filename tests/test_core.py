@@ -10,6 +10,7 @@ from tensorbss.core import (
     SymTensor,
     contract,
     frobenius_inner,
+    greedy_match,
     kronecker,
     mode_n_rank,
     mode_n_unfold,
@@ -21,7 +22,12 @@ from tensorbss.core import (
     unvecs,
     vecs,
 )
-from tensorbss.indexing import counts_from_axes, mindex_position, packing_positions
+from tensorbss.indexing import (
+    counts_from_axes,
+    mindex_position,
+    multi_indices,
+    packing_positions,
+)
 
 rng = np.random.default_rng(20240811)
 
@@ -313,6 +319,60 @@ class TestIndexTables:
             pos[counts_from_axes(idx, n)] for idx in itertools.product(range(n), repeat=d)
         ]
         np.testing.assert_array_equal(packing_positions(n, d), expected)
+
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_multi_indices_match_recursive_definition(self, n):
+        def recursive(nvars, degree):
+            if nvars == 1:
+                return [(degree,)]
+            return [
+                (first,) + rest
+                for first in range(degree, -1, -1)
+                for rest in recursive(nvars - 1, degree - first)
+            ]
+
+        for d in range(6):
+            assert multi_indices(n, d) == tuple(recursive(n, d))
+
+
+def greedy_match_oracle(score):
+    """Python ``max`` over the remaining (row, column) pairs in row-major order."""
+    rows, cols = score.shape
+    remaining = set(range(cols))
+    match = [-1] * rows
+    for _ in range(min(rows, cols)):
+        r, c = max(
+            ((r, c) for r in range(rows) if match[r] < 0 for c in sorted(remaining)),
+            key=lambda rc: score[rc],
+        )
+        match[r] = c
+        remaining.remove(c)
+    return match
+
+
+class TestGreedyMatch:
+    def test_ties_go_to_first_in_row_major_order(self):
+        score = np.array([[1.0, 2.0, 2.0], [2.0, 2.0, 1.0], [0.0, 2.0, 2.0]])
+        assert greedy_match(score) == [1, 0, 2]
+
+    def test_fewer_rows_than_columns(self):
+        score = np.array([[0.1, 0.9, 0.9, 0.2], [0.3, 0.9, 0.4, 0.8]])
+        assert greedy_match(score) == [1, 3]
+
+    def test_fewer_columns_than_rows(self):
+        score = np.array([[0.5, 0.1], [0.9, 0.7], [0.2, 0.8]])
+        assert greedy_match(score) == [-1, 0, 1]
+
+    def test_matches_oracle(self):
+        r = np.random.default_rng(5)
+        for trial in range(300):
+            shape = tuple(int(v) for v in r.integers(1, 7, size=2))
+            if trial % 2:
+                score = r.integers(0, 3, size=shape).astype(float)  # many ties
+            else:
+                score = r.random(shape)
+            assert greedy_match(score) == greedy_match_oracle(score)
 
 
 class TestDenseTensor:

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbss.core import outer_product, symmetrize
-from tensorbss.indexing import multi_indices
+from tensorbss.indexing import count_index, multi_indices
 from tensorbss.poly import (
     HomogPoly,
     apolar_inner,
     evaluate,
-    index_map,
     linear_form_power,
     monomial,
     multiplicity,
@@ -29,19 +28,19 @@ def random_poly(nvars, degree, seed):
 
 class TestIndexMap:
     def test_paper_example(self):
-        assert index_map([1, 1, 4], 4) == (2, 0, 0, 1)
+        assert count_index([1, 1, 4], 4) == (2, 0, 0, 1)
 
     def test_single(self):
-        assert index_map([2], 3) == (0, 1, 0)
+        assert count_index([2], 3) == (0, 1, 0)
 
     def test_permutation_free(self):
-        assert index_map([3, 1, 2, 1], 4) == index_map([1, 1, 2, 3], 4)
+        assert count_index([3, 1, 2, 1], 4) == count_index([1, 1, 2, 3], 4)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            index_map([0, 1], 3)
+            count_index([0, 1], 3)
         with pytest.raises(ValueError):
-            index_map([4], 3)
+            count_index([4], 3)
 
 
 class TestMultiplicity:
