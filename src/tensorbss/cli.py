@@ -70,7 +70,9 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=("cyclic", "greedy"), default="cyclic")
     p.add_argument("--max-sweeps", type=int, default=None)
     p.add_argument("--sources", type=int, default=None,
-                   help="expected source count; refused when above the observation dimension")
+                   help="expected source count; must equal the observation dimension "
+                        "(more is underdetermined; fewer needs source-count detection, "
+                        "not supported yet)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
@@ -155,6 +157,12 @@ def _cmd_ica(args) -> int:
             "orthogonal ICA does not apply -- see the 'sylvester' subcommand "
             "for canonical decompositions beyond the dimension"
         )
+    if args.sources is not None and args.sources < n:
+        raise UsageError(
+            f"{args.sources} sources on {n} observations is not supported: fewer "
+            "sources than observations needs source-count detection, which ica "
+            "does not do yet"
+        )
     spec = ContrastSpec(alpha=args.alpha, order=args.order)
     whitener, res = ica(samples, spec, strategy=args.strategy, max_sweeps=args.max_sweeps)
     separator = res.Q.T @ whitener.T
@@ -167,6 +175,7 @@ def _cmd_ica(args) -> int:
         "sweeps": res.sweeps,
         "rotations": res.rotations,
         "low_confidence": res.low_confidence,
+        "diagnostics": {"stop_reason": res.stop_reason},
     }
     _emit(out, args, args.out)
     return 0

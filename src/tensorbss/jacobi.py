@@ -18,7 +18,14 @@ rotation is applied only when its contrast gain is strictly positive, so the
 recorded contrast trace never decreases.  Sweeps stop once no rotation of
 a whole sweep exceeds ``ANGLE_TOL`` (cyclic), once the best pair's angle
 falls below it or no pair gains (greedy), or after ``max_sweeps`` sweeps
-(``max_sweeps`` times the pair count in rotations, for greedy).
+(``max_sweeps`` times the pair count in rotations, for greedy); the result's
+``stop_reason`` says which.
+
+Greedy sweeps solve every pair once and then, after each rotation of
+``(p, q)``, only the ``2n - 3`` pairs touching ``p`` or ``q``: the rotation
+rewrites only tensor slices indexed by ``p`` or ``q``, and a pair's angle
+reads only entries indexed within that pair, so every other cached angle is
+exactly what a fresh solve would return.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from dataclasses import dataclass, field
 from math import atan, atan2, ceil, cos, pi, sin, sqrt
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import SymTensor, _as_array, symmetrize
 from .cumulants import as_samples, cumulant_tensor
@@ -36,6 +42,17 @@ from .whiten import Whitener, standardize
 SUPPORTED_SPECS = {(1, 3), (1, 4), (2, 3), (2, 4), (2, 2)}
 QUADRATIC_FORM_SPECS = {(2, 2), (2, 3), (1, 4)}
 ANGLE_TOL = 1e-8
+
+# (1, 3): sin(phi) / 2, cos(phi), sin(3 phi) and cos(3 phi) times
+# (1 + h^2)^3, as ascending coefficients in h = tan(phi/2)
+_HALF_SIN1 = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0])
+_COS1 = np.array([1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0])
+_SIN3 = np.array([0.0, 6.0, 0.0, -20.0, 0.0, 6.0])
+_COS3 = np.array([1.0, 0.0, -15.0, 0.0, 15.0, 0.0, -1.0])
+# (2, 4): derivative weights of a quartic, 1 + t^2 and 4t
+_QUARTIC_DER = np.arange(1.0, 5.0)
+_ONE_T2 = np.array([1.0, 0.0, 1.0])
+_FOUR_T = np.array([0.0, 4.0])
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,8 @@ class ICAResult:
     ``Q`` is the estimated orthogonal mixing matrix; the rotated sources are
     ``Q.T @ y`` for standardized observations ``y``.  ``trace`` holds the
     contrast after the initial state and after every accepted rotation.
+    ``stop_reason`` says why the sweeps ended: ``"angle_tol"``, ``"no_gain"``
+    or ``"max_sweeps"`` (a tensor without pairs is already stationary).
     """
 
     Q: np.ndarray
@@ -88,6 +107,7 @@ class ICAResult:
     sweeps: int = 0
     rotations: int = 0
     low_confidence: bool = False
+    stop_reason: str = "angle_tol"
 
 
 def contrast_value(z, spec: ContrastSpec) -> float:
@@ -137,14 +157,23 @@ def _restricted(vals, d: int, alpha: int, phi: float) -> float:
 
 
 def _real_roots(coeffs_ascending) -> np.ndarray:
-    c = npoly.polytrim(np.asarray(coeffs_ascending, dtype=float), tol=0.0)
-    scale = np.abs(c).max(initial=0.0)
-    if scale == 0.0 or c.size <= 1:
+    c = np.asarray(coeffs_ascending, dtype=float)
+    mag = np.abs(c)
+    scale = mag.max(initial=0.0)
+    kept = np.flatnonzero(mag > 1e-14 * scale)
+    if scale == 0.0 or kept.size == 0 or kept[-1] == 0:
         return np.array([])
-    c = npoly.polytrim(c, tol=1e-14 * scale)
-    if c.size <= 1:
-        return np.array([])
-    roots = npoly.polyroots(c)
+    c = c[: kept[-1] + 1]
+    if c.size == 2:
+        roots = np.array([-c[0] / c[1]])
+    else:
+        # the companion matrix as numpy.polynomial's polycompanion builds it
+        deg = c.size - 1
+        mat = np.zeros((deg, deg))
+        mat.reshape(-1)[deg :: deg + 1] = 1.0
+        mat[:, -1] -= c[:-1] / c[-1]
+        roots = np.linalg.eigvals(mat)
+        roots.sort()
     return np.real(roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))])
 
 
@@ -178,34 +207,22 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
         b1 = 0.5 * (v2 + (v3 - v4) / sqrt(2.0))
         b3 = b1 - v2
         # d/dphi = 0 as a polynomial in h = tan(phi/2), multiplied by (1+h^2)^3
-        one_h2_sq = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
-        deriv = npoly.polyadd(
-            npoly.polyadd(
-                -2.0 * a1 * npoly.polymul([0.0, 1.0], one_h2_sq),
-                b1 * npoly.polymul([1.0, 0.0, -1.0], one_h2_sq),
-            ),
-            npoly.polyadd(
-                -3.0 * a3 * np.array([0.0, 6.0, 0.0, -20.0, 0.0, 6.0]),
-                3.0 * b3 * np.array([1.0, 0.0, -15.0, 0.0, 15.0, 0.0, -1.0]),
-            ),
-        )
+        first = b1 * _COS1
+        first[:6] += -2.0 * a1 * _HALF_SIN1
+        third = 3.0 * b3 * _COS3
+        third[:6] += -3.0 * a3 * _SIN3
         candidates = [0.0, pi / 2, -pi / 2]
         candidates.extend(
-            2.0 * atan(h) for h in _real_roots(deriv) if -1.0 - 1e-12 <= h <= 1.0 + 1e-12
+            2.0 * atan(h) for h in _real_roots(first + third) if -1.0 - 1e-12 <= h <= 1.0 + 1e-12
         )
     else:
         # (2, 4): stationary angles are roots of a degree-8 polynomial in tan(phi)
         a, b, e, f, g = vals
         p1 = np.array([a, 4 * b, 6 * e, 4 * f, g])
         p2 = np.array([g, -4 * f, 6 * e, -4 * b, a])
-        lead = npoly.polymul(
-            npoly.polyadd(
-                npoly.polymul(p1, npoly.polyder(p1)), npoly.polymul(p2, npoly.polyder(p2))
-            ),
-            [1.0, 0.0, 1.0],
-        )
-        tail = npoly.polymul([0.0, 4.0], npoly.polyadd(npoly.polymul(p1, p1), npoly.polymul(p2, p2)))
-        stat = npoly.polysub(lead, tail)
+        grad = np.convolve(p1, p1[1:] * _QUARTIC_DER) + np.convolve(p2, p2[1:] * _QUARTIC_DER)
+        norm = np.convolve(p1, p1) + np.convolve(p2, p2)
+        stat = np.convolve(grad, _ONE_T2) - np.convolve(_FOUR_T, norm)
         candidates = [0.0]
         candidates.extend(atan(t) for t in _real_roots(stat))
 
@@ -220,7 +237,7 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
 
 
 def pair_rotation_optimal(g, p: int, q: int, spec: ContrastSpec) -> PairRotation:
-    """Angle in (-pi/2, pi/2] maximizing the contrast restricted to the pair."""
+    """Angle in [-pi/2, pi/2] maximizing the contrast restricted to the pair."""
     if p == q:
         raise ValueError("pair indices must be distinct")
     zd = _as_array(g)
@@ -272,27 +289,35 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
         trace.append(trace[-1] + gain)
         result.rotations += 1
 
+    def solve(p, q):
+        return _best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)
+
+    result.stop_reason = "max_sweeps"
     if greedy:
+        touching = [[k for k, pair in enumerate(pairs) if i in pair] for i in range(n)]
+        solved = [solve(p, q) for p, q in pairs]
         while result.rotations < len(pairs) * max_sweeps:
-            best = max(
-                ((p, q, *_best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)) for p, q in pairs),
-                key=lambda t: t[3],
-            )
-            p, q, phi, gain = best
+            k = max(range(len(pairs)), key=lambda j: solved[j][1])
+            phi, gain = solved[k]
             if gain <= 0.0 or abs(phi) < ANGLE_TOL:
+                result.stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
                 break
+            p, q = pairs[k]
             accept(p, q, phi, gain)
+            for j in set(touching[p] + touching[q]):
+                solved[j] = solve(*pairs[j])
         result.sweeps = ceil(result.rotations / len(pairs))
     else:
         for _ in range(max_sweeps):
             largest_phi = 0.0
             for p, q in pairs:
-                phi, gain = _best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)
+                phi, gain = solve(p, q)
                 if gain > 0.0 and phi != 0.0:
                     accept(p, q, phi, gain)
                     largest_phi = max(largest_phi, abs(phi))
             result.sweeps += 1
             if largest_phi < ANGLE_TOL:
+                result.stop_reason = "angle_tol"
                 break
 
     result.Q = v.T.copy()

@@ -138,6 +138,7 @@ class TestCliRoundTrips:
         res = load_json(result)
         trace = res["contrast_trace"]
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert res["diagnostics"] == {"stop_reason": "angle_tol"}
 
     def test_gen_determinism_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -209,6 +210,15 @@ class TestCliRoundTrips:
         )
         assert code == 1
         assert "sylvester" in capsys.readouterr().err
+
+    def test_fewer_sources_refused(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        save_samples(samples, rng.standard_normal((100, 3)))
+        out = tmp_path / "r.json"
+        code = self.run("ica", "--sources", "2", "--in", str(samples), "--out", str(out))
+        assert code == 1
+        assert "source-count detection" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         qpath = tmp_path / "q.json"

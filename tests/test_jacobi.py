@@ -1,14 +1,22 @@
+from math import atan, ceil, pi, sqrt
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from tensorbss import jacobi
 from tensorbss.core import symmetrize, tucker_transform
 from tensorbss.cumulants import cumulant_tensor
 from tensorbss.jacobi import (
+    ANGLE_TOL,
+    QUADRATIC_FORM_SPECS,
     ContrastSpec,
     PairRotation,
+    _apply_rotation,
     _best_angle,
     _pair_vals,
     _restricted,
+    _rotate_rows,
     contrast_value,
     convexity_margin,
     ica,
@@ -106,6 +114,16 @@ class TestPairRotation:
         delta = (rot.phi + phi0) % (np.pi / 2)
         assert min(delta, np.pi / 2 - delta) < 1e-8
 
+    def test_signed_order3_reaches_minus_half_pi(self):
+        # vals (a, b, e, g) = (1, 0, 0, -1): the signed contrast is 2 at
+        # -pi/2 and -2 at +pi/2, so the closed end of the range is needed
+        z = np.zeros((2, 2, 2))
+        z[0, 0, 0], z[1, 1, 1] = 1.0, -1.0
+        rot = pair_rotation_optimal(symmetrize(z), 0, 1, ContrastSpec(1, 3))
+        assert rot.phi == -pi / 2
+        assert _restricted((1.0, 0.0, 0.0, -1.0), 3, 1, -pi / 2) == pytest.approx(2.0)
+        assert _restricted((1.0, 0.0, 0.0, -1.0), 3, 1, pi / 2) == pytest.approx(-2.0)
+
     def test_order2_matches_eigensolver(self):
         a = np.array([[2.0, 1.2], [1.2, -1.0]])
         rot = pair_rotation_optimal(symmetrize(a), 0, 1, ContrastSpec(2, 2))
@@ -188,6 +206,203 @@ class TestSweepGreedy:
         g, _ = rotated_diag([-1.2, -2.0, 1.5], 4, seed=22)
         res = sweep_greedy(g, ContrastSpec(2, 4))
         assert all(b > a for a, b in zip(res.trace, res.trace[1:]))
+
+
+class TestStopReason:
+    def test_max_sweeps(self):
+        g, _ = rotated_diag([-1.2, -2.0, 1.5], 4, seed=0)
+        assert sweep_cyclic(g, ContrastSpec(2, 4), max_sweeps=1).stop_reason == "max_sweeps"
+        res = sweep_greedy(g, ContrastSpec(2, 4), max_sweeps=1)
+        assert res.stop_reason == "max_sweeps" and res.rotations == 3
+
+    def test_converged(self):
+        g, _ = rotated_diag([-1.2, -2.0, 1.5], 4, seed=0)
+        assert sweep_cyclic(g, ContrastSpec(2, 4)).stop_reason == "angle_tol"
+        assert sweep_greedy(g, ContrastSpec(2, 4)).stop_reason == "no_gain"
+
+    def test_diagonal(self):
+        g = symmetrize(diag_tensor([2.0, -1.0, 0.5], 4))
+        assert sweep_cyclic(g, ContrastSpec(2, 4)).stop_reason == "angle_tol"
+        assert sweep_greedy(g, ContrastSpec(2, 4)).stop_reason == "no_gain"
+
+    def test_greedy_angle_below_tolerance(self):
+        # a positive gain whose angle is below ANGLE_TOL is not taken
+        g = symmetrize(np.array([[2.0, 1e-12], [1e-12, 1.0]]))
+        phi, gain = _best_angle(_pair_vals(g.expand().array, 0, 1), 2, 2)
+        assert gain > 0.0 and abs(phi) < ANGLE_TOL
+        res = sweep_greedy(g, ContrastSpec(2, 2))
+        assert res.stop_reason == "angle_tol" and res.rotations == 0
+
+    def test_no_pairs(self):
+        assert sweep_greedy(np.ones((1,) * 4), ContrastSpec(2, 4)).stop_reason == "angle_tol"
+        assert sweep_cyclic(np.ones((1,) * 4), ContrastSpec(2, 4)).stop_reason == "angle_tol"
+        _, res = ica(np.random.default_rng(9).standard_normal((500, 1)), ContrastSpec(2, 4))
+        assert res.stop_reason == "angle_tol"
+
+
+# The angle solve as numpy.polynomial wrote it, before the solve built its
+# polynomials with np.convolve and its companion matrix by hand.
+def _real_roots_polynomial(coeffs_ascending):
+    c = npoly.polytrim(np.asarray(coeffs_ascending, dtype=float), tol=0.0)
+    scale = np.abs(c).max(initial=0.0)
+    if scale == 0.0 or c.size <= 1:
+        return np.array([])
+    c = npoly.polytrim(c, tol=1e-14 * scale)
+    if c.size <= 1:
+        return np.array([])
+    roots = npoly.polyroots(c)
+    return np.real(roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))])
+
+
+def best_angle_polynomial(vals, d, alpha):
+    if (alpha, d) in QUADRATIC_FORM_SPECS:
+        return _best_angle(vals, d, alpha)  # no polynomial on this path
+    base = _restricted(vals, d, alpha, 0.0)
+    if (alpha, d) == (1, 3):
+        v1, v2 = base, _restricted(vals, d, alpha, pi / 2)
+        v3 = _restricted(vals, d, alpha, pi / 4)
+        v4 = _restricted(vals, d, alpha, -pi / 4)
+        a1 = 0.5 * (v1 + (v3 + v4) / sqrt(2.0))
+        a3 = v1 - a1
+        b1 = 0.5 * (v2 + (v3 - v4) / sqrt(2.0))
+        b3 = b1 - v2
+        one_h2_sq = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
+        deriv = npoly.polyadd(
+            npoly.polyadd(
+                -2.0 * a1 * npoly.polymul([0.0, 1.0], one_h2_sq),
+                b1 * npoly.polymul([1.0, 0.0, -1.0], one_h2_sq),
+            ),
+            npoly.polyadd(
+                -3.0 * a3 * np.array([0.0, 6.0, 0.0, -20.0, 0.0, 6.0]),
+                3.0 * b3 * np.array([1.0, 0.0, -15.0, 0.0, 15.0, 0.0, -1.0]),
+            ),
+        )
+        candidates = [0.0, pi / 2, -pi / 2]
+        candidates.extend(
+            2.0 * atan(h) for h in _real_roots_polynomial(deriv) if -1.0 - 1e-12 <= h <= 1.0 + 1e-12
+        )
+    else:
+        a, b, e, f, g = vals
+        p1 = np.array([a, 4 * b, 6 * e, 4 * f, g])
+        p2 = np.array([g, -4 * f, 6 * e, -4 * b, a])
+        lead = npoly.polymul(
+            npoly.polyadd(
+                npoly.polymul(p1, npoly.polyder(p1)), npoly.polymul(p2, npoly.polyder(p2))
+            ),
+            [1.0, 0.0, 1.0],
+        )
+        tail = npoly.polymul([0.0, 4.0], npoly.polyadd(npoly.polymul(p1, p1), npoly.polymul(p2, p2)))
+        candidates = [0.0]
+        candidates.extend(atan(t) for t in _real_roots_polynomial(npoly.polysub(lead, tail)))
+    best_phi, best_val = 0.0, base
+    for phi in candidates:
+        val = _restricted(vals, d, alpha, phi)
+        better = val > best_val + 1e-15 * (1.0 + abs(best_val))
+        tied = abs(val - best_val) <= 1e-12 * (1.0 + abs(best_val))
+        if better or (tied and abs(phi) < abs(best_phi)):
+            best_phi, best_val = phi, val
+    return best_phi, best_val - base
+
+
+def sweep_greedy_all_pairs(g, spec, max_sweeps=None):
+    """The greedy sweep that solves every pair again before each rotation (dense ``g``)."""
+    zd = g.copy()
+    n = zd.shape[0]
+    v = np.eye(n)
+    trace = [contrast_value(zd, spec)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    if max_sweeps is None:
+        max_sweeps = ceil(sqrt(n)) + 3
+    rotations = 0
+    while rotations < len(pairs) * max_sweeps:
+        p, q, phi, gain = max(
+            ((p, q, *_best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)) for p, q in pairs),
+            key=lambda t: t[3],
+        )
+        if gain <= 0.0 or abs(phi) < ANGLE_TOL:
+            break
+        _apply_rotation(zd, p, q, phi)
+        _rotate_rows(v, p, q, phi)
+        trace.append(trace[-1] + gain)
+        rotations += 1
+    return v.T, trace, rotations, ceil(rotations / len(pairs))
+
+
+ALL_SPECS = [(2, 2), (2, 3), (2, 4), (1, 3), (1, 4)]
+PAIR_SIZE = {2: 3, 3: 4, 4: 5}
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestSolveOracle:
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_random_vals(self, alpha, d):
+        r = np.random.default_rng(700 + 10 * d + alpha)
+        for vals in r.standard_normal((2000, PAIR_SIZE[d])):
+            vals = tuple(vals)
+            phi, gain = _best_angle(vals, d, alpha)
+            phi_ref, gain_ref = best_angle_polynomial(vals, d, alpha)
+            assert same_bits(phi, phi_ref) and same_bits(gain, gain_ref), vals
+
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_degenerate_vals(self, alpha, d):
+        m = PAIR_SIZE[d]
+        inner = np.zeros(m - 2)
+        cases = [
+            np.zeros(m),
+            np.r_[1.0, inner, -1.0],
+            np.r_[2.0, inner, 1.0],  # already diagonal
+            np.r_[1.0, np.linspace(0.3, -0.2, m - 2), 1.0],  # a = g
+        ]
+        # small integers leave exact zeros at the top of the polynomials
+        r = np.random.default_rng(800 + 10 * d + alpha)
+        cases += list(r.integers(-2, 3, size=(500, m)).astype(float))
+        for vals in cases:
+            vals = tuple(np.float64(x) for x in vals)
+            phi, gain = _best_angle(vals, d, alpha)
+            phi_ref, gain_ref = best_angle_polynomial(vals, d, alpha)
+            assert same_bits(phi, phi_ref) and same_bits(gain, gain_ref), vals
+
+    def test_trimmed_real_roots(self):
+        for coeffs in ([0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, 0.0], [2.0, -3.0, 1.0, 1e-20],
+                       [2.0, -3.0, 1.0, 2e-14], [2.0, -3.0, 1.0, 5e-14],
+                       [0.0, 1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 1.0]):
+            np.testing.assert_array_equal(
+                jacobi._real_roots(coeffs), _real_roots_polynomial(coeffs)
+            )
+
+
+class TestGreedyOracle:
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_matches_all_pairs_selection(self, alpha, d):
+        spec = ContrastSpec(alpha, d)
+        r = np.random.default_rng(900 + 10 * d + alpha)
+        for n in range(2, 7):
+            for max_sweeps in (None, 1):
+                g = symmetrize(r.standard_normal((n,) * d))
+                res = sweep_greedy(g, spec, max_sweeps=max_sweeps)
+                q, trace, rotations, sweeps = sweep_greedy_all_pairs(
+                    g.expand().array, spec, max_sweeps
+                )
+                np.testing.assert_array_equal(res.Q, q)
+                assert res.trace == trace
+                assert (res.rotations, res.sweeps) == (rotations, sweeps)
+
+    def test_solves_only_touched_pairs(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _best_angle(*args)
+
+        monkeypatch.setattr(jacobi, "_best_angle", counted)
+        n = 5
+        g = symmetrize(np.random.default_rng(950).standard_normal((n,) * 4))
+        res = sweep_greedy(g, ContrastSpec(2, 4))
+        assert res.rotations > 0
+        assert len(calls) == n * (n - 1) // 2 + res.rotations * (2 * n - 3)
 
 
 def stationarity_oracle(zd, d):
