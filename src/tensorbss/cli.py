@@ -183,10 +183,15 @@ def _cmd_ica(args) -> int:
 
 def _cmd_parafac(args) -> int:
     t = tio.tensor_from_obj(tio.load_json(args.infile))
-    cfg = ALSConfig(
-        rank=args.rank, max_iters=args.max_iters, rel_tol=args.tol,
-        init=args.init, seed=args.seed,
-    )
+    if t.order != 3:
+        raise UsageError(f"parafac expects an order-3 tensor, got order {t.order}")
+    try:
+        cfg = ALSConfig(
+            rank=args.rank, max_iters=args.max_iters, rel_tol=args.tol,
+            init=args.init, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     factors, history = als(t, cfg)
     out = tio.factors_to_obj(factors)
     out["fit_history"] = history

@@ -293,3 +293,30 @@ def greedy_match(score) -> list[int]:
         s[r, :] = -np.inf
         s[:, c] = -np.inf
     return match
+
+
+def real_roots(coeffs_ascending) -> np.ndarray:
+    """Sorted real roots of a polynomial given by ascending coefficients.
+
+    Coefficients below ``1e-14`` times the largest magnitude are dropped from
+    the top; the roots are the eigenvalues of the companion matrix, and those
+    with imaginary part within ``1e-8 * (1 + |real part|)`` count as real.
+    """
+    c = np.asarray(coeffs_ascending, dtype=float)
+    mag = np.abs(c)
+    scale = mag.max(initial=0.0)
+    kept = np.flatnonzero(mag > 1e-14 * scale)
+    if scale == 0.0 or kept.size == 0 or kept[-1] == 0:
+        return np.array([])
+    c = c[: kept[-1] + 1]
+    if c.size == 2:
+        roots = np.array([-c[0] / c[1]])
+    else:
+        # the companion matrix as numpy.polynomial's polycompanion builds it
+        deg = c.size - 1
+        mat = np.zeros((deg, deg))
+        mat.reshape(-1)[deg :: deg + 1] = 1.0
+        mat[:, -1] -= c[:-1] / c[-1]
+        roots = np.linalg.eigvals(mat)
+        roots.sort()
+    return np.real(roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))])

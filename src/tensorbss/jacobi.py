@@ -35,7 +35,7 @@ from math import atan, atan2, ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .core import SymTensor, _as_array, symmetrize
+from .core import SymTensor, _as_array, real_roots, symmetrize
 from .cumulants import as_samples, cumulant_tensor
 from .whiten import Whitener, standardize
 
@@ -156,27 +156,6 @@ def _restricted(vals, d: int, alpha: int, phi: float) -> float:
     return abs(zp) ** alpha + abs(zq) ** alpha
 
 
-def _real_roots(coeffs_ascending) -> np.ndarray:
-    c = np.asarray(coeffs_ascending, dtype=float)
-    mag = np.abs(c)
-    scale = mag.max(initial=0.0)
-    kept = np.flatnonzero(mag > 1e-14 * scale)
-    if scale == 0.0 or kept.size == 0 or kept[-1] == 0:
-        return np.array([])
-    c = c[: kept[-1] + 1]
-    if c.size == 2:
-        roots = np.array([-c[0] / c[1]])
-    else:
-        # the companion matrix as numpy.polynomial's polycompanion builds it
-        deg = c.size - 1
-        mat = np.zeros((deg, deg))
-        mat.reshape(-1)[deg :: deg + 1] = 1.0
-        mat[:, -1] -= c[:-1] / c[-1]
-        roots = np.linalg.eigvals(mat)
-        roots.sort()
-    return np.real(roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))])
-
-
 def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
     """Globally optimal pair angle and its contrast gain over ``phi = 0``."""
     base = _restricted(vals, d, alpha, 0.0)
@@ -213,7 +192,7 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
         third[:6] += -3.0 * a3 * _SIN3
         candidates = [0.0, pi / 2, -pi / 2]
         candidates.extend(
-            2.0 * atan(h) for h in _real_roots(first + third) if -1.0 - 1e-12 <= h <= 1.0 + 1e-12
+            2.0 * atan(h) for h in real_roots(first + third) if -1.0 - 1e-12 <= h <= 1.0 + 1e-12
         )
     else:
         # (2, 4): stationary angles are roots of a degree-8 polynomial in tan(phi)
@@ -224,7 +203,7 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
         norm = np.convolve(p1, p1) + np.convolve(p2, p2)
         stat = np.convolve(grad, _ONE_T2) - np.convolve(_FOUR_T, norm)
         candidates = [0.0]
-        candidates.extend(atan(t) for t in _real_roots(stat))
+        candidates.extend(atan(t) for t in real_roots(stat))
 
     best_phi, best_val = 0.0, base
     for phi in candidates:

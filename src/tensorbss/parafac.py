@@ -1,10 +1,27 @@
 """Trilinear decomposition by alternating least squares.
 
 The model is ``G_ijk = sum_p A_ip B_jp C_kp``.  One iteration refreshes A,
-then B, then C, each by a least-squares solve against the matching unfolding;
-since every block update is exact least squares, the relative fit error never
-increases.  Factors are returned normalized: unit-norm columns, nonnegative
-weights, sign carried by the last factor.
+then B, then C, each by an exact least-squares solve against the matching
+unfolding.  A block update solves the normal equations: the MTTKRP
+``unfolding @ khatri_rao(x, y)`` against the R x R Hadamard product of the
+other two factors' Gram matrices (Kolda & Bader, SIAM Review 2009).  When
+that Gram matrix is ill-conditioned (condition number at least
+``GRAM_COND_LIMIT``, from its eigenvalues) the update falls back to ``lstsq``
+on the Khatri-Rao product itself, which also decides rank deficiency; every
+system ``lstsq`` calls rank deficient has a far larger Gram condition number,
+so it always takes the fallback.
+
+Before every cycle after the first, the untied iteration tries an enhanced
+line search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008),
+the remedy for the slow "swamps" of nearly collinear factors: it steps from
+the current factors along their change over the previous cycle.  The squared
+error along that line is a degree-6 polynomial in the step, assembled from
+three MTTKRPs and the factor Grams without forming a model tensor; the step
+goes to the best real root of its derivative.  The step is kept only when the
+exactly recomputed fit is strictly lower, and each block update is exact
+least squares, so the relative fit error never increases.  Factors are
+returned normalized: unit-norm columns, nonnegative weights, sign carried by
+the last factor.
 """
 
 from __future__ import annotations
@@ -14,7 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_array, greedy_match, mode_n_unfold
+from .core import DenseTensor, _as_array, greedy_match, mode_n_unfold, real_roots
+
+# a block update whose Gram matrix has at least this condition number is
+# solved by lstsq on the Khatri-Rao product instead of the normal equations
+GRAM_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -56,6 +77,10 @@ class ALSConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError("rel_tol must be finite and >= 0")
         if self.init not in ("svd", "random"):
             raise ValueError("init must be 'svd' or 'random'")
 
@@ -72,14 +97,29 @@ def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(f: KruskalFactors) -> DenseTensor:
-    w = f.weights if f.weights is not None else np.ones(f.rank)
-    return DenseTensor(np.einsum("ip,jp,kp,p->ijk", f.A, f.B, f.C, w))
+    a, b, c = _scaled_factors(f)
+    dims = (a.shape[0], b.shape[0], c.shape[0])
+    return DenseTensor((a @ khatri_rao(b, c).T).reshape(dims))
 
 
 def _scaled_factors(f: KruskalFactors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if f.weights is None:
         return f.A, f.B, f.C
     return f.A * f.weights, f.B, f.C
+
+
+def _block_solve(unfolding: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Least-squares ``m`` minimizing ``norm(unfolding - m @ khatri_rao(x, y).T)``.
+
+    Also reports whether the system was rank deficient, as ``lstsq`` judges it.
+    """
+    kr = khatri_rao(x, y)
+    gram = (x.T @ x) * (y.T @ y)
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] * GRAM_COND_LIMIT > eig[-1]:
+        return np.linalg.solve(gram, (unfolding @ kr).T).T, False
+    sol, _, rank, _ = np.linalg.lstsq(kr, unfolding.T, rcond=None)
+    return sol.T, rank < kr.shape[1]
 
 
 def als_step(g, f: KruskalFactors) -> tuple[KruskalFactors, dict]:
@@ -90,16 +130,22 @@ def als_step(g, f: KruskalFactors) -> tuple[KruskalFactors, dict]:
     a, b, c = _scaled_factors(f)
     deficient = []
 
-    def solve(kr, unfolding, name):
-        sol, _, rank, _ = np.linalg.lstsq(kr, unfolding.T, rcond=None)
-        if rank < kr.shape[1]:
+    def solve(mode, x, y, name):
+        sol, rank_deficient = _block_solve(mode_n_unfold(arr, mode), x, y)
+        if rank_deficient:
             deficient.append(name)
-        return sol.T
+        return sol
 
-    a = solve(khatri_rao(b, c), mode_n_unfold(arr, 1), "A")
-    b = solve(khatri_rao(a, c), mode_n_unfold(arr, 2), "B")
-    c = solve(khatri_rao(a, b), mode_n_unfold(arr, 3), "C")
+    a = solve(1, b, c, "A")
+    b = solve(2, a, c, "B")
+    c = solve(3, a, b, "C")
     return KruskalFactors(a, b, c), {"rank_deficient": deficient}
+
+
+def _lead_signs(m: np.ndarray) -> np.ndarray:
+    """Per column, -1 where the entry of largest magnitude (the first, on ties) is negative."""
+    lead = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def _symmetric_step(arr: np.ndarray, f: KruskalFactors) -> KruskalFactors:
@@ -112,17 +158,52 @@ def _symmetric_step(arr: np.ndarray, f: KruskalFactors) -> KruskalFactors:
     a = f.A
     norms = np.linalg.norm(a, axis=0)
     a = a / np.where(norms > 0, norms, 1.0)
-    x, _, _, _ = np.linalg.lstsq(khatri_rao(a, a), mode_n_unfold(arr, 1).T, rcond=None)
-    x = x.T
+    x, _ = _block_solve(mode_n_unfold(arr, 1), a, a)
     w = np.linalg.norm(x, axis=0)
     new_a = np.where(w > 0, x / np.where(w > 0, w, 1.0), a)
-    weights = w.copy()
-    for r in range(new_a.shape[1]):
-        lead = np.argmax(np.abs(new_a[:, r]))
-        if new_a[lead, r] < 0:
-            new_a[:, r] *= -1
-            weights[r] *= -1
-    return KruskalFactors(new_a, new_a, new_a, weights)
+    signs = _lead_signs(new_a)
+    new_a = new_a * signs
+    return KruskalFactors(new_a, new_a, new_a, w * signs)
+
+
+def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials whose ascending coefficients are arrays, taken entrywise."""
+    out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:])
+    for i, coef in enumerate(p):
+        out[i : i + len(q)] += coef * q
+    return out
+
+
+def _line_search(arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors) -> KruskalFactors | None:
+    """The factors ``f + mu (f - prev)`` whose model is closest to ``arr``.
+
+    Enhanced line search for unweighted factors; ``None`` when the squared
+    error has no stationary point along the line.
+    """
+    a, b, c = f.A, f.B, f.C
+    da, db, dc = a - prev.A, b - prev.B, c - prev.C
+    unfolding = mode_n_unfold(arr, 1)
+    # <G, model(mu)> = sum((A + mu dA) * (P0 + mu P1 + mu^2 P2)), P the mode-1 MTTKRPs
+    mttkrp = [
+        unfolding @ khatri_rao(b, c),
+        unfolding @ (khatri_rao(db, c) + khatri_rao(b, dc)),
+        unfolding @ khatri_rao(db, dc),
+    ]
+    cross = np.zeros(4)
+    for k, p in enumerate(mttkrp):
+        cross[k] += np.sum(a * p)
+        cross[k + 1] += np.sum(da * p)
+    # norm(model(mu))^2 = sum(GA(mu) * GB(mu) * GC(mu)), each Gram quadratic in mu
+    grams = [
+        np.stack([m.T @ m, m.T @ d + d.T @ m, d.T @ d]) for m, d in ((a, da), (b, db), (c, dc))
+    ]
+    err = _poly_product(_poly_product(grams[0], grams[1]), grams[2]).sum(axis=(1, 2))
+    err[:4] -= 2.0 * cross
+    roots = real_roots(err[1:] * np.arange(1, err.size))
+    if roots.size == 0:
+        return None
+    mu = roots[np.argmin(np.vander(roots, err.size, increasing=True) @ err)]
+    return KruskalFactors(a + mu * da, b + mu * db, c + mu * dc)
 
 
 def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> KruskalFactors:
@@ -145,21 +226,13 @@ def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> KruskalFactors:
 
 def normalized(f: KruskalFactors) -> KruskalFactors:
     """Unit-norm columns, nonnegative weights; signs pushed into C."""
-    a, b, c = _scaled_factors(f)
-    a, b, c = a.copy(), b.copy(), c.copy()
-    weights = np.empty(f.rank)
-    for r in range(f.rank):
-        norms = [np.linalg.norm(m[:, r]) for m in (a, b, c)]
-        weights[r] = np.prod(norms)
-        for m, nrm in zip((a, b, c), norms):
-            if nrm > 0:
-                m[:, r] /= nrm
-        for m in (a, b):  # canonical sign on A and B, compensated in C
-            lead = np.argmax(np.abs(m[:, r]))
-            if m[lead, r] < 0:
-                m[:, r] *= -1
-                c[:, r] *= -1
-    return KruskalFactors(a, b, c, weights)
+    mats = _scaled_factors(f)
+    norms = [np.linalg.norm(m, axis=0) for m in mats]
+    a, b, c = (m / np.where(n > 0, n, 1.0) for m, n in zip(mats, norms))
+    # canonical sign on A and B, compensated in C
+    sign_a, sign_b = _lead_signs(a), _lead_signs(b)
+    weights = norms[0] * norms[1] * norms[2]
+    return KruskalFactors(a * sign_a, b * sign_b, c * (sign_a * sign_b), weights)
 
 
 def als(g, cfg: ALSConfig, tied: bool = False) -> tuple[KruskalFactors, list[float]]:
@@ -199,10 +272,15 @@ def als(g, cfg: ALSConfig, tied: bool = False) -> tuple[KruskalFactors, list[flo
         return float(np.linalg.norm(arr - reconstruct(fac).array)) / gnorm
 
     history = [fit(f)]
+    prev = None
     for _ in range(cfg.max_iters):
         if tied:
             f = _symmetric_step(arr, f)
         else:
+            step = _line_search(arr, f, prev) if prev is not None else None
+            if step is not None and fit(step) < history[-1]:
+                f = step
+            prev = f
             f, _ = als_step(arr, f)
         history.append(fit(f))
         if abs(history[-2] - history[-1]) < cfg.rel_tol:

@@ -170,6 +170,30 @@ class TestCliRoundTrips:
         obj = load_json(fpath)
         assert obj["fit_history"][-1] <= 1e-8
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--rank", "0"), "rank must be >= 1"),
+            (("--rank", "2", "--max-iters", "-5"), "max_iters must be >= 0"),
+            (("--rank", "2", "--tol", "-1"), "rel_tol must be finite"),
+            (("--rank", "2", "--tol", "nan"), "rel_tol must be finite"),
+        ],
+    )
+    def test_parafac_bad_flags_exit_1(self, tmp_path, capsys, flags, message):
+        tpath = tmp_path / "t.json"
+        save_json(tensor_to_obj(DenseTensor(rng.standard_normal((3, 3, 3)))), tpath)
+        out = tmp_path / "f.json"
+        assert self.run("parafac", *flags, "--in", str(tpath), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parafac_order2_exits_1(self, tmp_path, capsys):
+        tpath = tmp_path / "t.json"
+        save_json(tensor_to_obj(DenseTensor(rng.standard_normal((3, 3)))), tpath)
+        out = tmp_path / "f.json"
+        assert self.run("parafac", "--rank", "1", "--in", str(tpath), "--out", str(out)) == 1
+        assert "order-3" in capsys.readouterr().err
+
     def test_sylvester_command(self, tmp_path):
         qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"
         save_json({"degree": 3, "gamma": [0.0, 0.0, 1 / 3, 0.0]}, qpath)

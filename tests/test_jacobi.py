@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from tensorbss import jacobi
-from tensorbss.core import symmetrize, tucker_transform
+from tensorbss.core import real_roots, symmetrize, tucker_transform
 from tensorbss.cumulants import cumulant_tensor
 from tensorbss.jacobi import (
     ANGLE_TOL,
@@ -370,7 +370,7 @@ class TestSolveOracle:
                        [2.0, -3.0, 1.0, 2e-14], [2.0, -3.0, 1.0, 5e-14],
                        [0.0, 1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 1.0]):
             np.testing.assert_array_equal(
-                jacobi._real_roots(coeffs), _real_roots_polynomial(coeffs)
+                real_roots(coeffs), _real_roots_polynomial(coeffs)
             )
 
 
