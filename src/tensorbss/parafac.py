@@ -197,6 +197,7 @@ def _line_search(arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors) -> Kr
     grams = [
         np.stack([m.T @ m, m.T @ d + d.T @ m, d.T @ d]) for m, d in ((a, da), (b, db), (c, dc))
     ]
+    # the squared error along the line, less its constant norm(G)^2
     err = _poly_product(_poly_product(grams[0], grams[1]), grams[2]).sum(axis=(1, 2))
     err[:4] -= 2.0 * cross
     roots = real_roots(err[1:] * np.arange(1, err.size))

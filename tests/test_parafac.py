@@ -271,19 +271,42 @@ class TestAls:
         _, history = als(swamp_tensor(0), ALSConfig(rank=3, max_iters=20, rel_tol=0.0))
         assert len(taken) == len(history) - 2 == 19 and any(taken)
 
+    @staticmethod
+    def _line_error(g, f, prev, mu):
+        mats = (m + mu * (m - p) for m, p in zip((f.A, f.B, f.C), (prev.A, prev.B, prev.C)))
+        return np.linalg.norm(g - reconstruct(KruskalFactors(*mats)).array)
+
     def test_line_search_finds_the_line_minimum(self):
-        g = swamp_tensor(1, n=6)
-        r = np.random.default_rng(2)
-        f, prev = (KruskalFactors(*(r.standard_normal((6, 3)) for _ in range(3))) for _ in range(2))
-        step = parafac._line_search(g, f, prev)
-        mu = (step.A[0, 0] - f.A[0, 0]) / (f.A[0, 0] - prev.A[0, 0])
+        # along this line the model is [mu^2, mu] and G is [1, 0.1]: the squared
+        # error has local minima near +1 (the lower) and -1, a maximum near 0
+        cases = [(
+            np.array([1.0, 0.1]).reshape(2, 1, 1),
+            KruskalFactors(np.array([[0.0], [1.0]]), np.zeros((1, 1)), np.ones((1, 1))),
+            KruskalFactors(np.array([[-1.0], [1.0]]), -np.ones((1, 1)), np.ones((1, 1))),
+        )]
+        for seed in range(5):
+            r = np.random.default_rng(40 + seed)
+            cases.append((swamp_tensor(seed, n=6), *(
+                KruskalFactors(*(r.standard_normal((6, 3)) for _ in range(3))) for _ in range(2)
+            )))
+        for g, f, prev in cases:
+            step = parafac._line_search(g, f, prev)
+            mu = (step.B[0, 0] - f.B[0, 0]) / (f.B[0, 0] - prev.B[0, 0])
+            grid = np.linspace(mu - 5.0, mu + 5.0, 2001)
+            best = min(self._line_error(g, f, prev, t) for t in grid)
+            assert self._line_error(g, f, prev, mu) <= best * (1 + 1e-9)
 
-        def err(t):
-            mats = (m + t * (m - p) for m, p in zip((f.A, f.B, f.C), (prev.A, prev.B, prev.C)))
-            return np.linalg.norm(g - reconstruct(KruskalFactors(*mats)).array)
-
-        grid = np.linspace(mu - 5.0, mu + 5.0, 2001)
-        assert err(mu) <= min(err(t) for t in grid) * (1 + 1e-9)
+    def test_rejected_line_step_changes_nothing(self, monkeypatch):
+        g = swamp_tensor(2, n=8)
+        cfg = ALSConfig(rank=3, max_iters=30, rel_tol=0.0)
+        histories = []
+        for search in (
+            lambda arr, f, prev: None,
+            lambda arr, f, prev: KruskalFactors(f.A, f.B + 1.0, f.C),
+        ):
+            monkeypatch.setattr(parafac, "_line_search", search)
+            histories.append(als(g, cfg)[1])
+        assert histories[0] == histories[1]
 
     @pytest.mark.parametrize(
         "kwargs",
