@@ -14,11 +14,16 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .indexing import multi_indices, multiplicities, packed_length, packing_positions
+from .indexing import (
+    counts_from_axes,
+    mindex_position,
+    multiplicities,
+    packed_length,
+    packing_positions,
+)
 
 
 def _as_array(t) -> np.ndarray:
@@ -95,8 +100,6 @@ class SymTensor:
 
     def entry(self, *axes: int) -> float:
         """Entry at 0-based indices ``axes`` (any permutation gives the same value)."""
-        from .indexing import counts_from_axes, mindex_position
-
         j = counts_from_axes(axes, self.dim)
         return float(self.packed[mindex_position(self.dim, self.order)[j]])
 
@@ -117,31 +120,6 @@ class SymTensor:
         if np.abs(sym.expand().array - arr).max(initial=0.0) > tol * scale:
             raise ValueError("input tensor is not symmetric within tolerance")
         return sym
-
-
-def outer_product(a, b) -> DenseTensor:
-    """Outer product; the result order is the sum of the input orders."""
-    a, b = _as_array(a), _as_array(b)
-    return DenseTensor(np.multiply.outer(a, b))
-
-
-def contract(a, b, p: int = 1, q: int = 1) -> DenseTensor:
-    """Contraction over mode ``p`` of ``a`` and mode ``q`` of ``b`` (1-based).
-
-    The shared dimension is summed; remaining modes of ``a`` are followed by
-    the remaining modes of ``b``.  With both defaults the first indices are
-    contracted, so the ordinary matrix-vector product ``A u`` is
-    ``contract(A.T, u)``.
-    """
-    a, b = _as_array(a), _as_array(b)
-    if not 1 <= p <= a.ndim or not 1 <= q <= b.ndim:
-        raise ValueError("contraction mode out of range")
-    if a.shape[p - 1] != b.shape[q - 1]:
-        raise ValueError(
-            f"cannot contract: mode {p} of left operand has dimension "
-            f"{a.shape[p - 1]} but mode {q} of right operand has {b.shape[q - 1]}"
-        )
-    return DenseTensor(np.tensordot(a, b, axes=(p - 1, q - 1)))
 
 
 def tucker_transform(t, matrices) -> DenseTensor:
@@ -183,75 +161,6 @@ def mode_n_rank(t, n: int, eps: float = 1e-12) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > max(arr.shape) * eps * s[0]))
-
-
-def frobenius_inner(g, h) -> float:
-    """Entrywise scalar product ``sum_i G_i H_i``; its square root is the norm."""
-    g, h = _as_array(g), _as_array(h)
-    if g.shape != h.shape:
-        raise ValueError(f"shape mismatch: {g.shape} vs {h.shape}")
-    return float(np.sum(g * h))
-
-
-def kronecker(u, v) -> np.ndarray:
-    """All cross-products ``u_j v_k`` of two vectors, lexicographic in (j, k)."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return np.kron(u, v)
-
-
-def sym_kronecker(w, d: int) -> np.ndarray:
-    """Symmetric Kronecker power: distinct monomials of ``w`` with norm-preserving weights.
-
-    Entry for multi-index ``j`` is ``sqrt(c(j)) * w**j``, so that
-    ``norm(sym_kronecker(w, d)) == norm(w)**d``, the norm of the full d-fold
-    Kronecker power.  Length is ``binom(K + d - 1, d)``.
-    """
-    if d < 1:
-        raise ValueError("order d must be >= 1")
-    w = np.asarray(w, dtype=float).reshape(-1)
-    k = w.size
-    c = multiplicities(k, d)
-    mono = np.array([np.prod(w**np.array(j)) for j in multi_indices(k, d)])
-    return np.sqrt(c) * mono
-
-
-def vecs(m, tol: float = 1e-8) -> np.ndarray:
-    """Pack a symmetric matrix into its K(K+1)/2 distinct entries.
-
-    Off-diagonal slots carry a ``sqrt(2)`` weight so the Euclidean norm of the
-    packed vector equals the Frobenius norm of the matrix, and
-    ``vecs(np.outer(f, f)) == sym_kronecker(f, 2)``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("vecs expects a square matrix")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    k = m.shape[0]
-    out = np.empty(packed_length(k, 2))
-    for p, j in enumerate(multi_indices(k, 2)):
-        a = [i for i, cnt in enumerate(j) for _ in range(cnt)]
-        w = np.sqrt(2.0) if a[0] != a[1] else 1.0
-        out[p] = w * m[a[0], a[1]]
-    return out
-
-
-def unvecs(x) -> np.ndarray:
-    """Inverse of :func:`vecs`; rejects vectors whose length is not triangular."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    # K(K+1)/2 = len  =>  K = (sqrt(8*len + 1) - 1) / 2
-    k = (isqrt(8 * x.size + 1) - 1) // 2
-    if k * (k + 1) // 2 != x.size:
-        raise ValueError(f"length {x.size} is not K(K+1)/2 for any K")
-    m = np.empty((k, k))
-    for p, j in enumerate(multi_indices(k, 2)):
-        a = [i for i, cnt in enumerate(j) for _ in range(cnt)]
-        val = x[p] / (np.sqrt(2.0) if a[0] != a[1] else 1.0)
-        m[a[0], a[1]] = val
-        m[a[1], a[0]] = val
-    return m
 
 
 def symmetrize(t) -> SymTensor:

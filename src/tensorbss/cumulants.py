@@ -1,4 +1,4 @@
-"""Sample moment and cumulant tensors of orders 1 to 4.
+"""Sample cumulant tensors of orders 1 to 4.
 
 Estimators are plug-in: central moments with 1/N normalization combined by
 the order-4 pairing formula
@@ -70,17 +70,6 @@ def _packed_moment(z: np.ndarray, shift: np.ndarray, d: int):
     return high[pair[a[0], a[1]], pair[a[2], a[3]]], m2
 
 
-def moment_tensor(z, d: int) -> SymTensor:
-    """Raw moment tensor: sample average of d-fold products (no centering)."""
-    if not 1 <= d <= MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}")
-    z = as_samples(z)
-    n = z.shape[1]
-    if d == 1:
-        return SymTensor(n, 1, z.mean(axis=0))
-    return SymTensor(n, d, _packed_moment(z, np.zeros(n), d)[0])
-
-
 def cumulant_tensor(z, d: int) -> SymTensor:
     """Cumulant tensor of order ``d``; orders 2+ remove the sample mean first."""
     if not 1 <= d <= MAX_ORDER:
@@ -96,14 +85,3 @@ def cumulant_tensor(z, d: int) -> SymTensor:
         i, k, l, m = sorted_axes(n, 4).T
         packed = packed - m2[i, k] * m2[l, m] - m2[i, l] * m2[k, m] - m2[i, m] * m2[k, l]
     return SymTensor(n, d, packed)
-
-
-def offdiag_ratio(c: SymTensor) -> float:
-    """Norm fraction carried by off-diagonal entries; 0 iff the tensor is diagonal."""
-    total = c.norm()
-    if total == 0.0:
-        return 0.0
-    axes = sorted_axes(c.dim, c.order)
-    diag_sq = float(np.sum(c.packed[axes[:, 0] == axes[:, -1]] ** 2))
-    off_sq = max(total**2 - diag_sq, 0.0)
-    return float(np.sqrt(off_sq)) / total

@@ -40,20 +40,12 @@ def packed_length(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
-def count_index(idx, nvars: int) -> tuple[int, ...]:
-    """Occurrence counts of 1-based variable indices ``idx`` among ``1..nvars``.
+def counts_from_axes(idx, nvars: int) -> tuple[int, ...]:
+    """Occurrence counts of 0-based array indices ``idx`` among ``0..nvars-1``.
 
-    ``count_index([1, 1, 4], 4) == (2, 0, 0, 1)``; the result has weight
+    ``counts_from_axes([0, 0, 3], 4) == (2, 0, 0, 1)``; the result has weight
     ``len(idx)`` regardless of the ordering of ``idx``.
     """
-    for i in idx:
-        if not 1 <= i <= nvars:
-            raise ValueError(f"index {i} out of range 1..{nvars}")
-    return counts_from_axes([i - 1 for i in idx], nvars)
-
-
-def counts_from_axes(idx, nvars: int) -> tuple[int, ...]:
-    """Same as :func:`count_index` but for 0-based array indices."""
     counts = [0] * nvars
     for i in idx:
         counts[i] += 1

@@ -1,5 +1,5 @@
-"""File formats: JSON for tensors, polynomials, quantics, decompositions,
-factor sets, and manifests; CSV for sample matrices.
+"""File formats: JSON for tensors, quantics, decompositions, factor sets and
+manifests; CSV for sample matrices.
 
 Dense tensors serialize as ``{"dims": [...], "data": [...]}`` with row-major
 data; symmetric tensors as ``{"sym": true, "dim": n, "order": d,
@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import DenseTensor, SymTensor
 from .parafac import KruskalFactors
-from .poly import HomogPoly
 from .sylvester import BinaryQuantic, WaringDecomposition
 
 
@@ -37,22 +36,6 @@ def tensor_from_obj(obj: dict):
     if obj.get("sym"):
         return SymTensor(int(obj["dim"]), int(obj["order"]), np.asarray(obj["packed"]))
     return DenseTensor.from_flat(obj["dims"], obj["data"])
-
-
-def poly_to_obj(p: HomogPoly) -> dict:
-    terms = [
-        {"j": list(j), "gamma": g} for j, g in sorted(p.coeffs.items(), reverse=True)
-    ]
-    return {"nvars": p.nvars, "degree": p.degree, "terms": terms}
-
-
-def poly_from_obj(obj: dict) -> HomogPoly:
-    coeffs = {tuple(t["j"]): float(t["gamma"]) for t in obj["terms"]}
-    return HomogPoly(int(obj["nvars"]), int(obj["degree"]), coeffs)
-
-
-def quantic_to_obj(p: BinaryQuantic) -> dict:
-    return {"degree": p.degree, "gamma": p.gamma.tolist()}
 
 
 def quantic_from_obj(obj: dict) -> BinaryQuantic:
@@ -89,16 +72,6 @@ def factors_to_obj(f: KruskalFactors) -> dict:
         "B": f.B.tolist(),
         "C": f.C.tolist(),
     }
-
-
-def factors_from_obj(obj: dict) -> KruskalFactors:
-    w = obj.get("weights")
-    return KruskalFactors(
-        np.asarray(obj["A"], dtype=float),
-        np.asarray(obj["B"], dtype=float),
-        np.asarray(obj["C"], dtype=float),
-        None if w is None else np.asarray(w, dtype=float),
-    )
 
 
 def save_json(obj: Any, path, indent: int | None = None) -> None:

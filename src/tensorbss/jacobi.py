@@ -70,26 +70,6 @@ class ContrastSpec:
             )
 
 
-@dataclass(frozen=True)
-class PairRotation:
-    """A Givens rotation acting on indices ``p`` and ``q`` (0-based, distinct).
-
-    Angles live in [-pi/2, pi/2]; the endpoints describe the same rotation up
-    to a global sign, which only the signed order-3 contrast distinguishes,
-    so sign-invariant contrasts never produce ``-pi/2``.
-    """
-
-    p: int
-    q: int
-    phi: float
-
-    def __post_init__(self):
-        if self.p == self.q:
-            raise ValueError("pair indices must be distinct")
-        if not -pi / 2 - 1e-15 <= self.phi <= pi / 2 + 1e-15:
-            raise ValueError("angle must lie in [-pi/2, pi/2]")
-
-
 @dataclass
 class ICAResult:
     """Outcome of a sweep: accumulated rotation, rotated tensor, diagnostics.
@@ -213,17 +193,6 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
         if better or (tied and abs(phi) < abs(best_phi)):
             best_phi, best_val = phi, val
     return best_phi, best_val - base
-
-
-def pair_rotation_optimal(g, p: int, q: int, spec: ContrastSpec) -> PairRotation:
-    """Angle in [-pi/2, pi/2] maximizing the contrast restricted to the pair."""
-    if p == q:
-        raise ValueError("pair indices must be distinct")
-    zd = _as_array(g)
-    if zd.ndim != spec.order:
-        raise ValueError("tensor order does not match the contrast order")
-    phi, _ = _best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)
-    return PairRotation(p, q, phi)
 
 
 def _apply_rotation(zd: np.ndarray, p: int, q: int, phi: float) -> None:

@@ -11,7 +11,7 @@ on the Khatri-Rao product itself, which also decides rank deficiency; every
 system ``lstsq`` calls rank deficient has a far larger Gram condition number,
 so it always takes the fallback.
 
-Before every cycle after the first, the untied iteration tries an enhanced
+Before every cycle after the first, the iteration tries an enhanced
 line search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008),
 the remedy for the slow "swamps" of nearly collinear factors: it steps from
 the current factors along their change over the previous cycle.  The squared
@@ -148,24 +148,6 @@ def _lead_signs(m: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -1.0, 1.0)
 
 
-def _symmetric_step(arr: np.ndarray, f: KruskalFactors) -> KruskalFactors:
-    """Tied refresh: solve for the weighted shared factor, renormalize columns.
-
-    Keeping the shared factor at unit column norm (weights carry scale and
-    sign) removes the scale indeterminacy that makes the raw tied fixed-point
-    iteration diverge.
-    """
-    a = f.A
-    norms = np.linalg.norm(a, axis=0)
-    a = a / np.where(norms > 0, norms, 1.0)
-    x, _ = _block_solve(mode_n_unfold(arr, 1), a, a)
-    w = np.linalg.norm(x, axis=0)
-    new_a = np.where(w > 0, x / np.where(w > 0, w, 1.0), a)
-    signs = _lead_signs(new_a)
-    new_a = new_a * signs
-    return KruskalFactors(new_a, new_a, new_a, w * signs)
-
-
 def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product of polynomials whose ascending coefficients are arrays, taken entrywise."""
     out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:])
@@ -236,13 +218,11 @@ def normalized(f: KruskalFactors) -> KruskalFactors:
     return KruskalFactors(a * sign_a, b * sign_b, c * (sign_a * sign_b), weights)
 
 
-def als(g, cfg: ALSConfig, tied: bool = False) -> tuple[KruskalFactors, list[float]]:
+def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
     """Iterate ALS until the relative fit stalls; never raises on non-convergence.
 
     Returns normalized factors and the per-iteration relative fit history
     ``norm(G - reconstruct) / norm(G)`` (first entry: the initial guess).
-    With ``tied=True`` a single factor is refreshed and shared across all
-    modes, preserving A = B = C for symmetric tensors.
     """
     arr = _as_array(g)
     if arr.ndim != 3:
@@ -252,8 +232,8 @@ def als(g, cfg: ALSConfig, tied: bool = False) -> tuple[KruskalFactors, list[flo
     )
     if cfg.rank > pair_bound:
         warnings.warn(
-            f"requested rank {cfg.rank} exceeds the pairwise dimension-product rank "
-            f"bound {pair_bound} (see tables.howell_bound); extra columns are redundant",
+            f"requested rank {cfg.rank} exceeds the rank bound {pair_bound} "
+            "(min over mode pairs of n_i*n_j); extra columns are redundant",
             stacklevel=2,
         )
     n_min = min(arr.shape)
@@ -275,14 +255,11 @@ def als(g, cfg: ALSConfig, tied: bool = False) -> tuple[KruskalFactors, list[flo
     history = [fit(f)]
     prev = None
     for _ in range(cfg.max_iters):
-        if tied:
-            f = _symmetric_step(arr, f)
-        else:
-            step = _line_search(arr, f, prev) if prev is not None else None
-            if step is not None and fit(step) < history[-1]:
-                f = step
-            prev = f
-            f, _ = als_step(arr, f)
+        step = _line_search(arr, f, prev) if prev is not None else None
+        if step is not None and fit(step) < history[-1]:
+            f = step
+        prev = f
+        f, _ = als_step(arr, f)
         history.append(fit(f))
         if abs(history[-2] - history[-1]) < cfg.rel_tol:
             break

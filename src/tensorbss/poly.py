@@ -60,16 +60,6 @@ def evaluate(p: HomogPoly, x) -> float:
     return total
 
 
-def tensor_to_poly(g: SymTensor) -> HomogPoly:
-    """Read a symmetric tensor as a homogeneous polynomial (inverse of poly_to_tensor)."""
-    coeffs = {
-        j: float(g.packed[p])
-        for p, j in enumerate(multi_indices(g.dim, g.order))
-        if g.packed[p] != 0.0
-    }
-    return HomogPoly(g.dim, g.order, coeffs)
-
-
 def poly_to_tensor(p: HomogPoly) -> SymTensor:
     """Symmetric tensor whose entries at axis counts ``j`` all equal ``gamma(j)``."""
     packed = np.zeros(len(multi_indices(p.nvars, p.degree)))
@@ -77,21 +67,6 @@ def poly_to_tensor(p: HomogPoly) -> SymTensor:
     for j, g in p.coeffs.items():
         packed[pos[j]] = g
     return SymTensor(p.nvars, p.degree, packed)
-
-
-def poly_multiply(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    """Product polynomial; matches the symmetrized outer product of the tensors."""
-    if p.nvars != q.nvars:
-        raise ValueError(f"variable counts differ: {p.nvars} vs {q.nvars}")
-    out: dict[tuple[int, ...], float] = {}
-    for ja, ga in p.coeffs.items():
-        ca = multiplicity(ja)
-        for jb, gb in q.coeffs.items():
-            jm = tuple(a + b for a, b in zip(ja, jb))
-            out[jm] = out.get(jm, 0.0) + ca * multiplicity(jb) * ga * gb
-    d = p.degree + q.degree
-    coeffs = {j: v / multiplicity(j) for j, v in out.items()}
-    return HomogPoly(p.nvars, d, coeffs)
 
 
 def apolar_inner(p: HomogPoly, q: HomogPoly) -> float:

@@ -6,24 +6,15 @@ Minimizing the approximation error ``|C - sigma w^..^w|`` is equivalent to
 maximizing the full contraction ``|C . w^d|``, and the two criteria satisfy
 the exact identity ``err^2 + contraction^2 = |C|^2`` at ``sigma`` equal to
 the full contraction.
-
-The related joint-diagonalization problem (many matrices sharing one
-congruence factor) can be restated as finding coefficients that make a linear
-combination of given matrices rank-1; the two-stage solver here addresses the
-same structure for one unknown: an unconstrained least-squares solve over
-packed symmetric tensors followed by a rank-1 projection.  A one-stage solver
-honoring the structure during the solve is not provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
-from .core import SymTensor, _as_array, rank1_sym
-from .indexing import multiplicities
+from .core import _as_array, rank1_sym
 
 
 @dataclass
@@ -213,93 +204,3 @@ def best_rank1(
         if best is None or abs(cand.sigma) > abs(best.sigma) + 1e-12:
             best = cand
     return best
-
-
-def nonsymmetric_rank1_order3(
-    c, tol: float = 1e-10, max_iter: int = 500, seed: int = 0
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating unit-vector variant for order-3 tensors: each factor is the
-    tensor contracted with the other two, renormalized."""
-    arr = _as_array(c)
-    if arr.ndim != 3:
-        raise ValueError("the non-symmetric variant is provided for order 3")
-    rng = np.random.default_rng(seed)
-    u, v, w = (rng.standard_normal(n) for n in arr.shape)
-    u, v, w = (x / np.linalg.norm(x) for x in (u, v, w))
-    for _ in range(max_iter):
-        u_new = np.einsum("ijk,j,k->i", arr, v, w)
-        u_new /= np.linalg.norm(u_new)
-        v_new = np.einsum("ijk,i,k->j", arr, u_new, w)
-        v_new /= np.linalg.norm(v_new)
-        w_new = np.einsum("ijk,i,j->k", arr, u_new, v_new)
-        w_new /= np.linalg.norm(w_new)
-        moved = max(
-            np.linalg.norm(u_new - np.sign(u_new @ u) * u),
-            np.linalg.norm(v_new - np.sign(v_new @ v) * v),
-            np.linalg.norm(w_new - np.sign(w_new @ w) * w),
-        )
-        u, v, w = u_new, v_new, w_new
-        if moved < tol:
-            break
-    sigma = float(np.einsum("ijk,i,j,k->", arr, u, v, w))
-    return sigma, u, v, w
-
-
-@dataclass(frozen=True)
-class StructuredSolve:
-    """Two-stage solution of a packed-power linear system."""
-
-    f: np.ndarray
-    approx: Rank1Approx
-    linear_residual: float
-    projection_residual: float
-    lstsq_rank: int
-    flagged: bool
-
-
-def structured_solve(y, d: int, rhs=None) -> StructuredSolve:
-    """Solve ``Y x = rhs`` over packed symmetric powers, then restore structure.
-
-    Stage 1 is the minimum-norm least-squares solve; stage 2 unpacks ``x`` to
-    a symmetric tensor and projects it to rank 1 by power iteration, giving
-    ``f = |sigma|^(1/d) w`` (sign carried by the weight for odd ``d``; a
-    negative even-order scale is reported via the approximation).  The result
-    is flagged when the system determines no solution direction.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ValueError("stacked powers must form a matrix")
-    s = y.shape[1]
-    n = 1
-    while comb(n + d - 1, d) < s:
-        n += 1
-    if comb(n + d - 1, d) != s:
-        raise ValueError(f"{s} columns is not a packed length for order {d}")
-    if rhs is None:
-        rhs = np.ones(y.shape[0])
-    rhs = np.asarray(rhs, dtype=float).reshape(-1)
-
-    x, _, rank, _ = np.linalg.lstsq(y, rhs, rcond=None)
-    linear_residual = float(np.linalg.norm(y @ x - rhs)) / max(
-        1.0, float(np.linalg.norm(rhs))
-    )
-    flagged = rank == 0 or float(np.linalg.norm(x)) <= 1e-12
-
-    weights = np.sqrt(multiplicities(n, d))
-    tensor = SymTensor(n, d, x / weights)
-    approx = best_rank1(tensor)
-    scale = abs(approx.sigma) ** (1.0 / d)
-    if d % 2 == 1 and approx.sigma < 0:
-        scale = -scale
-    f = scale * approx.w
-    tnorm = tensor.norm()
-    omega0, _, _ = omega_criteria(tensor, approx.w, approx.sigma)
-    projection_residual = omega0 / tnorm if tnorm > 0 else 0.0
-    return StructuredSolve(
-        f=f,
-        approx=approx,
-        linear_residual=linear_residual,
-        projection_residual=projection_residual,
-        lstsq_rank=int(rank),
-        flagged=bool(flagged),
-    )

@@ -1,5 +1,5 @@
 """Reference tables: generic symmetric ranks, solution-manifold dimensions,
-rank bounds, and canonical orbit representatives.
+and canonical orbit representatives.
 
 The numeric tables are reference data, embedded verbatim with one value per
 (order, dimension) cell; they are not recomputed.  Representatives are handed
@@ -9,9 +9,9 @@ out as symmetric tensors built from their polynomial labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .core import SymTensor
+from .indexing import multiplicity
 from .poly import HomogPoly, poly_to_tensor
 
 # generic symmetric tensor rank, cells (d, n) for d in {3, 4}, n in 2..8
@@ -25,14 +25,6 @@ MANIFOLD_DIM = {
     (3, 2): 0, (3, 3): 2, (3, 4): 0, (3, 5): 5, (3, 6): 4, (3, 7): 0, (3, 8): 0,
     (4, 2): 1, (4, 3): 3, (4, 4): 5, (4, 5): 5, (4, 6): 6, (4, 7): 0, (4, 8): 6,
 }
-
-
-@dataclass(frozen=True)
-class RankTableEntry:
-    order: int
-    dim: int
-    generic_rank: int
-    manifold_dim: int
 
 
 @dataclass(frozen=True)
@@ -97,26 +89,6 @@ def manifold_dim(d: int, n: int) -> int:
         raise KeyError(f"manifold dimension not tabulated for order {d}, dimension {n}") from None
 
 
-def table_entries() -> list[RankTableEntry]:
-    return [
-        RankTableEntry(d, n, GENERIC_RANK[(d, n)], MANIFOLD_DIM[(d, n)])
-        for (d, n) in sorted(GENERIC_RANK)
-    ]
-
-
-def howell_bound(dims) -> int:
-    """Upper bound on tensor rank: the largest product of two distinct dimensions."""
-    dims = [int(n) for n in dims]
-    if len(dims) < 2:
-        raise ValueError("the bound needs at least two modes")
-    return max(a * b for i, a in enumerate(dims) for j, b in enumerate(dims) if i != j)
-
-
-def reznick_bound(n: int, d: int) -> int:
-    """Upper bound ``binom(n + d - 2, d - 1)`` on symmetric rank; loose in general."""
-    return comb(n + d - 2, d - 1)
-
-
 def orbit_class(label: str, nvars: int | None = None) -> OrbitClass:
     norm = label.translate(_SUPERSCRIPTS).replace(" ", "")
     candidates = sorted(n for (lbl, n) in ORBITS if lbl == norm)
@@ -132,8 +104,6 @@ def orbit_class(label: str, nvars: int | None = None) -> OrbitClass:
 
 def orbit_polynomial(label: str, nvars: int | None = None) -> HomogPoly:
     o = orbit_class(label, nvars)
-    from .indexing import multiplicity
-
     coeffs: dict[tuple[int, ...], float] = {}
     for coef, j in o.terms:
         coeffs[j] = coeffs.get(j, 0.0) + coef / multiplicity(j)

@@ -11,7 +11,6 @@ from tensorbss.jacobi import (
     ANGLE_TOL,
     QUADRATIC_FORM_SPECS,
     ContrastSpec,
-    PairRotation,
     _apply_rotation,
     _best_angle,
     _pair_vals,
@@ -20,7 +19,6 @@ from tensorbss.jacobi import (
     contrast_value,
     convexity_margin,
     ica,
-    pair_rotation_optimal,
     stationarity_residual,
     sweep_cyclic,
     sweep_greedy,
@@ -76,19 +74,15 @@ class TestContrastValue:
             ContrastSpec(1, 2)
 
 
+def pair_angle(arr, d, alpha):
+    """Optimal angle of the pair (0, 1) of a dense tensor."""
+    return jacobi._best_angle(jacobi._pair_vals(arr, 0, 1), d, alpha)[0]
+
+
 class TestPairRotation:
-    def test_distinct_indices(self):
-        with pytest.raises(ValueError):
-            PairRotation(1, 1, 0.0)
-
-    def test_angle_range(self):
-        with pytest.raises(ValueError):
-            PairRotation(0, 1, 2.0)
-
     def test_already_diagonal(self):
-        g = symmetrize(diag_tensor([2.0, 1.0, -1.0], 4))
-        rot = pair_rotation_optimal(g, 0, 1, ContrastSpec(2, 4))
-        assert rot.phi == 0.0
+        phi = pair_angle(diag_tensor([2.0, 1.0, -1.0], 4), 4, 2)
+        assert phi == 0.0
 
     @pytest.mark.parametrize("alpha,d", [(2, 2), (2, 3), (2, 4), (1, 3), (1, 4)])
     def test_grid_oracle(self, alpha, d):
@@ -109,9 +103,9 @@ class TestPairRotation:
         c, s = np.cos(phi0), np.sin(phi0)
         q = np.array([[c, s], [-s, c]])
         g = tucker_transform(diag_tensor([3.0, 1.0], 4), [q] * 4)
-        rot = pair_rotation_optimal(symmetrize(g.array), 0, 1, ContrastSpec(2, 4))
+        phi = pair_angle(symmetrize(g.array).expand().array, 4, 2)
         # equivalent angles repeat every pi/2
-        delta = (rot.phi + phi0) % (np.pi / 2)
+        delta = (phi + phi0) % (np.pi / 2)
         assert min(delta, np.pi / 2 - delta) < 1e-8
 
     def test_signed_order3_reaches_minus_half_pi(self):
@@ -119,15 +113,14 @@ class TestPairRotation:
         # -pi/2 and -2 at +pi/2, so the closed end of the range is needed
         z = np.zeros((2, 2, 2))
         z[0, 0, 0], z[1, 1, 1] = 1.0, -1.0
-        rot = pair_rotation_optimal(symmetrize(z), 0, 1, ContrastSpec(1, 3))
-        assert rot.phi == -pi / 2
+        assert pair_angle(symmetrize(z).expand().array, 3, 1) == -pi / 2
         assert _restricted((1.0, 0.0, 0.0, -1.0), 3, 1, -pi / 2) == pytest.approx(2.0)
         assert _restricted((1.0, 0.0, 0.0, -1.0), 3, 1, pi / 2) == pytest.approx(-2.0)
 
     def test_order2_matches_eigensolver(self):
         a = np.array([[2.0, 1.2], [1.2, -1.0]])
-        rot = pair_rotation_optimal(symmetrize(a), 0, 1, ContrastSpec(2, 2))
-        c, s = np.cos(rot.phi), np.sin(rot.phi)
+        phi = pair_angle(symmetrize(a).expand().array, 2, 2)
+        c, s = np.cos(phi), np.sin(phi)
         q = np.array([[c, s], [-s, c]])
         z = q @ a @ q.T
         assert abs(z[0, 1]) < 1e-12  # off-diagonal annihilated

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -215,9 +216,24 @@ class TestAls:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_rank_bound_warning(self):
+        # both ranks are beyond the uniqueness guarantee too, which warns separately
         g = rng.standard_normal((2, 2, 2))
-        with pytest.warns(UserWarning, match="rank"):
-            als(g, ALSConfig(rank=5, max_iters=2))
+        with pytest.warns(UserWarning, match="uniqueness"):
+            with pytest.warns(UserWarning, match=r"bound 4 \(min over mode pairs of n_i\*n_j\)"):
+                als(g, ALSConfig(rank=5, max_iters=2))
+        g = rng.standard_normal((3, 4, 5))
+        with pytest.warns(UserWarning, match="uniqueness"):
+            with pytest.warns(UserWarning, match=r"bound 12 \(min over mode pairs"):
+                als(g, ALSConfig(rank=13, max_iters=2))
+
+    def test_rank_at_pair_bound_does_not_warn(self):
+        g = rng.standard_normal((3, 4, 5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            als(g, ALSConfig(rank=12, max_iters=2))
+        messages = [str(w.message) for w in caught]
+        assert not any("min over mode pairs" in m for m in messages)
+        assert any("uniqueness" in m for m in messages)  # the other warning still fires
 
     def test_noise_plateau(self):
         truth = random_factors((4, 4, 4), 2, seed=55)
@@ -233,16 +249,6 @@ class TestAls:
         for m in (f.A, f.B, f.C):
             np.testing.assert_allclose(np.linalg.norm(m, axis=0), 1.0, atol=1e-10)
         assert np.all(f.weights >= 0)
-
-    def test_tied_update_preserves_symmetry(self):
-        v = rng.standard_normal((4, 2))
-        g = reconstruct(KruskalFactors(v, v, v)).array
-        cfg = ALSConfig(rank=2, init="svd", seed=3, max_iters=400)
-        f, history = als(g, cfg, tied=True)
-        np.testing.assert_allclose(f.A, f.B, atol=1e-12)
-        np.testing.assert_allclose(f.A, f.C, atol=1e-12)
-        # the tied fixed-point refresh converges linearly, not ALS-fast
-        assert history[-1] < 1e-8
 
     def test_order_check(self):
         with pytest.raises(ValueError):

@@ -3,17 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from tensorbss.core import rank1_sym, sym_kronecker, symmetrize
+from tensorbss.core import rank1_sym, symmetrize
 from tensorbss.rank1 import (
     Rank1Approx,
     best_rank1,
     contract_to_vector,
     hosvd_init,
-    nonsymmetric_rank1_order3,
     omega_criteria,
     rayleigh_iterate,
     sigma_of,
-    structured_solve,
 )
 
 rng = np.random.default_rng(555)
@@ -173,52 +171,3 @@ class TestEquivalenceQuotient:
         assert a == b
         c = Rank1Approx(w=-w, sigma=1.5, order=3)
         assert a != c
-
-
-class TestStructuredSolve:
-    def test_bpsk_style_recovery(self):
-        f0 = np.array([0.8, -0.6])
-        r = np.random.default_rng(11)
-        rows = []
-        for _ in range(60):
-            y = r.standard_normal(2)
-            y = y / (f0 @ y) * r.choice([-1.0, 1.0])  # (f0 . y)^2 == 1
-            rows.append(sym_kronecker(y, 2))
-        res = structured_solve(np.array(rows), d=2)
-        assert res.linear_residual <= 1e-8
-        assert min(np.linalg.norm(res.f - f0), np.linalg.norm(res.f + f0)) <= 1e-6
-        assert not res.flagged
-
-    def test_square_system_consistency(self):
-        f0 = np.array([1.0, 2.0, -0.5])
-        r = np.random.default_rng(21)
-        rows = []
-        while len(rows) < 6:  # S = binom(4, 2) = 6
-            y = r.standard_normal(3)
-            if abs(f0 @ y) > 0.2:
-                rows.append(sym_kronecker(y / (f0 @ y), 2))
-        res = structured_solve(np.array(rows), d=2)
-        assert res.lstsq_rank == 6
-        assert res.linear_residual <= 1e-8
-        assert res.projection_residual <= 1e-8  # exact packed power in the set
-
-    def test_bad_column_count(self):
-        with pytest.raises(ValueError, match="packed length"):
-            structured_solve(np.zeros((4, 5)), d=2)
-
-    def test_degenerate_flagged(self):
-        res = structured_solve(np.zeros((4, 6)), d=2, rhs=np.zeros(4))
-        assert res.flagged
-
-
-class TestNonsymmetricVariant:
-    def test_rank1_recovery(self):
-        u0, v0, w0 = (unit(rng.standard_normal(3)) for _ in range(3))
-        c = 2.0 * np.einsum("i,j,k->ijk", u0, v0, w0)
-        sigma, u, v, w = nonsymmetric_rank1_order3(c, seed=4)
-        assert abs(abs(sigma) - 2.0) <= 1e-8
-        assert min(np.linalg.norm(u - u0), np.linalg.norm(u + u0)) <= 1e-8
-
-    def test_order_check(self):
-        with pytest.raises(ValueError):
-            nonsymmetric_rank1_order3(np.zeros((2, 2)))

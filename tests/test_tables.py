@@ -7,12 +7,9 @@ from tensorbss.tables import (
     GENERIC_RANK,
     MANIFOLD_DIM,
     generic_rank,
-    howell_bound,
     manifold_dim,
     orbit_class,
     orbit_representative,
-    reznick_bound,
-    table_entries,
 )
 
 # frozen copies of the reference tables, written out independently so any
@@ -52,27 +49,6 @@ class TestLookups:
             generic_rank(5, 2)
         with pytest.raises(KeyError, match="not tabulated"):
             manifold_dim(3, 9)
-
-    def test_entries_iteration(self):
-        entries = table_entries()
-        assert len(entries) == 14
-        assert {(e.order, e.dim) for e in entries} == set(GENERIC_RANK)
-
-
-class TestBounds:
-    def test_howell(self):
-        assert howell_bound((2, 2, 2)) == 4
-        assert howell_bound((3, 4, 5)) == 20
-
-    def test_howell_binds_binary_cubic(self):
-        # the maximal-rank binary cubic has rank 3, under the bound of 4
-        assert 3 <= howell_bound((2, 2, 2))
-
-    def test_reznick(self):
-        assert reznick_bound(2, 3) == 3  # attained by x^2 y
-        assert reznick_bound(3, 3) == 6
-        assert reznick_bound(3, 3) >= 5  # max ternary cubic rank
-        assert reznick_bound(2, 4) == 4
 
 
 class TestOrbits:
