@@ -122,6 +122,31 @@ class SymTensor:
         return sym
 
 
+def outer_product(a, b) -> DenseTensor:
+    """Outer product; the result order is the sum of the input orders."""
+    a, b = _as_array(a), _as_array(b)
+    return DenseTensor(np.multiply.outer(a, b))
+
+
+def contract(a, b, p: int = 1, q: int = 1) -> DenseTensor:
+    """Contraction over mode ``p`` of ``a`` and mode ``q`` of ``b`` (1-based).
+
+    The shared dimension is summed; remaining modes of ``a`` are followed by
+    the remaining modes of ``b``.  With both defaults the first indices are
+    contracted, so the ordinary matrix-vector product ``A u`` is
+    ``contract(A.T, u)``.
+    """
+    a, b = _as_array(a), _as_array(b)
+    if not 1 <= p <= a.ndim or not 1 <= q <= b.ndim:
+        raise ValueError("contraction mode out of range")
+    if a.shape[p - 1] != b.shape[q - 1]:
+        raise ValueError(
+            f"cannot contract: mode {p} of left operand has dimension "
+            f"{a.shape[p - 1]} but mode {q} of right operand has {b.shape[q - 1]}"
+        )
+    return DenseTensor(np.tensordot(a, b, axes=(p - 1, q - 1)))
+
+
 def tucker_transform(t, matrices) -> DenseTensor:
     """Multilinear change of coordinates ``T'_{ij..} = sum A_{ia} B_{jb} .. T_{ab..}``.
 
@@ -161,6 +186,14 @@ def mode_n_rank(t, n: int, eps: float = 1e-12) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > max(arr.shape) * eps * s[0]))
+
+
+def frobenius_inner(g, h) -> float:
+    """Entrywise scalar product ``sum_i G_i H_i``; its square root is the norm."""
+    g, h = _as_array(g), _as_array(h)
+    if g.shape != h.shape:
+        raise ValueError(f"shape mismatch: {g.shape} vs {h.shape}")
+    return float(np.sum(g * h))
 
 
 def symmetrize(t) -> SymTensor:

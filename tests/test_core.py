@@ -6,9 +6,12 @@ import pytest
 from tensorbss.core import (
     DenseTensor,
     SymTensor,
+    contract,
+    frobenius_inner,
     greedy_match,
     mode_n_rank,
     mode_n_unfold,
+    outer_product,
     rank1_sym,
     symmetrize,
     tucker_transform,
@@ -23,6 +26,21 @@ from tensorbss.indexing import (
 rng = np.random.default_rng(20240811)
 
 
+def contract_brute(a, b, p, q):
+    """Index-level oracle for the contraction product (0-based loops)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out_shape = a.shape[: p - 1] + a.shape[p:] + b.shape[: q - 1] + b.shape[q:]
+    out = np.zeros(out_shape)
+    for ia in itertools.product(*(range(n) for n in a.shape)):
+        for ib in itertools.product(*(range(n) for n in b.shape)):
+            if ia[p - 1] != ib[q - 1]:
+                continue
+            ra = ia[: p - 1] + ia[p:]
+            rb = ib[: q - 1] + ib[q:]
+            out[ra + rb] += a[ia] * b[ib]
+    return out
+
+
 def tucker_brute(t, mats):
     """Plain summation oracle for the multilinear transform."""
     t = np.asarray(t)
@@ -35,6 +53,53 @@ def tucker_brute(t, mats):
                 w *= m[o, i]
             out[oi] += w * t[ii]
     return out
+
+
+class TestOuterProduct:
+    def test_unit_vectors(self):
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        m = outer_product(e1, e2).array
+        assert m[0, 1] == 1.0 and np.sum(np.abs(m)) == 1.0
+
+    def test_definition_expansion(self):
+        m = outer_product([1.0, 2.0], [3.0, 4.0]).array
+        np.testing.assert_allclose(m, [[3.0, 4.0], [6.0, 8.0]])
+
+    def test_scalar_identity(self):
+        t = rng.standard_normal((2, 3, 2))
+        np.testing.assert_array_equal(outer_product(np.array(1.0), t).array, t)
+
+    def test_order_adds(self):
+        a = rng.standard_normal((2, 3))
+        b = rng.standard_normal((4,))
+        assert outer_product(a, b).order == 3
+
+
+class TestContract:
+    def test_identity_times_vector(self):
+        v = rng.standard_normal(4)
+        np.testing.assert_allclose(contract(np.eye(4), v).array, v)
+
+    def test_matrix_case_is_At_B(self):
+        a = rng.standard_normal((2, 3))
+        b = rng.standard_normal((2, 4))
+        np.testing.assert_allclose(contract(a, b, 1, 1).array, a.T @ b, atol=1e-12)
+
+    def test_triple_contraction_picks_entry(self):
+        t = rng.standard_normal((3, 3, 3))
+        w = np.array([1.0, 0.0, 0.0])
+        out = contract(contract(contract(t, w), w), w).array
+        assert out == pytest.approx(t[0, 0, 0])
+
+    def test_matches_index_oracle(self):
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((5, 3))
+        got = contract(a, b, 2, 2).array
+        np.testing.assert_allclose(got, contract_brute(a, b, 2, 2), atol=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="cannot contract"):
+            contract(np.zeros((2, 3)), np.zeros((4, 5)), 1, 1)
 
 
 class TestTuckerTransform:
@@ -85,7 +150,7 @@ class TestUnfold:
 
     def test_rank1_unfolding_is_rank1(self):
         a, b, c = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(4)
-        t = np.multiply.outer(np.multiply.outer(a, b), c)
+        t = outer_product(outer_product(a, b), c)
         m = mode_n_unfold(t, 1)
         np.testing.assert_allclose(m, np.outer(a, np.multiply.outer(b, c).reshape(-1)), atol=1e-12)
         s = np.linalg.svd(m, compute_uv=False)
@@ -117,6 +182,26 @@ class TestModeRank:
         assert mode_n_rank(np.zeros((3, 3, 3)), 2) == 0
 
 
+class TestFrobenius:
+    def test_norm_positive(self):
+        t = rng.standard_normal((2, 2, 2))
+        assert frobenius_inner(t, t) >= 0
+        assert frobenius_inner(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+    def test_orthogonal_rank1(self):
+        e1, e2 = np.eye(2)
+        assert frobenius_inner(outer_product(e1, e1), outer_product(e2, e2)) == 0.0
+
+    def test_rank1_factorization(self):
+        u, v, w, z = (rng.standard_normal(3) for _ in range(4))
+        lhs = frobenius_inner(outer_product(u, v), outer_product(w, z))
+        assert lhs == pytest.approx(float(u @ w) * float(v @ z))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            frobenius_inner(np.zeros((2, 2)), np.zeros(4))
+
+
 class TestSymmetrize:
     def test_symmetric_input_unchanged(self):
         t = np.zeros((2, 2)) + np.diag([1.0, 2.0])
@@ -125,7 +210,7 @@ class TestSymmetrize:
 
     def test_e12_plus_e21(self):
         e1, e2 = np.eye(2)
-        t = np.outer(e1, e2) + np.outer(e2, e1)
+        t = outer_product(e1, e2).array + outer_product(e2, e1).array
         np.testing.assert_allclose(symmetrize(t).expand().array, t)
 
     def test_expansion_permutation_invariant(self):
