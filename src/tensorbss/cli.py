@@ -5,7 +5,8 @@ Subcommands: ``gen`` (synthetic mixtures), ``cumulants``, ``ica``,
 0 on success, 1 on usage errors and malformed input files, and 2 on
 numerical failures, which also print a machine-readable ``{"error": ...,
 "message": ...}`` object on stderr.  All randomness is seeded via
-``--seed``, so runs are reproducible byte for byte.
+``--seed``, so a run repeats byte for byte on the same machine with the same
+numpy and BLAS build; across builds only the statistics are guaranteed.
 """
 
 from __future__ import annotations

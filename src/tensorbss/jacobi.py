@@ -8,30 +8,42 @@ pair, the contrast is a trigonometric polynomial of the rotation angle:
   in ``u = (cos 2*phi, sin 2*phi)``, maximized by the dominant eigenvector of
   a 2x2 matrix reconstructed exactly from three angle samples;
 * for ``(1, 3)`` it has first and third harmonics; stationary angles are the
-  real roots of a degree-6 polynomial in ``tan(phi/2)``;
-* for ``(2, 4)`` it is a quartic of the doubled angle; stationary angles are
-  the real roots of a degree-8 polynomial in ``tan(phi)``.
+  real roots of a degree-6 polynomial in ``h = tan(phi/2)``, for
+  ``phi`` in ``[-pi/2, pi/2]``;
+* for ``(2, 4)`` it is ``H(xi) / (xi^2 + 4)^2`` with ``xi = t - 1/t``,
+  ``t = tan(phi)``, and ``H`` a quartic whose coefficients are quadratic
+  forms in the pair's five entries (Comon, *Independent component analysis,
+  a new concept?*, Signal Processing 1994).  Its stationary points are the
+  real roots of the quartic ``H'(xi) (xi^2 + 4) - 4 xi H(xi)``, and each one
+  is taken as the root ``t`` of ``t^2 - xi t - 1 = 0`` with ``|t| <= 1``, so
+  angles lie in ``[-pi/4, pi/4]``; the other root is the same rotation
+  shifted by ``pi/2``, with the same contrast.
 
-Root finding uses companion matrices throughout, and the candidate with the
-largest restricted contrast (ties going to the smallest angle) wins.  A
-rotation is applied only when its contrast gain is strictly positive, so the
-recorded contrast trace never decreases.  Sweeps stop once no rotation of
-a whole sweep exceeds ``ANGLE_TOL`` (cyclic), once the best pair's angle
-falls below it or no pair gains (greedy), or after ``max_sweeps`` sweeps
-(``max_sweeps`` times the pair count in rotations, for greedy); the result's
-``stop_reason`` says which.
+The angle solve, :func:`_best_angles`, takes one row of pair entries per
+pair and solves them all at once: fixed tables turn each row into its
+samples or polynomial coefficients, the roots of all rows come from one
+stacked companion-matrix ``eigvals`` call, and each row's result depends on
+that row alone.  The candidate with the largest restricted contrast wins, and
+candidates within ``1e-12`` of the best are ties that go to the smallest
+angle.  A rotation is applied only when its contrast gain is strictly
+positive, so the recorded contrast trace never decreases.  Sweeps stop once
+no rotation of a whole sweep exceeds ``ANGLE_TOL`` (cyclic), once the best
+pair's angle falls below it or no pair gains (greedy), or after
+``max_sweeps`` sweeps (``max_sweeps`` times the pair count in rotations, for
+greedy); the result's ``stop_reason`` says which.
 
-Greedy sweeps solve every pair once and then, after each rotation of
-``(p, q)``, only the ``2n - 3`` pairs touching ``p`` or ``q``: the rotation
-rewrites only tensor slices indexed by ``p`` or ``q``, and a pair's angle
-reads only entries indexed within that pair, so every other cached angle is
-exactly what a fresh solve would return.
+Cyclic sweeps solve one pair per call.  Greedy sweeps solve every pair in
+one call and then, after each rotation of ``(p, q)``, re-solve the ``2n - 3``
+pairs touching ``p`` or ``q`` in one call: the rotation rewrites only tensor
+slices indexed by ``p`` or ``q``, and a pair's angle reads only entries
+indexed within that pair, so every other cached angle is exactly what a
+fresh solve would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import atan, atan2, ceil, cos, pi, sin, sqrt
+from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
@@ -43,16 +55,43 @@ SUPPORTED_SPECS = {(1, 3), (1, 4), (2, 3), (2, 4), (2, 2)}
 QUADRATIC_FORM_SPECS = {(2, 2), (2, 3), (1, 4)}
 ANGLE_TOL = 1e-8
 
-# (1, 3): sin(phi) / 2, cos(phi), sin(3 phi) and cos(3 phi) times
-# (1 + h^2)^3, as ascending coefficients in h = tan(phi/2)
-_HALF_SIN1 = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0])
-_COS1 = np.array([1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0])
-_SIN3 = np.array([0.0, 6.0, 0.0, -20.0, 0.0, 6.0])
-_COS3 = np.array([1.0, 0.0, -15.0, 0.0, 15.0, 0.0, -1.0])
-# (2, 4): derivative weights of a quartic, 1 + t^2 and 4t
-_QUARTIC_DER = np.arange(1.0, 5.0)
-_ONE_T2 = np.array([1.0, 0.0, 1.0])
-_FOUR_T = np.array([0.0, 4.0])
+# (1, 3), columns over the pair entries (a, b, e, g): rows 0-6 are the
+# ascending coefficients in h = tan(phi/2) of d/dphi of the contrast times
+# (1 + h^2)^3 / 3, rows 7-13 those of the contrast times (1 + h^2)^3
+_TABLE_13 = np.array([
+    [0.0, 1.0, -1.0, 0.0],
+    [-2.0, 4.0, 4.0, -2.0],
+    [-4.0, -11.0, 11.0, 4.0],
+    [4.0, -16.0, -16.0, 4.0],
+    [4.0, 11.0, -11.0, -4.0],
+    [-2.0, 4.0, 4.0, -2.0],
+    [0.0, -1.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, 1.0],
+    [0.0, 6.0, -6.0, 0.0],
+    [-3.0, 12.0, 12.0, -3.0],
+    [-8.0, -12.0, 12.0, 8.0],
+    [3.0, -12.0, -12.0, 3.0],
+    [0.0, 6.0, -6.0, 0.0],
+    [-1.0, 0.0, 0.0, -1.0],
+])
+# (2, 4): coefficient k of H, as an upper-triangular quadratic form over the
+# pair entries (a, b, e, f, g); H4 = a^2 + g^2 is the contrast at phi = 0
+_H_24 = np.array([
+    [[2, 0, 24, 0, 4], [0, 32, 0, 64, 0], [0, 0, 72, 0, 24], [0, 0, 0, 32, 0], [0, 0, 0, 0, 2]],
+    [[0, -24, 0, -8, 0], [0, 0, -48, 0, 8], [0, 0, 0, 48, 0], [0, 0, 0, 0, 24], [0, 0, 0, 0, 0]],
+    [[4, 0, 12, 0, 0], [0, 16, 0, 0, 0], [0, 0, 0, 0, 12], [0, 0, 0, 16, 0], [0, 0, 0, 0, 4]],
+    [[0, -8, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 8], [0, 0, 0, 0, 0]],
+    [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]],
+], dtype=float).reshape(5, 25)
+# rows 0-4: H'(xi) (xi^2 + 4) - 4 xi H(xi), ascending in xi; rows 5-9: H
+_TABLE_24 = np.vstack([
+    4 * _H_24[1],
+    8 * _H_24[2] - 4 * _H_24[0],
+    12 * _H_24[3] - 3 * _H_24[1],
+    16 * _H_24[4] - 2 * _H_24[2],
+    -_H_24[3],
+    _H_24,
+])
 
 
 @dataclass(frozen=True)
@@ -102,13 +141,16 @@ def contrast_value(z, spec: ContrastSpec) -> float:
     return float(np.sum(np.abs(diag) ** spec.alpha))
 
 
-def _pair_vals(zd: np.ndarray, p: int, q: int) -> tuple[float, ...]:
-    d = zd.ndim
-    if d == 2:
-        return zd[p, p], zd[p, q], zd[q, q]
-    if d == 3:
-        return zd[p, p, p], zd[p, p, q], zd[p, q, q], zd[q, q, q]
-    return zd[p, p, p, p], zd[p, p, p, q], zd[p, p, q, q], zd[p, q, q, q], zd[q, q, q, q]
+def _pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs ``p < q`` in row-major order, and their entries' flat positions.
+
+    Row ``k`` of the positions addresses pair ``k`` in an ``n^d`` array; its
+    entry ``j`` is ``z[p, .., p, q, .., q]`` with ``j`` trailing ``q``s.
+    """
+    p, q = np.triu_indices(n, 1)
+    head = np.concatenate([[0], np.cumsum(n ** np.arange(d)[::-1])])
+    p_weight = head[d - np.arange(d + 1)]
+    return p, q, p[:, None] * p_weight + q[:, None] * (head[d] - p_weight)
 
 
 def _rotated_diag(vals, d: int, phi: float) -> tuple[float, float]:
@@ -129,70 +171,110 @@ def _rotated_diag(vals, d: int, phi: float) -> tuple[float, float]:
     return zp, zq
 
 
-def _restricted(vals, d: int, alpha: int, phi: float) -> float:
-    zp, zq = _rotated_diag(vals, d, phi)
-    if alpha == 1:
-        return zp + zq
-    return abs(zp) ** alpha + abs(zq) ** alpha
+def _sample_table(d: int) -> np.ndarray:
+    """Rows: the weights of ``z_pp`` at ``phi = 0, pi/4, pi/8``, then of ``z_qq``."""
+    zp, zq = zip(*(_rotated_diag(np.eye(d + 1), d, phi) for phi in (0.0, pi / 4, pi / 8)))
+    return np.array(zp + zq)
 
 
-def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
-    """Globally optimal pair angle and its contrast gain over ``phi = 0``."""
-    base = _restricted(vals, d, alpha, 0.0)
+_SAMPLE_TABLES = {d: _sample_table(d) for d in (2, 3, 4)}
+
+
+def _forms(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``table @ x[i]``, summed per row so that its bits depend on ``x[i]`` alone."""
+    return (x[:, None, :] * table).sum(axis=2)
+
+
+def _real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's polynomial roots (ascending coefficients), sorted, and which are real.
+
+    Rows keeping their leading coefficient share one stacked companion-matrix
+    ``eigvals`` call; rows whose leading coefficient trims (``1e-14`` times
+    the row's largest) go through :func:`real_roots` one at a time.  A root
+    counts as real under :func:`real_roots`' rule.
+    """
+    m, deg = coeffs.shape[0], coeffs.shape[1] - 1
+    mag = np.abs(coeffs)
+    trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
+    comp = np.zeros((m, deg, deg))
+    comp.reshape(m, -1)[:, deg :: deg + 1] = 1.0
+    comp[:, :, -1] = coeffs[:, :-1] / -np.where(trimmed, 1.0, coeffs[:, -1])[:, None]
+    roots = np.sort(np.linalg.eigvals(comp), axis=1)
+    x = roots.real
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(x))
+    for i in np.flatnonzero(trimmed):
+        r = real_roots(coeffs[i])
+        x[i, : r.size] = r
+        real[i] = np.arange(deg) < r.size
+    return x, real
+
+
+def _select(x: np.ndarray, val: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, the winning candidate ``x`` and its gain over ``x = 0``.
+
+    Candidates are taken in column order after ``x = 0`` (value ``base``): one
+    wins when it beats the best so far by more than ``1e-15`` relative, or
+    ties within ``1e-12`` relative with a smaller ``|x|``.
+    """
+    best_x, gain = [], []
+    for xs, vs, b in zip(x.tolist(), val.tolist(), base.tolist()):
+        bx, bv = 0.0, b
+        for xj, vj in zip(xs, vs):
+            tol = 1.0 + abs(bv)
+            if vj > bv + 1e-15 * tol or (abs(vj - bv) <= 1e-12 * tol and abs(xj) < abs(bx)):
+                bx, bv = xj, vj
+        best_x.append(bx)
+        gain.append(bv - b)
+    return np.array(best_x), np.array(gain)
+
+
+def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Globally optimal angle of each row of pair entries, and its contrast gain over ``phi = 0``."""
+    vals = np.asarray(vals, dtype=float)
+    m = vals.shape[0]
 
     if (alpha, d) in QUADRATIC_FORM_SPECS:
         # reconstruct the exact quadratic form in (cos 2phi, sin 2phi) from
         # three samples; its dominant eigenvector gives the angle, and the
         # gain over phi = 0 has a cancellation-free closed form so rotations
         # far below the contrast's own float resolution are still accepted
-        b11 = base
-        b22 = _restricted(vals, d, alpha, pi / 4)
-        b12 = _restricted(vals, d, alpha, pi / 8) - 0.5 * (b11 + b22)
+        z = _forms(vals, _SAMPLE_TABLES[d])
+        if alpha == 2:
+            z = z * z
+        b11, b22, b12 = (z[:, :3] + z[:, 3:]).T
+        b12 = b12 - 0.5 * (b11 + b22)
         delta = 0.5 * (b11 - b22)
         radius = np.hypot(delta, b12)
-        if radius == 0.0:
-            return 0.0, 0.0
-        phi = 0.25 * atan2(b12, delta)
-        gain = b12 * b12 / (radius + delta) if delta > 0 else radius - delta
-        return phi, float(gain)
+        phi = np.where(radius > 0.0, 0.25 * np.arctan2(b12, delta), 0.0)
+        gain = np.divide(b12 * b12, radius + delta, out=radius - delta, where=delta > 0.0)
+        return phi, gain
 
     if (alpha, d) == (1, 3):
-        # harmonics cos/sin of phi and 3*phi; solve for the four coefficients
-        v1, v2 = base, _restricted(vals, d, alpha, pi / 2)
-        v3 = _restricted(vals, d, alpha, pi / 4)
-        v4 = _restricted(vals, d, alpha, -pi / 4)
-        a1 = 0.5 * (v1 + (v3 + v4) / sqrt(2.0))
-        a3 = v1 - a1
-        b1 = 0.5 * (v2 + (v3 - v4) / sqrt(2.0))
-        b3 = b1 - v2
-        # d/dphi = 0 as a polynomial in h = tan(phi/2), multiplied by (1+h^2)^3
-        first = b1 * _COS1
-        first[:6] += -2.0 * a1 * _HALF_SIN1
-        third = 3.0 * b3 * _COS3
-        third[:6] += -3.0 * a3 * _SIN3
-        candidates = [0.0, pi / 2, -pi / 2]
-        candidates.extend(
-            2.0 * atan(h) for h in real_roots(first + third) if -1.0 - 1e-12 <= h <= 1.0 + 1e-12
-        )
-    else:
-        # (2, 4): stationary angles are roots of a degree-8 polynomial in tan(phi)
-        a, b, e, f, g = vals
-        p1 = np.array([a, 4 * b, 6 * e, 4 * f, g])
-        p2 = np.array([g, -4 * f, 6 * e, -4 * b, a])
-        grad = np.convolve(p1, p1[1:] * _QUARTIC_DER) + np.convolve(p2, p2[1:] * _QUARTIC_DER)
-        norm = np.convolve(p1, p1) + np.convolve(p2, p2)
-        stat = np.convolve(grad, _ONE_T2) - np.convolve(_FOUR_T, norm)
-        candidates = [0.0]
-        candidates.extend(atan(t) for t in real_roots(stat))
+        # candidates h = 1, -1 (phi = +-pi/2), then the stationary h in [-1, 1]
+        coeffs = _forms(vals, _TABLE_13)
+        h, real = _real_roots_rows(coeffs[:, :7])
+        h = np.concatenate([np.tile([1.0, -1.0], (m, 1)), h], axis=1)
+        real = np.concatenate([np.ones((m, 2), bool), real & (np.abs(h[:, 2:]) <= 1.0 + 1e-12)], 1)
+        val = coeffs[:, 13:14]
+        for k in range(12, 6, -1):
+            val = val * h + coeffs[:, k : k + 1]
+        one_h2 = 1.0 + h * h
+        val = np.where(real, val / (one_h2 * one_h2 * one_h2), -np.inf)
+        h, gain = _select(h, val, coeffs[:, 7])
+        return 2.0 * np.arctan(h), gain
 
-    best_phi, best_val = 0.0, base
-    for phi in candidates:
-        val = _restricted(vals, d, alpha, phi)
-        better = val > best_val + 1e-15 * (1.0 + abs(best_val))
-        tied = abs(val - best_val) <= 1e-12 * (1.0 + abs(best_val))
-        if better or (tied and abs(phi) < abs(best_phi)):
-            best_phi, best_val = phi, val
-    return best_phi, best_val - base
+    coeffs = _forms((vals[:, :, None] * vals[:, None, :]).reshape(m, 25), _TABLE_24)
+    xi, real = _real_roots_rows(coeffs[:, :5])
+    val = coeffs[:, 9:10]
+    for k in range(8, 4, -1):
+        val = val * xi + coeffs[:, k : k + 1]
+    xi2_4 = xi * xi + 4.0
+    val = np.where(real, val / (xi2_4 * xi2_4), -np.inf)
+    t = -2.0 / (xi + np.copysign(np.sqrt(xi2_4), xi))
+    # candidates in ascending t
+    order = (np.arange(m)[:, None], np.argsort(t, axis=1))
+    t, gain = _select(t[order], val[order], coeffs[:, 9])
+    return np.arctan(t), gain
 
 
 def _apply_rotation(zd: np.ndarray, p: int, q: int, phi: float) -> None:
@@ -216,66 +298,70 @@ def _rotate_rows(v: np.ndarray, p: int, q: int, phi: float) -> None:
     v[q] = -s * vp + c * vq
 
 
-def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
+def _run_sweeps(
+    g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None
+) -> tuple[ICAResult, np.ndarray]:
+    """The sweep result and the swept dense tensor."""
     zd = _as_array(g).copy()
     if zd.ndim != spec.order:
         raise ValueError("tensor order does not match the contrast order")
     n = zd.shape[0]
     v = np.eye(n)
     trace = [contrast_value(zd, spec)]
-    result = ICAResult(Q=np.eye(n), Z=symmetrize(zd), trace=trace)
     if n < 2:
-        return result
+        return ICAResult(Q=np.eye(n), Z=symmetrize(zd), trace=trace), zd
 
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    first, second, positions = _pairs(n, spec.order)
+    flat = zd.reshape(-1)
+    npairs = len(first)
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
+
+    def solve(rows):
+        return _best_angles(flat[positions[rows]], spec.order, spec.alpha)
 
     def accept(p, q, phi, gain):
         _apply_rotation(zd, p, q, phi)
         _rotate_rows(v, p, q, phi)
         trace.append(trace[-1] + gain)
-        result.rotations += 1
 
-    def solve(p, q):
-        return _best_angle(_pair_vals(zd, p, q), spec.order, spec.alpha)
-
-    result.stop_reason = "max_sweeps"
+    sweeps, stop_reason = 0, "max_sweeps"
     if greedy:
-        touching = [[k for k, pair in enumerate(pairs) if i in pair] for i in range(n)]
-        solved = [solve(p, q) for p, q in pairs]
-        while result.rotations < len(pairs) * max_sweeps:
-            k = max(range(len(pairs)), key=lambda j: solved[j][1])
-            phi, gain = solved[k]
+        phis, gains = solve(slice(None))
+        while len(trace) - 1 < npairs * max_sweeps:
+            k = int(np.argmax(gains))
+            phi, gain = float(phis[k]), float(gains[k])
             if gain <= 0.0 or abs(phi) < ANGLE_TOL:
-                result.stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
+                stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
                 break
-            p, q = pairs[k]
+            p, q = int(first[k]), int(second[k])
             accept(p, q, phi, gain)
-            for j in set(touching[p] + touching[q]):
-                solved[j] = solve(*pairs[j])
-        result.sweeps = ceil(result.rotations / len(pairs))
+            touched = np.flatnonzero((first == p) | (first == q) | (second == p) | (second == q))
+            phis[touched], gains[touched] = solve(touched)
+        sweeps = ceil((len(trace) - 1) / npairs)
     else:
         for _ in range(max_sweeps):
             largest_phi = 0.0
-            for p, q in pairs:
-                phi, gain = solve(p, q)
+            for k in range(npairs):
+                phi, gain = (a.item() for a in solve(slice(k, k + 1)))
                 if gain > 0.0 and phi != 0.0:
-                    accept(p, q, phi, gain)
+                    accept(int(first[k]), int(second[k]), phi, gain)
                     largest_phi = max(largest_phi, abs(phi))
-            result.sweeps += 1
+            sweeps += 1
             if largest_phi < ANGLE_TOL:
-                result.stop_reason = "angle_tol"
+                stop_reason = "angle_tol"
                 break
 
-    result.Q = v.T.copy()
-    result.Z = symmetrize(zd)
-    return result
+    result = ICAResult(
+        Q=v.T.copy(), Z=symmetrize(zd), trace=trace, sweeps=sweeps,
+        rotations=len(trace) - 1, stop_reason=stop_reason,
+    )
+    return result, zd
 
 
 def sweep_cyclic(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
     """Process all pairs cyclically by rows until angles fall below ``ANGLE_TOL``."""
-    return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)
+    return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)[0]
 
 
 def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
@@ -283,7 +369,7 @@ def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICARes
 
     Stops after at most ``max_sweeps`` times the pair count rotations.
     """
-    return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)
+    return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)[0]
 
 
 def stationarity_residual(z, d: int) -> float:
@@ -358,12 +444,9 @@ def ica(
     y = wh.apply(zc)
     g = cumulant_tensor(y, spec.order)
 
-    if n == 1:
-        res = ICAResult(Q=np.eye(1), Z=g, trace=[contrast_value(g, spec)])
-    else:
-        res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
+    res, zd = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
     null_var = {2: 2.0, 3: 6.0, 4: 24.0}[spec.order]
     confidence_floor = 5.0 * sqrt(null_var / z.shape[0])
-    diag = res.Z.expand().array[tuple([np.arange(n)] * spec.order)]
+    diag = zd[(np.arange(n),) * spec.order]
     res.low_confidence = bool(np.max(np.abs(diag), initial=0.0) < confidence_floor)
     return wh, res

@@ -143,6 +143,18 @@ class TestCliRoundTrips:
         assert out1.read_bytes() == out2.read_bytes()
         assert man1.read_bytes() == man2.read_bytes()
 
+    @pytest.mark.parametrize("strategy", ["cyclic", "greedy"])
+    def test_ica_determinism_bytes(self, tmp_path, strategy):
+        samples = tmp_path / "s.csv"
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        r = np.random.default_rng(4)
+        save_samples(samples, r.uniform(-1.0, 1.0, (3000, 4)) @ r.standard_normal((4, 4)))
+        for out in (out1, out2):
+            assert self.run(
+                "ica", "--strategy", strategy, "--in", str(samples), "--out", str(out),
+            ) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_cumulants_command(self, tmp_path):
         samples = tmp_path / "s.csv"
         out = tmp_path / "c.json"
