@@ -32,17 +32,25 @@ pair's angle falls below it or no pair gains (greedy), or after
 ``max_sweeps`` sweeps (``max_sweeps`` times the pair count in rotations, for
 greedy); the result's ``stop_reason`` says which.
 
-Cyclic sweeps solve one pair per call.  Greedy sweeps solve every pair in
-one call and then, after each rotation of ``(p, q)``, re-solve the ``2n - 3``
-pairs touching ``p`` or ``q`` in one call: the rotation rewrites only tensor
-slices indexed by ``p`` or ``q``, and a pair's angle reads only entries
-indexed within that pair, so every other cached angle is exactly what a
-fresh solve would return.
+A rotation of ``(p, q)`` rewrites only tensor slices indexed by ``p`` or
+``q``, and a pair's angle reads only the entries indexed within that pair.
+Cyclic sweeps use this through the round-robin (parallel Jacobi) ordering
+of Brent & Luk (*SIAM J. Sci. Stat. Comput.*, 1985): each sweep is ``n - 1``
+rounds (``n`` for odd ``n``, with one index idle per round) of ``n // 2``
+disjoint pairs, and every pair comes once per sweep.  A round is solved in
+one call and its accepted pairs are then rotated one at a time, in round
+order; since no rotation of the round touches another pair's entries, each
+angle has the same bits as a solve made just before its own rotation.
+Greedy sweeps solve every pair in one call and then, after each rotation of
+``(p, q)``, re-solve the ``2n - 3`` pairs touching ``p`` or ``q`` in one
+call, so every other cached angle is exactly what a fresh solve would
+return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
@@ -118,6 +126,8 @@ class ICAResult:
     contrast after the initial state and after every accepted rotation.
     ``stop_reason`` says why the sweeps ended: ``"angle_tol"``, ``"no_gain"``
     or ``"max_sweeps"`` (a tensor without pairs is already stationary).
+    ``largest_angles`` holds the largest accepted ``|phi|`` of each sweep (for
+    greedy, of each block of pair-count rotations), one entry per sweep.
     """
 
     Q: np.ndarray
@@ -127,6 +137,7 @@ class ICAResult:
     rotations: int = 0
     low_confidence: bool = False
     stop_reason: str = "angle_tol"
+    largest_angles: list[float] = field(default_factory=list)
 
 
 def contrast_value(z, spec: ContrastSpec) -> float:
@@ -151,6 +162,32 @@ def _pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     head = np.concatenate([[0], np.cumsum(n ** np.arange(d)[::-1])])
     p_weight = head[d - np.arange(d + 1)]
     return p, q, p[:, None] * p_weight + q[:, None] * (head[d] - p_weight)
+
+
+@cache
+def _rounds(n: int) -> np.ndarray:
+    """One cyclic sweep as rounds of disjoint pairs: row ``r`` lists round ``r``'s pairs.
+
+    A pair is given by its index into :func:`_pairs`.  The circle method on
+    ``m = n + n % 2`` players: player 0 stays put and round ``r`` pairs it
+    with ``r + 1``, and ``1 + (r + i) % (m - 1)`` with ``1 + (r - i) % (m - 1)``
+    for ``0 < i < m / 2``.  For odd ``n`` the player ``n`` is the bye, so its
+    pair is dropped.  Each round is sorted, so round ``r`` starts with
+    ``(0, r + 1)`` wherever that pair is not the bye, and for ``n <= 3`` the
+    schedule is row order.  The result is read-only, since every caller
+    shares it.
+    """
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(m // 2)
+    p, q = 1 + (r + i) % (m - 1), 1 + (r - i) % (m - 1)
+    p[:, 0] = 0
+    index = np.full((m, m), -1, dtype=np.intp)
+    index[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    rounds = index[np.minimum(p, q), np.maximum(p, q)]
+    rounds = np.sort(rounds[rounds >= 0].reshape(m - 1, n // 2), axis=1)
+    rounds.flags.writeable = False
+    return rounds
 
 
 def _rotated_diag(vals, d: int, phi: float) -> tuple[float, float]:
@@ -302,6 +339,8 @@ def _run_sweeps(
     g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None
 ) -> tuple[ICAResult, np.ndarray]:
     """The sweep result and the swept dense tensor."""
+    if max_sweeps is not None and max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     zd = _as_array(g).copy()
     if zd.ndim != spec.order:
         raise ValueError("tensor order does not match the contrast order")
@@ -325,10 +364,11 @@ def _run_sweeps(
         _rotate_rows(v, p, q, phi)
         trace.append(trace[-1] + gain)
 
-    sweeps, stop_reason = 0, "max_sweeps"
+    sweeps, stop_reason, largest = 0, "max_sweeps", []
     if greedy:
         phis, gains = solve(slice(None))
-        while len(trace) - 1 < npairs * max_sweeps:
+        angles = []
+        while len(angles) < npairs * max_sweeps:
             k = int(np.argmax(gains))
             phi, gain = float(phis[k]), float(gains[k])
             if gain <= 0.0 or abs(phi) < ANGLE_TOL:
@@ -336,17 +376,21 @@ def _run_sweeps(
                 break
             p, q = int(first[k]), int(second[k])
             accept(p, q, phi, gain)
+            angles.append(abs(phi))
             touched = np.flatnonzero((first == p) | (first == q) | (second == p) | (second == q))
             phis[touched], gains[touched] = solve(touched)
-        sweeps = ceil((len(trace) - 1) / npairs)
+        largest = [max(angles[i : i + npairs]) for i in range(0, len(angles), npairs)]
+        sweeps = len(largest)
     else:
         for _ in range(max_sweeps):
             largest_phi = 0.0
-            for k in range(npairs):
-                phi, gain = (a.item() for a in solve(slice(k, k + 1)))
-                if gain > 0.0 and phi != 0.0:
-                    accept(int(first[k]), int(second[k]), phi, gain)
-                    largest_phi = max(largest_phi, abs(phi))
+            for rows in _rounds(n):
+                phis, gains = solve(rows)
+                for k, phi, gain in zip(rows.tolist(), phis.tolist(), gains.tolist()):
+                    if gain > 0.0 and phi != 0.0:
+                        accept(int(first[k]), int(second[k]), phi, gain)
+                        largest_phi = max(largest_phi, abs(phi))
+            largest.append(largest_phi)
             sweeps += 1
             if largest_phi < ANGLE_TOL:
                 stop_reason = "angle_tol"
@@ -354,20 +398,24 @@ def _run_sweeps(
 
     result = ICAResult(
         Q=v.T.copy(), Z=symmetrize(zd), trace=trace, sweeps=sweeps,
-        rotations=len(trace) - 1, stop_reason=stop_reason,
+        rotations=len(trace) - 1, stop_reason=stop_reason, largest_angles=largest,
     )
     return result, zd
 
 
 def sweep_cyclic(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
-    """Process all pairs cyclically by rows until angles fall below ``ANGLE_TOL``."""
+    """Sweep all pairs in round-robin rounds until angles fall below ``ANGLE_TOL``.
+
+    Each sweep visits every pair once, as rounds of disjoint pairs (see
+    :func:`_rounds`); at most ``max_sweeps`` sweeps, which must be ``>= 0``.
+    """
     return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)[0]
 
 
 def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
     """Rotate the pair with the largest contrast gain until no pair improves.
 
-    Stops after at most ``max_sweeps`` times the pair count rotations.
+    Stops after at most ``max_sweeps`` (``>= 0``) times the pair count rotations.
     """
     return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)[0]
 
@@ -431,7 +479,8 @@ def ica(
     diagonal cumulant is smaller than five standard errors of a diagonal
     cumulant estimate under the Gaussian null (marginal cumulant variances
     2, 6, 24 over the sample count, for orders 2, 3, 4), as happens for
-    Gaussian data.
+    Gaussian data.  ``max_sweeps`` must be ``>= 0``; ``0`` returns the
+    whitened problem unrotated.
     """
     z = as_samples(samples)
     n = z.shape[1]

@@ -130,7 +130,10 @@ class TestCliRoundTrips:
         res = load_json(result)
         trace = res["contrast_trace"]
         assert all(b >= a for a, b in zip(trace, trace[1:]))
-        assert res["diagnostics"] == {"stop_reason": "angle_tol"}
+        diagnostics = res["diagnostics"]
+        assert diagnostics["stop_reason"] == "angle_tol"
+        assert len(diagnostics["largest_angles"]) == res["sweeps"]
+        assert diagnostics["largest_angles"][-1] < 1e-8 <= diagnostics["largest_angles"][0]
 
     def test_gen_determinism_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -189,6 +192,15 @@ class TestCliRoundTrips:
         out = tmp_path / "f.json"
         assert self.run("parafac", *flags, "--in", str(tpath), "--out", str(out)) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ica_negative_max_sweeps_exits_1(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        save_samples(samples, rng.uniform(-1.0, 1.0, (200, 2)))
+        out = tmp_path / "r.json"
+        code = self.run("ica", "--max-sweeps", "-1", "--in", str(samples), "--out", str(out))
+        assert code == 1
+        assert "--max-sweeps must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_parafac_order2_exits_1(self, tmp_path, capsys):

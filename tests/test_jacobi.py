@@ -323,6 +323,31 @@ class TestStopReason:
         res = sweep_greedy(g, ContrastSpec(2, 2))
         assert res.stop_reason == "angle_tol" and res.rotations == 0
 
+    def test_negative_max_sweeps_refused(self):
+        g, _ = rotated_diag([-1.2, -2.0, 1.5], 4, seed=0)
+        for sweep in (sweep_cyclic, sweep_greedy):
+            with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+                sweep(g, ContrastSpec(2, 4), max_sweeps=-1)
+        z = np.random.default_rng(9).uniform(-1.0, 1.0, (500, 3))
+        with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+            ica(z, ContrastSpec(2, 4), max_sweeps=-1)
+        for strategy in ("cyclic", "greedy"):
+            _, res = ica(z, ContrastSpec(2, 4), strategy=strategy, max_sweeps=0)
+            np.testing.assert_array_equal(res.Q, np.eye(3))
+            assert (res.sweeps, res.rotations, res.stop_reason) == (0, 0, "max_sweeps")
+
+    @pytest.mark.parametrize("strategy", [sweep_cyclic, sweep_greedy])
+    def test_largest_angles(self, strategy):
+        g, _ = rotated_diag([-1.2, -2.0, 1.5, 0.8], 4, seed=2)
+        res = strategy(g, ContrastSpec(2, 4))
+        assert len(res.largest_angles) == res.sweeps > 1
+        assert res.largest_angles[0] > 1e-2
+        assert all(0.0 <= a <= pi / 4 for a in res.largest_angles)
+        if strategy is sweep_cyclic:
+            assert res.largest_angles[-1] < ANGLE_TOL <= res.largest_angles[-2]
+        one = strategy(g, ContrastSpec(2, 4), max_sweeps=1)
+        assert one.largest_angles == res.largest_angles[:1]
+
     def test_no_pairs(self):
         assert sweep_greedy(np.ones((1,) * 4), ContrastSpec(2, 4)).stop_reason == "angle_tol"
         assert sweep_cyclic(np.ones((1,) * 4), ContrastSpec(2, 4)).stop_reason == "angle_tol"
@@ -403,7 +428,7 @@ def sweep_greedy_all_pairs(g, spec, max_sweeps=None):
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
-    rotations = 0
+    rotations, largest = 0, []
     while rotations < len(pairs) * max_sweeps:
         vals = np.array([_pair_vals(zd, p, q) for p, q in pairs])
         phis, gains = _best_angles(vals, spec.order, spec.alpha)
@@ -414,8 +439,37 @@ def sweep_greedy_all_pairs(g, spec, max_sweeps=None):
         _apply_rotation(zd, p, q, phi)
         _rotate_rows(v, p, q, phi)
         trace.append(trace[-1] + gain)
+        if rotations % len(pairs) == 0:
+            largest.append(0.0)
+        largest[-1] = max(largest[-1], abs(phi))
         rotations += 1
-    return v.T, trace, rotations, ceil(rotations / len(pairs))
+    return v.T, trace, rotations, ceil(rotations / len(pairs)), largest
+
+
+def sweep_cyclic_one_pair(g, spec, max_sweeps=None):
+    """The round-robin cyclic sweep solving each pair alone, just before its own rotation."""
+    zd = g.copy()
+    n = zd.shape[0]
+    v = np.eye(n)
+    trace = [contrast_value(zd, spec)]
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    if max_sweeps is None:
+        max_sweeps = ceil(sqrt(n)) + 3
+    largest, stop_reason = [], "max_sweeps"
+    for _ in range(max_sweeps):
+        largest.append(0.0)
+        for k in jacobi._rounds(n).ravel():
+            p, q = (int(i) for i in pairs[k])
+            phi, gain = (float(x) for x in solve_one(_pair_vals(zd, p, q), spec.order, spec.alpha))
+            if gain > 0.0 and phi != 0.0:
+                _apply_rotation(zd, p, q, phi)
+                _rotate_rows(v, p, q, phi)
+                trace.append(trace[-1] + gain)
+                largest[-1] = max(largest[-1], abs(phi))
+        if largest[-1] < ANGLE_TOL:
+            stop_reason = "angle_tol"
+            break
+    return v.T, trace, len(trace) - 1, len(largest), stop_reason, largest
 
 
 ALL_SPECS = [(2, 2), (2, 3), (2, 4), (1, 3), (1, 4)]
@@ -506,6 +560,18 @@ class TestSolveOracle:
             )
 
 
+def count_solve_rows(monkeypatch):
+    """The row count of every ``_best_angles`` call the sweeps make from now on."""
+    rows = []
+
+    def counted(vals, d, alpha):
+        rows.append(len(vals))
+        return _best_angles(vals, d, alpha)
+
+    monkeypatch.setattr(jacobi, "_best_angles", counted)
+    return rows
+
+
 class TestGreedyOracle:
     @pytest.mark.parametrize("alpha,d", ALL_SPECS)
     def test_matches_all_pairs_selection(self, alpha, d):
@@ -515,27 +581,61 @@ class TestGreedyOracle:
             for max_sweeps in (None, 1):
                 g = symmetrize(r.standard_normal((n,) * d))
                 res = sweep_greedy(g, spec, max_sweeps=max_sweeps)
-                q, trace, rotations, sweeps = sweep_greedy_all_pairs(
+                q, trace, rotations, sweeps, largest = sweep_greedy_all_pairs(
                     g.expand().array, spec, max_sweeps
                 )
                 np.testing.assert_array_equal(res.Q, q)
                 assert res.trace == trace
                 assert (res.rotations, res.sweeps) == (rotations, sweeps)
+                assert res.largest_angles == largest
 
     def test_solves_only_touched_pairs(self, monkeypatch):
-        rows = []
-
-        def counted(vals, d, alpha):
-            rows.append(len(vals))
-            return _best_angles(vals, d, alpha)
-
-        monkeypatch.setattr(jacobi, "_best_angles", counted)
+        rows = count_solve_rows(monkeypatch)
         n = 5
         g = symmetrize(np.random.default_rng(950).standard_normal((n,) * 4))
         res = sweep_greedy(g, ContrastSpec(2, 4))
         assert res.rotations > 0
         assert len(rows) == 1 + res.rotations
         assert sum(rows) == n * (n - 1) // 2 + res.rotations * (2 * n - 3)
+
+
+class TestCyclicOracle:
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_round_robin_schedule(self, n):
+        rounds = jacobi._rounds(n)
+        assert rounds.shape == (n - 1 + n % 2, n // 2)
+        assert sorted(rounds.ravel().tolist()) == list(range(n * (n - 1) // 2))
+        p, q = np.triu_indices(n, 1)
+        for row in rounds:
+            assert len(set(p[row]) | set(q[row])) == 2 * len(row)
+        # round r opens with (0, r + 1), so up to n = 3 this is row order
+        assert p[rounds[: n - 1, 0]].tolist() == [0] * (n - 1)
+        assert q[rounds[: n - 1, 0]].tolist() == list(range(1, n))
+        assert not rounds.flags.writeable
+
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_matches_one_pair_per_solve(self, alpha, d):
+        spec = ContrastSpec(alpha, d)
+        r = np.random.default_rng(1100 + 10 * d + alpha)
+        for n in range(2, 8):
+            for max_sweeps in (None, 1):
+                g = symmetrize(r.standard_normal((n,) * d))
+                res = sweep_cyclic(g, spec, max_sweeps=max_sweeps)
+                q, trace, rotations, sweeps, stop_reason, largest = sweep_cyclic_one_pair(
+                    g.expand().array, spec, max_sweeps
+                )
+                assert res.Q.tobytes() == q.tobytes()
+                assert res.trace == trace
+                assert (res.rotations, res.sweeps, res.stop_reason) == (rotations, sweeps, stop_reason)
+                assert res.largest_angles == largest
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_one_solve_per_round(self, monkeypatch, n):
+        rows = count_solve_rows(monkeypatch)
+        g = symmetrize(np.random.default_rng(960 + n).standard_normal((n,) * 4))
+        res = sweep_cyclic(g, ContrastSpec(2, 4))
+        assert res.rotations > 0
+        assert rows == [n // 2] * (res.sweeps * (n - 1 + n % 2))
 
 
 def stationarity_oracle(zd, d):
