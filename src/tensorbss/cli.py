@@ -120,21 +120,38 @@ def _emit(obj, args, path=None):
             print(f"wrote {path}", file=sys.stderr)
 
 
+def _load_json(path):
+    try:
+        return tio.load_json(path)
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
+        raise UsageError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _load_field(path, key: str):
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or key not in obj:
+        raise UsageError(f"{path}: no {key!r} field")
+    return obj[key]
+
+
 def _cmd_gen(args) -> int:
     mixing_matrix = None
     if args.mixing == "given":
         if not args.mixing_file:
             raise UsageError("--mixing given requires --mixing-file")
-        mixing_matrix = np.asarray(tio.load_json(args.mixing_file), dtype=float)
-    config = ExperimentConfig(
-        nsources=args.sources,
-        nsamples=args.samples,
-        distribution=args.dist,
-        mixing=args.mixing,
-        noise_variance=args.noise,
-        seed=args.seed,
-        mixing_matrix=mixing_matrix,
-    )
+        mixing_matrix = _load_json(args.mixing_file)
+    try:
+        config = ExperimentConfig(
+            nsources=args.sources,
+            nsamples=args.samples,
+            distribution=args.dist,
+            mixing=args.mixing,
+            noise_variance=args.noise,
+            seed=args.seed,
+            mixing_matrix=mixing_matrix,
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a JSON object as the mixing
+        raise UsageError(str(exc)) from exc
     samples, manifest = gen(config)
     tio.save_samples(args.out, samples)
     tio.save_json(manifest, args.manifest, indent=args.json_indent)
@@ -186,7 +203,7 @@ def _cmd_ica(args) -> int:
 
 
 def _cmd_parafac(args) -> int:
-    t = tio.tensor_from_obj(tio.load_json(args.infile))
+    t = tio.tensor_from_obj(_load_json(args.infile))
     if t.order != 3:
         raise UsageError(f"parafac expects an order-3 tensor, got order {t.order}")
     try:
@@ -204,14 +221,14 @@ def _cmd_parafac(args) -> int:
 
 
 def _cmd_sylvester(args) -> int:
-    q = tio.quantic_from_obj(tio.load_json(args.infile))
+    q = tio.quantic_from_obj(_load_json(args.infile))
     dec = cand_binary(q)
     _emit(tio.decomposition_to_obj(dec), args, args.out)
     return 0
 
 
 def _cmd_rank1(args) -> int:
-    t = tio.tensor_from_obj(tio.load_json(args.infile))
+    t = tio.tensor_from_obj(_load_json(args.infile))
     if not isinstance(t, SymTensor):
         t = SymTensor.from_dense(t)
     approx = best_rank1(t, init=args.init, restarts=args.restarts, seed=args.seed)
@@ -260,10 +277,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    result = tio.load_json(args.result)
-    manifest = tio.load_json(args.manifest)
-    separator = np.asarray(result["separator"], dtype=float)
-    mixing = np.asarray(manifest["mixing"], dtype=float)
+    separator = np.asarray(_load_field(args.result, "separator"), dtype=float)
+    mixing = np.asarray(_load_field(args.manifest, "mixing"), dtype=float)
     metrics = score(separator, mixing)
     _emit(metrics, args, args.out)
     return 0

@@ -3,8 +3,16 @@ manifests; CSV for sample matrices.
 
 Dense tensors serialize as ``{"dims": [...], "data": [...]}`` with row-major
 data; symmetric tensors as ``{"sym": true, "dim": n, "order": d,
-"packed": [...]}``.  Sample CSV files carry a header row of variable names
-and one observation per line, written with ``repr`` so reload is exact.
+"packed": [...]}``.
+
+Sample CSV files carry a header row of variable names and one observation per
+line.  Each cell is written as its shortest ``repr``, so reload is exact.  A
+cell is read as Python's ``float`` reads it; blank and whitespace-only lines
+are skipped; every row has as many cells as the header has names, and every
+value is finite.  ``np.loadtxt`` parses the body.  Where it refuses a file, or
+returns what the contract rejects, a line scanner reads the file instead: it
+accepts the few cells only ``float`` takes (such as ``1_0``) and names the
+line and column of the first fault.
 """
 
 from __future__ import annotations
@@ -85,14 +93,20 @@ def load_json(path) -> Any:
         return json.load(fh)
 
 
+# Rows per write: bounds the strings held at once to a few MB for any file size.
+_BLOCK_ROWS = 4096
+
+
 def save_samples(path, samples: np.ndarray, names=None) -> None:
     samples = np.asarray(samples, dtype=float)
     if names is None:
         names = [f"y{k + 1}" for k in range(samples.shape[1])]
+    row = ",".join(["%r"] * samples.shape[1]) + "\n"  # %r is repr: the shortest exact digits
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, len(samples), _BLOCK_ROWS):
+            block = samples[start:start + _BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 class SamplesFormatError(ValueError):
@@ -103,6 +117,32 @@ class SamplesFormatError(ValueError):
 
 
 def load_samples(path) -> tuple[np.ndarray, list[str]]:
+    with open(path) as fh:
+        header = fh.readline()
+        names = [h.strip() for h in header.split(",")]
+        body = fh.tell()
+        while (line := fh.readline()) == "\n":
+            pass
+        # loadtxt warns on a body of empty lines; the scanner reports it
+        if header.strip() and line:
+            fh.seek(body)
+            try:
+                samples = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if (
+                    len(samples)
+                    and samples.shape[1] == len(names)
+                    and np.isfinite([samples.min(), samples.max()]).all()
+                ):
+                    return samples, names
+    return _scan_samples(path)
+
+
+def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
+    """Line-by-line reader with Python's ``float``: reads what ``loadtxt`` refuses
+    and raises ``SamplesFormatError`` at the first fault of a malformed file."""
     with open(path) as fh:
         header = fh.readline()
         if not header.strip():

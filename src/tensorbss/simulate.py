@@ -39,8 +39,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.mixing not in MIXINGS:
             raise ValueError(f"unknown mixing {self.mixing!r}")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise variance must be finite and nonnegative")
         if self.mixing == "given":
             m = np.asarray(self.mixing_matrix, dtype=float)
             if m.shape != (self.nsources, self.nsources):

@@ -5,6 +5,8 @@ import pytest
 
 from tensorbss.cli import main
 from tensorbss.io import (
+    _BLOCK_ROWS,
+    SamplesFormatError,
     load_json,
     load_samples,
     quantic_from_obj,
@@ -17,6 +19,108 @@ from tensorbss.core import DenseTensor, SymTensor, symmetrize
 from tensorbss.simulate import ExperimentConfig, gen, score
 
 rng = np.random.default_rng(12)
+
+
+def _save_samples_per_cell(path, samples, names=None):
+    """Reference writer, one ``repr`` per cell: ``save_samples`` must match its bytes."""
+    samples = np.asarray(samples, dtype=float)
+    if names is None:
+        names = [f"y{k + 1}" for k in range(samples.shape[1])]
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in samples:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _load_samples_per_line(path):
+    """Reference reader, Python ``float`` per cell: ``load_samples`` must match its
+    arrays bit for bit and its ``SamplesFormatError`` messages."""
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.strip():
+            raise SamplesFormatError(f"{path}, line 1: no header row (empty file or blank line)")
+        names = [h.strip() for h in header.split(",")]
+        rows, blank = [], []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                blank.append(lineno)
+                continue
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise SamplesFormatError(
+                    f"{path}, line {lineno}: expected {len(names)} values as in the header, "
+                    f"found {len(cells)}"
+                )
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError:
+                col = next(k for k, v in enumerate(cells) if not _is_number(v))
+                raise SamplesFormatError(
+                    f"{path}, line {lineno}, column {col + 1}: {cells[col].strip()!r} "
+                    "is not a number"
+                ) from None
+    if not rows:
+        raise SamplesFormatError(f"{path}: no samples after the header row")
+    samples = np.asarray(rows, dtype=float)
+    if not np.isfinite([samples.min(), samples.max()]).all():
+        k, col = np.argwhere(~np.isfinite(samples))[0]
+        lineno = k + 2
+        for b in blank:
+            if b <= lineno:
+                lineno += 1
+        raise SamplesFormatError(
+            f"{path}, line {lineno}, column {col + 1}: {float(samples[k, col])!r} "
+            "is not a finite number"
+        )
+    return samples, names
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# (file text, part of the error message) for samples CSVs the CLI refuses with exit 1
+MALFORMED_SAMPLES = [
+    pytest.param("", "line 1", id="empty"),
+    pytest.param("y1,y2\n", "no samples", id="header-only"),
+    pytest.param("y1,y2\n1.0,2.0\n3.0\n", "line 3: expected 2 values", id="ragged-row"),
+    pytest.param("y1,y2\n1.0,2.0\n3.0,abc\n", "line 3, column 2: 'abc'", id="non-numeric-cell"),
+    pytest.param("y1,y2\n1.0,nan\n3.0,4.0\n", "line 2, column 2: nan", id="nan-cell"),
+    pytest.param("y1,y2\n1.0,2.0\n\ninf,4.0\n\n", "line 4, column 1: inf", id="inf-cell"),
+    pytest.param("y1,y2\n1.0,2.0\n3.0,-inf\n", "line 3, column 2: -inf", id="negative-inf-cell"),
+    pytest.param(
+        "y1,y2\n1.0,2.0\n3.0,4.0,\n", "line 3: expected 2 values as in the header, found 3",
+        id="trailing-comma",
+    ),
+    pytest.param(
+        "y1,y2\n1,2,3\n4,5,6\n", "line 2: expected 2 values as in the header, found 3",
+        id="every-row-wrong-count",
+    ),
+]
+
+# samples CSVs on which load_samples must agree with the per-line reference reader
+SAMPLES_CORPUS = {p.id: p.values[0] for p in MALFORMED_SAMPLES} | {
+    "crlf": "y1,y2\r\n1.5,-2.0\r\n3.0,4.25\r\n",
+    "no-final-newline": "y1,y2\n1.5,-2.0\n3.0,4.25",
+    "padded-cells": "y1,y2\n 1.5 , -2.0\n\t3.0\t,4.25 \n",
+    "signs-and-dots": "y1,y2\n+1,.5\n1.,-0.0\n",
+    "infinity-word": "y1,y2\n1.0,Infinity\n",
+    "whitespace-lines": "y1,y2\n1.0,2.0\n \n\t\n3.0,4.0\n",
+    "whitespace-line-one-column": "y1\n1.0\n \n2.0\n",
+    "whitespace-only-body": "y1,y2\n \n",
+    "empty-lines-only-body": "y1,y2\n\n\n",
+    "underscore-digits": "y1,y2\n1_0,2\n",
+    "arabic-indic-digits": "y1,y2\n\u0661,2\n",
+    "overflow": "y1,y2\n1e500,2\n",
+    "underflow-and-subnormal": "y1,y2\n1e-400,5e-324\n",
+    "empty-last-cell": "y1,y2,y3\n1.0,2.0,\n",
+    "one-column": "y1\n1.0\n2.0\n",
+    "padded-header": " y1 , y2 \n1,2\n",
+}
 
 
 class TestIO:
@@ -41,12 +145,50 @@ class TestIO:
         np.testing.assert_array_equal(back.gamma, [1.0, 0.0, 2.0, -1.0])
 
     def test_samples_roundtrip_exact(self, tmp_path):
-        z = rng.standard_normal((10, 3))
+        z = np.random.default_rng(1).standard_normal((2 * _BLOCK_ROWS + 10, 3)) * [1e-300, 1, 1e300]
         path = tmp_path / "z.csv"
         save_samples(path, z)
         back, names = load_samples(path)
-        np.testing.assert_array_equal(back, z)
+        assert back.shape == z.shape and back.tobytes() == z.tobytes()
         assert names == ["y1", "y2", "y3"]
+
+    @pytest.mark.parametrize(
+        "samples, names",
+        [
+            ([[-0.0, 5e-324, 1.7976931348623157e308], [1e16, 1e-5, 0.1], [3.0, -7.0, 0.0]],
+             None),
+            (np.arange(12).reshape(4, 3), None),
+            (np.random.default_rng(2).standard_normal((50, 1)), None),
+            (np.empty((0, 3)), None),
+            (np.random.default_rng(3).standard_normal((5, 2)), ["a", "b c"]),
+            (np.random.default_rng(4).standard_normal((_BLOCK_ROWS, 2)), None),
+            (np.random.default_rng(5).standard_normal((3 * _BLOCK_ROWS + 7, 2)), None),
+        ],
+        ids=["edge-values", "integers", "one-column", "zero-rows", "names", "one-block",
+             "partial-last-block"],
+    )
+    def test_save_samples_matches_per_cell_writer(self, tmp_path, samples, names):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_samples(new, samples, names)
+        _save_samples_per_cell(ref, samples, names)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.filterwarnings("error")  # loadtxt warns when it sees no data
+    @pytest.mark.parametrize("text", SAMPLES_CORPUS.values(), ids=SAMPLES_CORPUS.keys())
+    def test_load_samples_matches_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        try:
+            ref = _load_samples_per_line(path)
+        except SamplesFormatError as exc:
+            with pytest.raises(SamplesFormatError) as info:
+                load_samples(path)
+            assert str(info.value) == str(exc)
+            return
+        back, names = load_samples(path)
+        assert names == ref[1]
+        assert back.dtype == ref[0].dtype and back.shape == ref[0].shape
+        assert back.tobytes() == ref[0].tobytes()
 
 
 class TestSimulate:
@@ -194,6 +336,64 @@ class TestCliRoundTrips:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, mixing, message",
+        [
+            (("--sources", "0", "--samples", "10"), None, "at least one source"),
+            (("--sources", "2", "--samples", "0"), None, "at least one source and one sample"),
+            (("--sources", "2", "--samples", "-5"), None, "at least one source and one sample"),
+            (("--sources", "2", "--samples", "10", "--noise", "-1"), None,
+             "noise variance must be finite and nonnegative"),
+            (("--sources", "2", "--samples", "10", "--noise", "nan"), None,
+             "noise variance must be finite and nonnegative"),
+            (("--sources", "2", "--samples", "10", "--noise", "inf"), None,
+             "noise variance must be finite and nonnegative"),
+            (("--sources", "2", "--samples", "10"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "square of the source count"),
+            (("--sources", "2", "--samples", "10"), [["a", "b"], ["c", "d"]],
+             "could not convert"),
+        ],
+        ids=["no-sources", "no-samples", "negative-samples", "negative-noise", "nan-noise",
+             "inf-noise", "mixing-shape", "mixing-non-numeric"],
+    )
+    def test_gen_bad_flags_exit_1(self, tmp_path, capsys, flags, mixing, message):
+        out, manifest = tmp_path / "s.csv", tmp_path / "m.json"
+        if mixing is not None:
+            save_json(mixing, tmp_path / "mixing.json")
+            flags += ("--mixing", "given", "--mixing-file", str(tmp_path / "mixing.json"))
+        code = self.run("gen", *flags, "--out", str(out), "--manifest", str(manifest))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and message in err
+        assert not out.exists() and not manifest.exists()
+
+    def _gen_and_ica(self, tmp_path):
+        samples, manifest, result = (tmp_path / n for n in ("s.csv", "m.json", "r.json"))
+        assert self.run("gen", "--sources", "2", "--samples", "500",
+                        "--out", str(samples), "--manifest", str(manifest)) == 0
+        assert self.run("ica", "--in", str(samples), "--out", str(result)) == 0
+        return manifest, result
+
+    def test_score_invalid_json_exits_1(self, tmp_path, capsys):
+        manifest, _ = self._gen_and_ica(tmp_path)
+        result = tmp_path / "bad.json"
+        result.write_text("{not json\n")
+        assert self.run("score", "--result", str(result), "--manifest", str(manifest)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and f"{result}: not valid JSON" in err
+
+    @pytest.mark.parametrize("which, key", [("result", "separator"), ("manifest", "mixing")])
+    def test_score_missing_key_exits_1(self, tmp_path, capsys, which, key):
+        manifest, result = self._gen_and_ica(tmp_path)
+        paths = {"result": result, "manifest": manifest}
+        obj = load_json(paths[which])
+        del obj[key]
+        save_json(obj, paths[which])
+        code = self.run("score", "--result", str(result), "--manifest", str(manifest))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and f"{paths[which]}: no '{key}' field" in err
+
     def test_ica_negative_max_sweeps_exits_1(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
         save_samples(samples, rng.uniform(-1.0, 1.0, (200, 2)))
@@ -272,20 +472,7 @@ class TestCliRoundTrips:
         assert self.run("cumulants", "--order", "2", "--in", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "c.json")) == 1
 
-    @pytest.mark.parametrize(
-        "text, where",
-        [
-            ("", "line 1"),
-            ("y1,y2\n", "no samples"),
-            ("y1,y2\n1.0,2.0\n3.0\n", "line 3: expected 2 values"),
-            ("y1,y2\n1.0,2.0\n3.0,abc\n", "line 3, column 2: 'abc'"),
-            ("y1,y2\n1.0,nan\n3.0,4.0\n", "line 2, column 2: nan"),
-            ("y1,y2\n1.0,2.0\n\ninf,4.0\n\n", "line 4, column 1: inf"),
-            ("y1,y2\n1.0,2.0\n3.0,-inf\n", "line 3, column 2: -inf"),
-        ],
-        ids=["empty", "header-only", "ragged-row", "non-numeric-cell", "nan-cell", "inf-cell",
-             "negative-inf-cell"],
-    )
+    @pytest.mark.parametrize("text, where", MALFORMED_SAMPLES)
     def test_malformed_samples_exit_1(self, tmp_path, capsys, text, where):
         samples = tmp_path / "s.csv"
         samples.write_text(text)
