@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,11 +128,18 @@ def _load_json(path):
         raise UsageError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _load_field(path, key: str):
+def _load_obj(path, from_obj):
+    """``from_obj`` of the JSON object in ``path``; a missing or malformed field
+    is a usage error naming the file and the field."""
     obj = _load_json(path)
-    if not isinstance(obj, dict) or key not in obj:
-        raise UsageError(f"{path}: no {key!r} field")
-    return obj[key]
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: not a JSON object")
+    try:
+        return from_obj(obj)
+    except KeyError as exc:
+        raise UsageError(f"{path}: no {exc.args[0]!r} field") from None
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -203,7 +211,7 @@ def _cmd_ica(args) -> int:
 
 
 def _cmd_parafac(args) -> int:
-    t = tio.tensor_from_obj(_load_json(args.infile))
+    t = _load_obj(args.infile, tio.tensor_from_obj)
     if t.order != 3:
         raise UsageError(f"parafac expects an order-3 tensor, got order {t.order}")
     try:
@@ -221,16 +229,19 @@ def _cmd_parafac(args) -> int:
 
 
 def _cmd_sylvester(args) -> int:
-    q = tio.quantic_from_obj(_load_json(args.infile))
+    q = _load_obj(args.infile, tio.quantic_from_obj)
     dec = cand_binary(q)
     _emit(tio.decomposition_to_obj(dec), args, args.out)
     return 0
 
 
+def _sym_tensor_from_obj(obj) -> SymTensor:
+    t = tio.tensor_from_obj(obj)
+    return t if isinstance(t, SymTensor) else SymTensor.from_dense(t)
+
+
 def _cmd_rank1(args) -> int:
-    t = tio.tensor_from_obj(_load_json(args.infile))
-    if not isinstance(t, SymTensor):
-        t = SymTensor.from_dense(t)
+    t = _load_obj(args.infile, _sym_tensor_from_obj)
     approx = best_rank1(t, init=args.init, restarts=args.restarts, seed=args.seed)
     o0, odm1, od = omega_criteria(t, approx.w, approx.sigma)
     out = {
@@ -277,8 +288,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    separator = np.asarray(_load_field(args.result, "separator"), dtype=float)
-    mixing = np.asarray(_load_field(args.manifest, "mixing"), dtype=float)
+    separator = np.asarray(_load_obj(args.result, itemgetter("separator")), dtype=float)
+    mixing = np.asarray(_load_obj(args.manifest, itemgetter("mixing")), dtype=float)
     metrics = score(separator, mixing)
     _emit(metrics, args, args.out)
     return 0

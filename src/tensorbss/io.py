@@ -12,7 +12,8 @@ are skipped; every row has as many cells as the header has names, and every
 value is finite.  ``np.loadtxt`` parses the body.  Where it refuses a file, or
 returns what the contract rejects, a line scanner reads the file instead: it
 accepts the few cells only ``float`` takes (such as ``1_0``) and names the
-line and column of the first fault.
+line and column of the first fault.  Files are read as UTF-8 text; bytes that
+are not raise ``SamplesFormatError`` naming their line.
 """
 
 from __future__ import annotations
@@ -40,14 +41,36 @@ def tensor_to_obj(t) -> dict:
     return {"dims": list(t.dims), "data": t.data.tolist()}
 
 
+def _field(obj: dict, key: str, convert):
+    """``convert(obj[key])``; ``KeyError`` when the field is missing, and a
+    ``ValueError`` naming the field when ``convert`` refuses its value."""
+    value = obj[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _finite(value) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite numbers")
+    return arr
+
+
 def tensor_from_obj(obj: dict):
+    """The tensor of a parsed JSON object (``KeyError`` or ``ValueError`` naming a bad field)."""
     if obj.get("sym"):
-        return SymTensor(int(obj["dim"]), int(obj["order"]), np.asarray(obj["packed"]))
-    return DenseTensor.from_flat(obj["dims"], obj["data"])
+        return SymTensor(
+            _field(obj, "dim", int), _field(obj, "order", int), _field(obj, "packed", _finite)
+        )
+    dims = _field(obj, "dims", lambda v: [int(n) for n in v])
+    return DenseTensor.from_flat(dims, _field(obj, "data", _finite))
 
 
 def quantic_from_obj(obj: dict) -> BinaryQuantic:
-    return BinaryQuantic(int(obj["degree"]), np.asarray(obj["gamma"], dtype=float))
+    """The quantic of a parsed JSON object (``KeyError`` or ``ValueError`` naming a bad field)."""
+    return BinaryQuantic(_field(obj, "degree", int), _field(obj, "gamma", _finite))
 
 
 def _complex_obj(z: complex) -> dict:
@@ -117,8 +140,12 @@ class SamplesFormatError(ValueError):
 
 
 def load_samples(path) -> tuple[np.ndarray, list[str]]:
-    with open(path) as fh:
+    # bytes that do not decode become lone surrogates: _check_text refuses
+    # them in the header, and loadtxt in the body, which leaves them to the
+    # scanner to report by line
+    with open(path, errors="surrogateescape") as fh:
         header = fh.readline()
+        _check_text(path, 1, header)
         names = [h.strip() for h in header.split(",")]
         body = fh.tell()
         while (line := fh.readline()) == "\n":
@@ -143,13 +170,14 @@ def load_samples(path) -> tuple[np.ndarray, list[str]]:
 def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
     """Line-by-line reader with Python's ``float``: reads what ``loadtxt`` refuses
     and raises ``SamplesFormatError`` at the first fault of a malformed file."""
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         header = fh.readline()
         if not header.strip():
             raise SamplesFormatError(f"{path}, line 1: no header row (empty file or blank line)")
         names = [h.strip() for h in header.split(",")]
         rows, blank = [], []
         for lineno, line in enumerate(fh, start=2):
+            _check_text(path, lineno, line)
             if not line.strip():
                 blank.append(lineno)
                 continue
@@ -182,6 +210,18 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
             "is not a finite number"
         )
     return samples, names
+
+
+def _check_text(path, lineno: int, line: str) -> None:
+    """Raise ``SamplesFormatError`` if ``line`` holds bytes that did not decode."""
+    if not line.isascii():
+        try:
+            line.encode()
+        except UnicodeEncodeError as exc:
+            bad = line[exc.start : exc.end].encode(errors="surrogateescape")
+            raise SamplesFormatError(
+                f"{path}, line {lineno}: bytes {bad!r} are not UTF-8 text"
+            ) from None
 
 
 def _is_number(text: str) -> bool:

@@ -42,9 +42,15 @@ one call and its accepted pairs are then rotated one at a time, in round
 order; since no rotation of the round touches another pair's entries, each
 angle has the same bits as a solve made just before its own rotation.
 Greedy sweeps solve every pair in one call and then, after each rotation of
-``(p, q)``, re-solve the ``2n - 3`` pairs touching ``p`` or ``q`` in one
-call, so every other cached angle is exactly what a fresh solve would
-return.
+``(p, q)``, re-solve in one call the ``2n - 4`` pairs sharing exactly one
+index with it, so every other cached angle is exactly what a fresh solve
+would return.  Under ``(2, 4)`` the rotated pair itself is cached as
+``(0, 0)`` unsolved: it now sits at its global optimum, ``phi = 0``, where
+no candidate beats the current contrast by the ``1e-15`` margin, so a fresh
+solve returns exactly ``(0, 0)`` (its quartic's leading coefficient would
+also trim and cost a second root solve).  The other specs re-solve it with
+the rest: ``(1, 3)`` searches only half its period, and the quadratic forms'
+closed form returns angles near, not at, zero.
 """
 
 from __future__ import annotations
@@ -366,6 +372,11 @@ def _run_sweeps(
 
     sweeps, stop_reason, largest = 0, "max_sweeps", []
     if greedy:
+        # pair_index[i, j] is the index of pair {i, j}, -1 where i == j; a
+        # rotated (2, 4) pair is cached as (0, 0), see the module docstring
+        pair_index = np.full((n, n), -1, dtype=np.intp)
+        pair_index[first, second] = pair_index[second, first] = np.arange(npairs)
+        skip_rotated = (spec.alpha, spec.order) == (2, 4)
         phis, gains = solve(slice(None))
         angles = []
         while len(angles) < npairs * max_sweeps:
@@ -377,8 +388,14 @@ def _run_sweeps(
             p, q = int(first[k]), int(second[k])
             accept(p, q, phi, gain)
             angles.append(abs(phi))
-            touched = np.flatnonzero((first == p) | (first == q) | (second == p) | (second == q))
-            phis[touched], gains[touched] = solve(touched)
+            touched = np.concatenate([pair_index[p], pair_index[q]])
+            touched = touched[(touched >= 0) & (touched != k)]
+            if skip_rotated:
+                phis[k], gains[k] = 0.0, 0.0
+            else:
+                touched = np.append(touched, k)
+            if touched.size:  # none for a rotated (2, 4) pair at n = 2
+                phis[touched], gains[touched] = solve(touched)
         largest = [max(angles[i : i + npairs]) for i in range(0, len(angles), npairs)]
         sweeps = len(largest)
     else:

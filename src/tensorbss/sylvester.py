@@ -38,7 +38,9 @@ class BinaryQuantic:
             raise ValueError("degree must be >= 1")
         g = np.asarray(self.gamma, dtype=float)
         if g.shape != (self.degree + 1,):
-            raise ValueError(f"expected {self.degree + 1} coefficients, got {g.shape}")
+            raise ValueError(
+                f"gamma must hold degree + 1 = {self.degree + 1} coefficients, got shape {g.shape}"
+            )
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)

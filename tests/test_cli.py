@@ -102,6 +102,29 @@ MALFORMED_SAMPLES = [
     ),
 ]
 
+# (file bytes, line) for samples CSVs holding bytes that are not UTF-8
+NON_UTF8_SAMPLES = [
+    pytest.param(b"\xff\xfey1,y2\n1.0,2.0\n", 1, id="header"),
+    pytest.param(b"y1,y2\n\xff\xfe1.0,2.0\n", 2, id="line-2"),
+    pytest.param(b"y1,y2\n" + b"1.0,2.0\n" * 5000 + b"3.0,\xff\n", 5002, id="past-first-chunk"),
+]
+
+# (subcommand, input JSON, part of the error message) for input files that
+# parse as JSON but hold no valid tensor or quantic
+MALFORMED_INPUTS = [
+    pytest.param("parafac", '{"dims": [2, 2, 2]}', "no 'data' field", id="no-data"),
+    pytest.param("parafac", '{"dims": [2, 2, 2], "data": [1, 2, 3]}',
+                 "data length does not match the product of dims", id="data-length"),
+    pytest.param("rank1", '{"dims": [2, 2], "data": [1, 0, 0, NaN]}',
+                 "field 'data': entries must be finite", id="nan-entry"),
+    pytest.param("sylvester", '{"degree": 3}', "no 'gamma' field", id="no-gamma"),
+    pytest.param("sylvester", '{"degree": 3, "gamma": [1, 2]}',
+                 "gamma must hold degree + 1 = 4 coefficients", id="gamma-length"),
+    pytest.param("rank1", "[1, 2, 3]", "not a JSON object", id="top-level-list"),
+    pytest.param("rank1", '{"dims": [2, 2], "data": [1, 2, 3, 4]}',
+                 "input tensor is not symmetric", id="asymmetric"),
+]
+
 # samples CSVs on which load_samples must agree with the per-line reference reader
 SAMPLES_CORPUS = {p.id: p.values[0] for p in MALFORMED_SAMPLES} | {
     "crlf": "y1,y2\r\n1.5,-2.0\r\n3.0,4.25\r\n",
@@ -189,6 +212,13 @@ class TestIO:
         assert names == ref[1]
         assert back.dtype == ref[0].dtype and back.shape == ref[0].shape
         assert back.tobytes() == ref[0].tobytes()
+
+    @pytest.mark.parametrize("data, line", NON_UTF8_SAMPLES)
+    def test_load_samples_refuses_non_utf8(self, tmp_path, data, line):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(SamplesFormatError, match=f"line {line}: bytes .* are not UTF-8"):
+            load_samples(path)
 
 
 class TestSimulate:
@@ -471,6 +501,25 @@ class TestCliRoundTrips:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert self.run("cumulants", "--order", "2", "--in", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "c.json")) == 1
+
+    @pytest.mark.parametrize("data, line", NON_UTF8_SAMPLES)
+    def test_non_utf8_samples_exit_1(self, tmp_path, capsys, data, line):
+        samples = tmp_path / "s.csv"
+        samples.write_bytes(data)
+        code = self.run("ica", "--in", str(samples), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {samples}, line {line}: bytes")
+
+    @pytest.mark.parametrize("command, text, message", MALFORMED_INPUTS)
+    def test_malformed_input_exits_1(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        extra = ("--rank", "1") if command == "parafac" else ()
+        assert self.run(command, *extra, "--in", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, where", MALFORMED_SAMPLES)
     def test_malformed_samples_exit_1(self, tmp_path, capsys, text, where):

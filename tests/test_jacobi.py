@@ -589,14 +589,56 @@ class TestGreedyOracle:
                 assert (res.rotations, res.sweeps) == (rotations, sweeps)
                 assert res.largest_angles == largest
 
-    def test_solves_only_touched_pairs(self, monkeypatch):
+    @staticmethod
+    def check_rows_per_rotation(monkeypatch, spec, per_rotation):
         rows = count_solve_rows(monkeypatch)
         n = 5
-        g = symmetrize(np.random.default_rng(950).standard_normal((n,) * 4))
-        res = sweep_greedy(g, ContrastSpec(2, 4))
+        g = symmetrize(np.random.default_rng(950).standard_normal((n,) * spec.order))
+        res = sweep_greedy(g, spec)
         assert res.rotations > 0
         assert len(rows) == 1 + res.rotations
-        assert sum(rows) == n * (n - 1) // 2 + res.rotations * (2 * n - 3)
+        assert sum(rows) == n * (n - 1) // 2 + res.rotations * per_rotation(n)
+
+    def test_solves_only_touched_pairs(self, monkeypatch):
+        # the 2n - 4 pairs sharing one index with the rotated pair
+        self.check_rows_per_rotation(monkeypatch, ContrastSpec(2, 4), lambda n: 2 * n - 4)
+
+    @pytest.mark.parametrize("alpha,d", [(1, 3), (2, 3)])
+    def test_solves_rotated_pair_again(self, monkeypatch, alpha, d):
+        # and the rotated pair itself: (1, 3) and the quadratic forms do not
+        # solve it back to exactly (0, 0)
+        self.check_rows_per_rotation(monkeypatch, ContrastSpec(alpha, d), lambda n: 2 * n - 3)
+
+    def test_rotated_pair_solves_to_zero(self, monkeypatch):
+        """The premise of caching a rotated (2, 4) pair as (0, 0) instead of solving it."""
+        solved = []
+
+        def rotate_then_solve(zd, p, q, phi):
+            _apply_rotation(zd, p, q, phi)
+            solved.append(solve_one(_pair_vals(zd, p, q), 4, 2))
+
+        monkeypatch.setattr(jacobi, "_apply_rotation", rotate_then_solve)
+        r = np.random.default_rng(970)
+        for n in range(2, 8):
+            for _ in range(6):
+                sweep_greedy(symmetrize(r.standard_normal((n,) * 4)), ContrastSpec(2, 4))
+        assert len(solved) > 300
+        for phi, gain in solved:
+            assert same_bits(phi, 0.0) and same_bits(gain, 0.0)
+
+    def test_greedy_ica_takes_no_trimmed_roots(self, monkeypatch):
+        calls = []
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(jacobi, "real_roots", counted)
+        r = np.random.default_rng(980)
+        s = r.uniform(-sqrt(3.0), sqrt(3.0), (5000, 6))
+        _, res = ica(s @ r.standard_normal((6, 6)).T, strategy="greedy")
+        assert res.rotations > 0
+        assert calls == []
 
 
 class TestCyclicOracle:
