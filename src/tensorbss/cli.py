@@ -14,25 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import itemgetter
 
 import numpy as np
 
 from . import io as tio
 from .core import SymTensor
-from .cumulants import cumulant_tensor
-from .jacobi import ContrastSpec, ica, stationarity_residual
-from .parafac import ALSConfig, als
-from .rank1 import best_rank1, omega_criteria
 from .simulate import DISTRIBUTIONS, MIXINGS, ExperimentConfig, gen, score
-from .sylvester import cand_binary
-from .tables import (
-    GENERIC_RANK,
-    ORBITS,
-    generic_rank,
-    manifold_dim,
-    orbit_representative,
-)
 
 
 class UsageError(Exception):
@@ -168,7 +155,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# Each subcommand imports its solvers when it runs, so a fresh ``tensorbss gen``
+# or ``score`` loads none of them.
+
+
 def _cmd_cumulants(args) -> int:
+    from .cumulants import cumulant_tensor
+
     samples, _ = tio.load_samples(args.infile)
     c = cumulant_tensor(samples, args.order)
     _emit(tio.tensor_to_obj(c), args, args.out)
@@ -176,6 +169,8 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_ica(args) -> int:
+    from .jacobi import ContrastSpec, ica, stationarity_residual
+
     if args.max_sweeps is not None and args.max_sweeps < 0:
         raise UsageError(f"--max-sweeps must be >= 0, got {args.max_sweeps}")
     samples, _ = tio.load_samples(args.infile)
@@ -211,6 +206,8 @@ def _cmd_ica(args) -> int:
 
 
 def _cmd_parafac(args) -> int:
+    from .parafac import ALSConfig, als
+
     t = _load_obj(args.infile, tio.tensor_from_obj)
     if t.order != 3:
         raise UsageError(f"parafac expects an order-3 tensor, got order {t.order}")
@@ -229,6 +226,8 @@ def _cmd_parafac(args) -> int:
 
 
 def _cmd_sylvester(args) -> int:
+    from .sylvester import cand_binary
+
     q = _load_obj(args.infile, tio.quantic_from_obj)
     dec = cand_binary(q)
     _emit(tio.decomposition_to_obj(dec), args, args.out)
@@ -241,6 +240,8 @@ def _sym_tensor_from_obj(obj) -> SymTensor:
 
 
 def _cmd_rank1(args) -> int:
+    from .rank1 import best_rank1, omega_criteria
+
     t = _load_obj(args.infile, _sym_tensor_from_obj)
     approx = best_rank1(t, init=args.init, restarts=args.restarts, seed=args.seed)
     o0, odm1, od = omega_criteria(t, approx.w, approx.sigma)
@@ -259,6 +260,8 @@ def _cmd_rank1(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import GENERIC_RANK, ORBITS, generic_rank, manifold_dim, orbit_representative
+
     if args.orbits:
         out = {
             f"{label} ({nvars} vars)": {
@@ -288,8 +291,13 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    separator = np.asarray(_load_obj(args.result, itemgetter("separator")), dtype=float)
-    mixing = np.asarray(_load_obj(args.manifest, itemgetter("mixing")), dtype=float)
+    separator = _load_obj(args.result, lambda obj: tio.matrix_field(obj, "separator"))
+    mixing = _load_obj(args.manifest, lambda obj: tio.matrix_field(obj, "mixing"))
+    if separator.shape[1] != mixing.shape[0]:
+        raise UsageError(
+            f"{args.result}: field 'separator' has {separator.shape[1]} columns, but the "
+            f"mixing in {args.manifest} has {mixing.shape[0]} rows"
+        )
     metrics = score(separator, mixing)
     _emit(metrics, args, args.out)
     return 0

@@ -14,18 +14,33 @@ returns what the contract rejects, a line scanner reads the file instead: it
 accepts the few cells only ``float`` takes (such as ``1_0``) and names the
 line and column of the first fault.  Files are read as UTF-8 text; bytes that
 are not raise ``SamplesFormatError`` naming their line.
+
+``save_samples`` formats the rows in blocks of ``_BLOCK_ROWS``.  A file of at
+least two blocks, written by a process that may run on two or more CPUs where
+``os.fork`` exists, is formatted by two processes: a forked child formats the
+second half of the rows into an anonymous temporary file while this process
+formats the first half, and the child's half is then appended.  The bytes are
+the same either way.
+
+This module imports only ``core`` of the package; ``quantic_from_obj`` imports
+``sylvester`` when it is called.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+import os
+import shutil
+import tempfile
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .core import DenseTensor, SymTensor
-from .parafac import KruskalFactors
-from .sylvester import BinaryQuantic, WaringDecomposition
+
+if TYPE_CHECKING:
+    from .parafac import KruskalFactors
+    from .sylvester import BinaryQuantic, WaringDecomposition
 
 
 def tensor_to_obj(t) -> dict:
@@ -58,6 +73,18 @@ def _finite(value) -> np.ndarray:
     return arr
 
 
+def matrix_field(obj: dict, key: str) -> np.ndarray:
+    """The finite nonempty 2-D matrix in field ``key`` (``KeyError`` or ``ValueError`` naming it)."""
+    return _field(obj, key, _finite_matrix)
+
+
+def _finite_matrix(value) -> np.ndarray:
+    arr = _finite(value)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got an array of shape {arr.shape}")
+    return arr
+
+
 def tensor_from_obj(obj: dict):
     """The tensor of a parsed JSON object (``KeyError`` or ``ValueError`` naming a bad field)."""
     if obj.get("sym"):
@@ -70,6 +97,8 @@ def tensor_from_obj(obj: dict):
 
 def quantic_from_obj(obj: dict) -> BinaryQuantic:
     """The quantic of a parsed JSON object (``KeyError`` or ``ValueError`` naming a bad field)."""
+    from .sylvester import BinaryQuantic
+
     return BinaryQuantic(_field(obj, "degree", int), _field(obj, "gamma", _finite))
 
 
@@ -125,11 +154,54 @@ def save_samples(path, samples: np.ndarray, names=None) -> None:
     if names is None:
         names = [f"y{k + 1}" for k in range(samples.shape[1])]
     row = ",".join(["%r"] * samples.shape[1]) + "\n"  # %r is repr: the shortest exact digits
+    half = _split_row(len(samples))
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for start in range(0, len(samples), _BLOCK_ROWS):
-            block = samples[start:start + _BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        if not half:
+            _write_rows(fh, samples, row)
+            return
+        with tempfile.TemporaryFile("w+") as tail:
+            pid = os.fork()
+            # the child leaves by os._exit, so it never flushes this process's
+            # buffers or runs its exit handlers
+            if pid == 0:
+                status = 1
+                try:
+                    _write_rows(tail, samples[half:], row)
+                    tail.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            try:
+                _write_rows(fh, samples[:half], row)
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if status:
+                raise OSError(
+                    f"{path}: the process formatting rows {half} and on failed "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
+
+
+def _split_row(nrows: int) -> int:
+    """The block boundary nearest the middle where a forked child takes over, or 0
+    to write every row in this process: a file under two blocks, no ``os.fork``,
+    or a single CPU to run on."""
+    if nrows < 2 * _BLOCK_ROWS or not hasattr(os, "fork"):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return round(nrows / (2 * _BLOCK_ROWS)) * _BLOCK_ROWS if cpus >= 2 else 0
+
+
+def _write_rows(fh, samples: np.ndarray, row: str) -> None:
+    for start in range(0, len(samples), _BLOCK_ROWS):
+        block = samples[start:start + _BLOCK_ROWS]
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 class SamplesFormatError(ValueError):

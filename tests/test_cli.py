@@ -1,8 +1,11 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+import tensorbss.io as tio
 from tensorbss.cli import main
 from tensorbss.io import (
     _BLOCK_ROWS,
@@ -194,6 +197,63 @@ class TestIO:
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         save_samples(new, samples, names)
         _save_samples_per_cell(ref, samples, names)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.fixture
+    def split_write(self, tmp_path, monkeypatch):
+        """Two CPUs to run on, a private temporary directory, and the pids of the
+        children that ``save_samples`` forks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        children = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        yield children
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmpdir.iterdir()) == []
+
+    @pytest.mark.parametrize("cols", [1, 4])
+    @pytest.mark.parametrize(
+        "rows", [2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    )
+    def test_split_save_matches_per_cell_writer(self, tmp_path, split_write, rows, cols):
+        samples = np.random.default_rng(rows + cols).standard_normal((rows, cols))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_samples(new, samples)
+        _save_samples_per_cell(ref, samples)
+        assert new.read_bytes() == ref.read_bytes()
+        assert len(split_write) == (rows >= 2 * _BLOCK_ROWS)
+
+    def test_split_save_child_failure_raises(self, tmp_path, monkeypatch, split_write):
+        parent = os.getpid()
+        write_rows = tio._write_rows
+
+        def failing_in_child(fh, samples, row):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            write_rows(fh, samples, row)
+
+        monkeypatch.setattr(tio, "_write_rows", failing_in_child)
+        with pytest.raises(OSError, match=r"rows 8192 and on failed \(exit status 1\)"):
+            save_samples(tmp_path / "s.csv", np.zeros((4 * _BLOCK_ROWS, 2)))
+        assert len(split_write) == 1
+
+    def test_save_without_fork_matches_per_cell_writer(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        samples = np.random.default_rng(6).standard_normal((3 * _BLOCK_ROWS + 7, 4))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_samples(new, samples)
+        _save_samples_per_cell(ref, samples)
         assert new.read_bytes() == ref.read_bytes()
 
     @pytest.mark.filterwarnings("error")  # loadtxt warns when it sees no data
@@ -423,6 +483,30 @@ class TestCliRoundTrips:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error") and f"{paths[which]}: no '{key}' field" in err
+
+    @pytest.mark.parametrize(
+        "separator, message",
+        [
+            ('[["a"]]', "field 'separator': could not convert string to float"),
+            ("[[1.0, 2.0]]",
+             "field 'separator' has 2 columns, but the mixing in {manifest} has 1 rows"),
+            ("[[NaN]]", "field 'separator': entries must be finite numbers"),
+            ("3", "field 'separator': expected a nonempty matrix, got an array of shape ()"),
+        ],
+        ids=["non-numeric", "shape-mismatch", "nan", "scalar"],
+    )
+    def test_score_bad_field_exits_1(self, tmp_path, capsys, separator, message):
+        result, manifest = tmp_path / "r.json", tmp_path / "m.json"
+        result.write_text(f'{{"separator": {separator}}}\n')
+        manifest.write_text('{"mixing": [[1.0]]}\n')
+        out = tmp_path / "score.json"
+        code = self.run("score", "--result", str(result), "--manifest", str(manifest),
+                        "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        expected = f"usage error: {result}: {message.format(manifest=manifest)}"
+        assert err.startswith(expected) and err.count("\n") == 1
+        assert not out.exists()
 
     def test_ica_negative_max_sweeps_exits_1(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
