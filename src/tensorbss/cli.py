@@ -2,11 +2,12 @@
 
 Subcommands: ``gen`` (synthetic mixtures), ``cumulants``, ``ica``,
 ``parafac``, ``sylvester``, ``rank1``, ``tables``, ``score``.  Exit status is
-0 on success, 1 on usage errors and malformed input files, and 2 on
-numerical failures, which also print a machine-readable ``{"error": ...,
-"message": ...}`` object on stderr.  All randomness is seeded via
-``--seed``, so a run repeats byte for byte on the same machine with the same
-numpy and BLAS build; across builds only the statistics are guaranteed.
+0 on success, 1 when the program refuses a flag, file, field or line (one
+``usage error:`` line on stderr names it), and 2 on a numerical failure (a
+``{"error": ..., "message": ...}`` object on stderr).  All randomness is
+seeded via ``--seed``, so a run repeats byte for byte on the same machine with
+the same numpy and BLAS build; across builds only the statistics are
+guaranteed.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ from .core import SymTensor
 from .simulate import DISTRIBUTIONS, MIXINGS, ExperimentConfig, gen, score
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise tio.InputError(message)
 
 
 def build_parser() -> _Parser:
@@ -108,33 +105,12 @@ def _emit(obj, args, path=None):
             print(f"wrote {path}", file=sys.stderr)
 
 
-def _load_json(path):
-    try:
-        return tio.load_json(path)
-    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
-        raise UsageError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _load_obj(path, from_obj):
-    """``from_obj`` of the JSON object in ``path``; a missing or malformed field
-    is a usage error naming the file and the field."""
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise UsageError(f"{path}: not a JSON object")
-    try:
-        return from_obj(obj)
-    except KeyError as exc:
-        raise UsageError(f"{path}: no {exc.args[0]!r} field") from None
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
 def _cmd_gen(args) -> int:
     mixing_matrix = None
     if args.mixing == "given":
         if not args.mixing_file:
-            raise UsageError("--mixing given requires --mixing-file")
-        mixing_matrix = _load_json(args.mixing_file)
+            raise tio.InputError("--mixing given requires --mixing-file")
+        mixing_matrix = tio.load_matrix(args.mixing_file)
     try:
         config = ExperimentConfig(
             nsources=args.sources,
@@ -145,8 +121,8 @@ def _cmd_gen(args) -> int:
             seed=args.seed,
             mixing_matrix=mixing_matrix,
         )
-    except (TypeError, ValueError) as exc:  # TypeError: a JSON object as the mixing
-        raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise tio.InputError(str(exc)) from None
     samples, manifest = gen(config)
     tio.save_samples(args.out, samples)
     tio.save_json(manifest, args.manifest, indent=args.json_indent)
@@ -172,17 +148,17 @@ def _cmd_ica(args) -> int:
     from .jacobi import ContrastSpec, ica, stationarity_residual
 
     if args.max_sweeps is not None and args.max_sweeps < 0:
-        raise UsageError(f"--max-sweeps must be >= 0, got {args.max_sweeps}")
+        raise tio.InputError(f"--max-sweeps must be >= 0, got {args.max_sweeps}")
     samples, _ = tio.load_samples(args.infile)
     n = samples.shape[1]
     if args.sources is not None and args.sources > n:
-        raise UsageError(
+        raise tio.InputError(
             f"{args.sources} sources on {n} observations is underdetermined; "
             "orthogonal ICA does not apply -- see the 'sylvester' subcommand "
             "for canonical decompositions beyond the dimension"
         )
     if args.sources is not None and args.sources < n:
-        raise UsageError(
+        raise tio.InputError(
             f"{args.sources} sources on {n} observations is not supported: fewer "
             "sources than observations needs source-count detection, which ica "
             "does not do yet"
@@ -208,16 +184,16 @@ def _cmd_ica(args) -> int:
 def _cmd_parafac(args) -> int:
     from .parafac import ALSConfig, als
 
-    t = _load_obj(args.infile, tio.tensor_from_obj)
+    t = tio.load_obj(args.infile, tio.tensor_from_obj)
     if t.order != 3:
-        raise UsageError(f"parafac expects an order-3 tensor, got order {t.order}")
+        raise tio.InputError(f"parafac expects an order-3 tensor, got order {t.order}")
     try:
         cfg = ALSConfig(
             rank=args.rank, max_iters=args.max_iters, rel_tol=args.tol,
             init=args.init, seed=args.seed,
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise tio.InputError(str(exc)) from None
     factors, history = als(t, cfg)
     out = tio.factors_to_obj(factors)
     out["fit_history"] = history
@@ -228,7 +204,7 @@ def _cmd_parafac(args) -> int:
 def _cmd_sylvester(args) -> int:
     from .sylvester import cand_binary
 
-    q = _load_obj(args.infile, tio.quantic_from_obj)
+    q = tio.load_obj(args.infile, tio.quantic_from_obj)
     dec = cand_binary(q)
     _emit(tio.decomposition_to_obj(dec), args, args.out)
     return 0
@@ -242,7 +218,7 @@ def _sym_tensor_from_obj(obj) -> SymTensor:
 def _cmd_rank1(args) -> int:
     from .rank1 import best_rank1, omega_criteria
 
-    t = _load_obj(args.infile, _sym_tensor_from_obj)
+    t = tio.load_obj(args.infile, _sym_tensor_from_obj)
     approx = best_rank1(t, init=args.init, restarts=args.restarts, seed=args.seed)
     o0, odm1, od = omega_criteria(t, approx.w, approx.sigma)
     out = {
@@ -260,7 +236,7 @@ def _cmd_rank1(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from .tables import GENERIC_RANK, ORBITS, generic_rank, manifold_dim, orbit_representative
+    from .tables import GENERIC_RANK, ORBITS, manifold_dim, orbit_representative
 
     if args.orbits:
         out = {
@@ -273,30 +249,32 @@ def _cmd_tables(args) -> int:
         }
         _emit(out, args)
         return 0
-    if args.d is not None and args.n is not None:
-        out = {
-            "d": args.d,
-            "n": args.n,
-            "generic_rank": generic_rank(args.d, args.n),
-            "manifold_dim": manifold_dim(args.d, args.n),
-        }
-        _emit(out, args)
-        return 0
+    every_cell = args.d is None and args.n is None
     rows = [
         {"d": d, "n": n, "generic_rank": w, "manifold_dim": manifold_dim(d, n)}
         for (d, n), w in sorted(GENERIC_RANK.items())
+        if every_cell or (d, n) == (args.d, args.n)
     ]
-    _emit(rows, args)
+    if not rows:
+        raise tio.InputError(f"--d {args.d} --n {args.n} is not a tabulated cell; "
+                             "give both, or neither to list every cell")
+    _emit(rows if every_cell else rows[0], args)
     return 0
 
 
 def _cmd_score(args) -> int:
-    separator = _load_obj(args.result, lambda obj: tio.matrix_field(obj, "separator"))
-    mixing = _load_obj(args.manifest, lambda obj: tio.matrix_field(obj, "mixing"))
+    separator = tio.load_matrix(args.result, "separator")
+    mixing = tio.load_matrix(args.manifest, "mixing")
     if separator.shape[1] != mixing.shape[0]:
-        raise UsageError(
+        raise tio.InputError(
             f"{args.result}: field 'separator' has {separator.shape[1]} columns, but the "
             f"mixing in {args.manifest} has {mixing.shape[0]} rows"
+        )
+    zero = np.flatnonzero(~(separator @ mixing).any(axis=1))
+    if zero.size:
+        raise tio.InputError(
+            f"{args.result}: row {zero[0] + 1} of field 'separator' takes the mixing in "
+            f"{args.manifest} to zero"
         )
     metrics = score(separator, mixing)
     _emit(metrics, args, args.out)
@@ -316,21 +294,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (tio.InputError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, tio.SamplesFormatError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 2

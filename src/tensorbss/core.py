@@ -13,6 +13,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class DenseTensor:
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.array, dtype=float))
+        arr = np.asarray(self.array, dtype=float, order="C")  # keeps order 0 a 0-d array
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
         arr.setflags(write=False)
@@ -64,7 +65,9 @@ class DenseTensor:
     def from_flat(cls, dims, data) -> "DenseTensor":
         dims = tuple(int(n) for n in dims)
         data = np.asarray(data, dtype=float)
-        if data.size != int(np.prod(dims, dtype=np.int64)):
+        if min(dims, default=1) < 1:
+            raise ValueError(f"every dimension must be >= 1, got {list(dims)}")
+        if data.shape != (math.prod(dims),):
             raise ValueError("data length does not match the product of dims")
         return cls(data.reshape(dims))
 
@@ -85,6 +88,8 @@ class SymTensor:
     packed: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1 or self.order < 1:
+            raise ValueError(f"dimension and order must be >= 1, got {self.dim} and {self.order}")
         packed = np.asarray(self.packed, dtype=float)
         expected = packed_length(self.dim, self.order)
         if packed.shape != (expected,):

@@ -1,6 +1,10 @@
 """File formats: JSON for tensors, quantics, decompositions, factor sets and
 manifests; CSV for sample matrices.
 
+Every reader refuses bad input with ``InputError``, a ``ValueError`` whose
+message names the file and the field or line at fault, and raises nothing else
+but the ``OSError`` of a file it cannot open.
+
 Dense tensors serialize as ``{"dims": [...], "data": [...]}`` with row-major
 data; symmetric tensors as ``{"sym": true, "dim": n, "order": d,
 "packed": [...]}``.
@@ -13,7 +17,7 @@ value is finite.  ``np.loadtxt`` parses the body.  Where it refuses a file, or
 returns what the contract rejects, a line scanner reads the file instead: it
 accepts the few cells only ``float`` takes (such as ``1_0``) and names the
 line and column of the first fault.  Files are read as UTF-8 text; bytes that
-are not raise ``SamplesFormatError`` naming their line.
+are not raise ``InputError`` naming their line.
 
 ``save_samples`` formats the rows in blocks of ``_BLOCK_ROWS``.  A file of at
 least two blocks, written by a process that may run on two or more CPUs where
@@ -56,14 +60,23 @@ def tensor_to_obj(t) -> dict:
     return {"dims": list(t.dims), "data": t.data.tolist()}
 
 
-def _field(obj: dict, key: str, convert):
-    """``convert(obj[key])``; ``KeyError`` when the field is missing, and a
-    ``ValueError`` naming the field when ``convert`` refuses its value."""
-    value = obj[key]
+class InputError(ValueError):
+    """A flag, file, field or line that the program refuses; the message names it."""
+
+
+def _parse(where, value, convert):
+    """``convert(value)``, or ``InputError`` naming ``where`` if it refuses the value."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {key!r}: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # what int() and numpy raise
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _field(obj: dict, key: str, convert):
+    """``convert(obj[key])``; ``InputError`` naming the field if it is missing or refused."""
+    if key not in obj:
+        raise InputError(f"no {key!r} field")
+    return _parse(f"field {key!r}", obj[key], convert)
 
 
 def _finite(value) -> np.ndarray:
@@ -71,11 +84,6 @@ def _finite(value) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite numbers")
     return arr
-
-
-def matrix_field(obj: dict, key: str) -> np.ndarray:
-    """The finite nonempty 2-D matrix in field ``key`` (``KeyError`` or ``ValueError`` naming it)."""
-    return _field(obj, key, _finite_matrix)
 
 
 def _finite_matrix(value) -> np.ndarray:
@@ -86,7 +94,7 @@ def _finite_matrix(value) -> np.ndarray:
 
 
 def tensor_from_obj(obj: dict):
-    """The tensor of a parsed JSON object (``KeyError`` or ``ValueError`` naming a bad field)."""
+    """The tensor of a parsed JSON object (``ValueError`` naming a bad field)."""
     if obj.get("sym"):
         return SymTensor(
             _field(obj, "dim", int), _field(obj, "order", int), _field(obj, "packed", _finite)
@@ -96,7 +104,7 @@ def tensor_from_obj(obj: dict):
 
 
 def quantic_from_obj(obj: dict) -> BinaryQuantic:
-    """The quantic of a parsed JSON object (``KeyError`` or ``ValueError`` naming a bad field)."""
+    """The quantic of a parsed JSON object (``ValueError`` naming a bad field)."""
     from .sylvester import BinaryQuantic
 
     return BinaryQuantic(_field(obj, "degree", int), _field(obj, "gamma", _finite))
@@ -141,8 +149,29 @@ def save_json(obj: Any, path, indent: int | None = None) -> None:
 
 
 def load_json(path) -> Any:
+    """The JSON document in ``path``; ``InputError`` naming the file if it does not parse."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8 text
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_obj(path, from_obj):
+    """``from_obj`` of the JSON object in ``path``; ``InputError`` naming the file,
+    and the field if one is at fault, when ``from_obj`` refuses it."""
+    obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: not a JSON object")
+    return _parse(path, obj, from_obj)
+
+
+def load_matrix(path, key: str | None = None) -> np.ndarray:
+    """The finite nonempty matrix in field ``key`` of the JSON object in ``path``, or
+    the whole JSON document if ``key`` is None (``InputError`` naming the file)."""
+    if key is None:
+        return _parse(path, load_json(path), _finite_matrix)
+    return load_obj(path, lambda obj: _field(obj, key, _finite_matrix))
 
 
 # Rows per write: bounds the strings held at once to a few MB for any file size.
@@ -204,13 +233,6 @@ def _write_rows(fh, samples: np.ndarray, row: str) -> None:
         fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-class SamplesFormatError(ValueError):
-    """A malformed samples CSV.
-
-    It is empty or header-only, or has a ragged row or a cell that is not a finite number.
-    """
-
-
 def load_samples(path) -> tuple[np.ndarray, list[str]]:
     # bytes that do not decode become lone surrogates: _check_text refuses
     # them in the header, and loadtxt in the body, which leaves them to the
@@ -241,11 +263,11 @@ def load_samples(path) -> tuple[np.ndarray, list[str]]:
 
 def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
     """Line-by-line reader with Python's ``float``: reads what ``loadtxt`` refuses
-    and raises ``SamplesFormatError`` at the first fault of a malformed file."""
+    and raises ``InputError`` at the first fault of a malformed file."""
     with open(path, errors="surrogateescape") as fh:
         header = fh.readline()
         if not header.strip():
-            raise SamplesFormatError(f"{path}, line 1: no header row (empty file or blank line)")
+            raise InputError(f"{path}, line 1: no header row (empty file or blank line)")
         names = [h.strip() for h in header.split(",")]
         rows, blank = [], []
         for lineno, line in enumerate(fh, start=2):
@@ -255,7 +277,7 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
                 continue
             cells = line.split(",")
             if len(cells) != len(names):
-                raise SamplesFormatError(
+                raise InputError(
                     f"{path}, line {lineno}: expected {len(names)} values as in the header, "
                     f"found {len(cells)}"
                 )
@@ -263,12 +285,12 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
                 rows.append([float(v) for v in cells])
             except ValueError:
                 col = next(k for k, v in enumerate(cells) if not _is_number(v))
-                raise SamplesFormatError(
+                raise InputError(
                     f"{path}, line {lineno}, column {col + 1}: {cells[col].strip()!r} "
                     "is not a number"
                 ) from None
     if not rows:
-        raise SamplesFormatError(f"{path}: no samples after the header row")
+        raise InputError(f"{path}: no samples after the header row")
     samples = np.asarray(rows, dtype=float)
     # min and max see every nan and infinity without a sample-sized temporary
     if not np.isfinite([samples.min(), samples.max()]).all():
@@ -277,7 +299,7 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
         for b in blank:  # each blank line before the row moves it one line down
             if b <= lineno:
                 lineno += 1
-        raise SamplesFormatError(
+        raise InputError(
             f"{path}, line {lineno}, column {col + 1}: {float(samples[k, col])!r} "
             "is not a finite number"
         )
@@ -285,13 +307,13 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
 
 
 def _check_text(path, lineno: int, line: str) -> None:
-    """Raise ``SamplesFormatError`` if ``line`` holds bytes that did not decode."""
+    """Raise ``InputError`` if ``line`` holds bytes that did not decode."""
     if not line.isascii():
         try:
             line.encode()
         except UnicodeEncodeError as exc:
             bad = line[exc.start : exc.end].encode(errors="surrogateescape")
-            raise SamplesFormatError(
+            raise InputError(
                 f"{path}, line {lineno}: bytes {bad!r} are not UTF-8 text"
             ) from None
 

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensorbss.io as tio
 from tensorbss.cli import main
 from tensorbss.io import (
     _BLOCK_ROWS,
-    SamplesFormatError,
+    InputError,
     load_json,
     load_samples,
     quantic_from_obj,
@@ -37,11 +42,11 @@ def _save_samples_per_cell(path, samples, names=None):
 
 def _load_samples_per_line(path):
     """Reference reader, Python ``float`` per cell: ``load_samples`` must match its
-    arrays bit for bit and its ``SamplesFormatError`` messages."""
+    arrays bit for bit and its ``InputError`` messages."""
     with open(path) as fh:
         header = fh.readline()
         if not header.strip():
-            raise SamplesFormatError(f"{path}, line 1: no header row (empty file or blank line)")
+            raise InputError(f"{path}, line 1: no header row (empty file or blank line)")
         names = [h.strip() for h in header.split(",")]
         rows, blank = [], []
         for lineno, line in enumerate(fh, start=2):
@@ -50,7 +55,7 @@ def _load_samples_per_line(path):
                 continue
             cells = line.split(",")
             if len(cells) != len(names):
-                raise SamplesFormatError(
+                raise InputError(
                     f"{path}, line {lineno}: expected {len(names)} values as in the header, "
                     f"found {len(cells)}"
                 )
@@ -58,12 +63,12 @@ def _load_samples_per_line(path):
                 rows.append([float(v) for v in cells])
             except ValueError:
                 col = next(k for k, v in enumerate(cells) if not _is_number(v))
-                raise SamplesFormatError(
+                raise InputError(
                     f"{path}, line {lineno}, column {col + 1}: {cells[col].strip()!r} "
                     "is not a number"
                 ) from None
     if not rows:
-        raise SamplesFormatError(f"{path}: no samples after the header row")
+        raise InputError(f"{path}: no samples after the header row")
     samples = np.asarray(rows, dtype=float)
     if not np.isfinite([samples.min(), samples.max()]).all():
         k, col = np.argwhere(~np.isfinite(samples))[0]
@@ -71,7 +76,7 @@ def _load_samples_per_line(path):
         for b in blank:
             if b <= lineno:
                 lineno += 1
-        raise SamplesFormatError(
+        raise InputError(
             f"{path}, line {lineno}, column {col + 1}: {float(samples[k, col])!r} "
             "is not a finite number"
         )
@@ -126,6 +131,18 @@ MALFORMED_INPUTS = [
     pytest.param("rank1", "[1, 2, 3]", "not a JSON object", id="top-level-list"),
     pytest.param("rank1", '{"dims": [2, 2], "data": [1, 2, 3, 4]}',
                  "input tensor is not symmetric", id="asymmetric"),
+    pytest.param("rank1", '{"sym": true, "dim": 0, "order": 3, "packed": []}',
+                 "dimension and order must be >= 1, got 0 and 3", id="sym-dim-0"),
+    pytest.param("rank1", '{"dims": [], "data": [1]}', "cannot symmetrize a scalar",
+                 id="order-0"),
+    pytest.param("parafac", '{"dims": [2, 2, 2], "data": [[1, 2, 3, 4], [5, 6, 7, 8]]}',
+                 "data length does not match the product of dims", id="nested-data"),
+    pytest.param("parafac", '{"dims": [2, 0, 2], "data": []}',
+                 "every dimension must be >= 1, got [2, 0, 2]", id="zero-dim"),
+    pytest.param("sylvester", "[" * 100_000, "not valid JSON", id="deeply-nested"),
+    pytest.param("sylvester", '{"degree": Infinity, "gamma": [1]}',
+                 "field 'degree': cannot convert float infinity to integer",
+                 id="infinite-degree"),
 ]
 
 # samples CSVs on which load_samples must agree with the per-line reference reader
@@ -169,6 +186,11 @@ class TestIO:
         back = quantic_from_obj(load_json(path))
         assert back.degree == 3
         np.testing.assert_array_equal(back.gamma, [1.0, 0.0, 2.0, -1.0])
+
+    def test_order_0_tensor_stays_a_scalar(self):
+        t = tensor_from_obj({"dims": [], "data": [1.5]})
+        assert t.order == 0 and t.array.shape == () and t.array == 1.5
+        assert tensor_to_obj(t) == {"dims": [], "data": [1.5]}
 
     def test_samples_roundtrip_exact(self, tmp_path):
         z = np.random.default_rng(1).standard_normal((2 * _BLOCK_ROWS + 10, 3)) * [1e-300, 1, 1e300]
@@ -263,8 +285,8 @@ class TestIO:
         path.write_bytes(text.encode())
         try:
             ref = _load_samples_per_line(path)
-        except SamplesFormatError as exc:
-            with pytest.raises(SamplesFormatError) as info:
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
                 load_samples(path)
             assert str(info.value) == str(exc)
             return
@@ -277,7 +299,7 @@ class TestIO:
     def test_load_samples_refuses_non_utf8(self, tmp_path, data, line):
         path = tmp_path / "s.csv"
         path.write_bytes(data)
-        with pytest.raises(SamplesFormatError, match=f"line {line}: bytes .* are not UTF-8"):
+        with pytest.raises(InputError, match=f"line {line}: bytes .* are not UTF-8"):
             load_samples(path)
 
 
@@ -442,9 +464,11 @@ class TestCliRoundTrips:
              "square of the source count"),
             (("--sources", "2", "--samples", "10"), [["a", "b"], ["c", "d"]],
              "could not convert"),
+            (("--sources", "2", "--samples", "10"), [[math.nan, 0.0], [0.0, 1.0]],
+             "mixing.json: entries must be finite numbers"),
         ],
         ids=["no-sources", "no-samples", "negative-samples", "negative-noise", "nan-noise",
-             "inf-noise", "mixing-shape", "mixing-non-numeric"],
+             "inf-noise", "mixing-shape", "mixing-non-numeric", "mixing-nan"],
     )
     def test_gen_bad_flags_exit_1(self, tmp_path, capsys, flags, mixing, message):
         out, manifest = tmp_path / "s.csv", tmp_path / "m.json"
@@ -508,6 +532,18 @@ class TestCliRoundTrips:
         assert err.startswith(expected) and err.count("\n") == 1
         assert not out.exists()
 
+    def test_score_zero_gain_row_exits_1(self, tmp_path, capsys):
+        result, manifest = tmp_path / "r.json", tmp_path / "m.json"
+        result.write_text('{"separator": [[0.0, 0.0], [1.0, 0.0]]}\n')
+        manifest.write_text('{"mixing": [[1.0, 0.0], [0.0, 1.0]]}\n')
+        code = self.run("score", "--result", str(result), "--manifest", str(manifest))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"usage error: {result}: row 1 of field 'separator' takes the mixing in "
+            f"{manifest} to zero\n"
+        )
+
     def test_ica_negative_max_sweeps_exits_1(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
         save_samples(samples, rng.uniform(-1.0, 1.0, (200, 2)))
@@ -546,6 +582,21 @@ class TestCliRoundTrips:
         assert self.run("tables", "--d", "3", "--n", "4") == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"d": 3, "n": 4, "generic_rank": 5, "manifold_dim": 0}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--d", "5", "--n", "2"), "--d 5 --n 2 is not a tabulated cell"),
+            (("--d", "3"), "--d 3 --n None is not a tabulated cell; give both"),
+            (("--n", "4"), "--d None --n 4 is not a tabulated cell; give both"),
+        ],
+        ids=["untabulated", "d-only", "n-only"],
+    )
+    def test_tables_bad_cell_exits_1(self, capsys, flags, message):
+        assert self.run("tables", *flags) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith(f"usage error: {message}") and out.err.count("\n") == 1
+        assert out.out == ""
 
     def test_tables_orbits(self, capsys):
         assert self.run("tables", "--orbits") == 0
@@ -586,6 +637,12 @@ class TestCliRoundTrips:
         assert self.run("cumulants", "--order", "2", "--in", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "c.json")) == 1
 
+    def test_directory_input_exits_1(self, tmp_path, capsys):
+        code = self.run("ica", "--in", str(tmp_path), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and str(tmp_path) in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("data, line", NON_UTF8_SAMPLES)
     def test_non_utf8_samples_exit_1(self, tmp_path, capsys, data, line):
         samples = tmp_path / "s.csv"
@@ -613,3 +670,187 @@ class TestCliRoundTrips:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error") and where in err
+
+
+def _csv(rows) -> bytes:
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+# Valid input of every subcommand that reads a file: the arguments after the
+# subcommand, with {name} for a path, and the content of each input file, CSV
+# bytes or a JSON document.  The fuzz tests below break one input at a time.
+SAMPLES_ROWS = [["y1", "y2"], ["0.5", "-1.0"], ["1.5", "2.0"], ["-0.25", "0.75"], ["1.0", "0.0"]]
+READERS = {
+    "cumulants": (("--order", "3", "--in", "{samples}", "--out", "{out}"),
+                  {"samples": _csv(SAMPLES_ROWS)}),
+    "ica": (("--in", "{samples}", "--out", "{out}"), {"samples": _csv(SAMPLES_ROWS)}),
+    "parafac": (("--rank", "1", "--in", "{tensor}", "--out", "{out}"),
+                {"tensor": {"dims": [2, 2, 2],
+                            "data": [1.0, 0.5, -0.5, 2.0, 0.0, 1.0, 3.0, -1.0]}}),
+    "sylvester": (("--in", "{quantic}", "--out", "{out}"),
+                  {"quantic": {"degree": 3, "gamma": [1.0, 0.5, -0.5, 2.0]}}),
+    "rank1": (("--in", "{tensor}", "--out", "{out}"),
+              {"tensor": {"sym": True, "dim": 2, "order": 3, "packed": [1.0, 0.5, -0.5, 2.0]}}),
+    "score": (("--result", "{result}", "--manifest", "{manifest}", "--out", "{out}"),
+              {"result": {"separator": [[1.0, 0.5], [0.25, 2.0]]},
+               "manifest": {"mixing": [[1.0, 0.0], [0.0, 1.0]]}}),
+    "gen": (("--sources", "2", "--samples", "10", "--mixing", "given", "--mixing-file",
+             "{mixing}", "--out", "{out}", "--manifest", "{manifest}"),
+            {"mixing": [[1.0, 0.5], [0.0, 1.0]]}),
+}
+
+
+def _file_bytes(content) -> bytes:
+    return content if isinstance(content, bytes) else json.dumps(content).encode()
+
+
+def _run_reader(command, files):
+    """Exit code, stderr and input paths of ``command`` on its valid arguments,
+    with ``files`` (name to content) in place of its inputs."""
+    argv, base = READERS[command]
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in ("out", "manifest", *base)}
+        for name, content in {**base, **files}.items():
+            with open(paths[name], "wb") as fh:
+                fh.write(_file_bytes(content))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, *(a.format(**paths) for a in argv)])
+    return code, err.getvalue(), paths
+
+
+def _json_paths(doc, path=()):
+    """Paths to every number and every list in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        yield path
+        for k, value in enumerate(doc):
+            yield from _json_paths(value, path + (k,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+# values of the wrong JSON type for a number or a list of numbers; booleans and
+# numeric strings are left out, because readers take them as numbers (and read
+# the "sym" flag, which no fault targets, by its truth value)
+WRONG_TYPES = st.one_of(
+    st.text(alphabet="abcxyz", max_size=4), st.none(),
+    st.dictionaries(st.sampled_from("ab"), st.integers(-3, 3), max_size=2),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_OBJECTS = st.one_of(st.lists(st.integers(-3, 3), max_size=3), st.integers(-3, 3),
+                        st.text(max_size=4), st.none(), st.booleans())
+
+
+@st.composite
+def broken_json(draw, doc):
+    """``doc`` with one structural fault."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_json_paths(doc))
+    numbers = [p for p in paths if not isinstance(_get(doc, p), list)]
+    flat_lists = [p for p in paths if isinstance(_get(doc, p), list)
+                  and not isinstance(_get(doc, p)[0], list)]
+    faults = ["wrong type", "non-finite", "nested", "length"]
+    if isinstance(doc, dict):
+        faults += ["missing key", "not an object"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "wrong type":
+        return _set(doc, draw(st.sampled_from(paths)), draw(WRONG_TYPES))
+    if fault == "non-finite":
+        return _set(doc, draw(st.sampled_from(numbers)), draw(NON_FINITE))
+    if fault == "nested":
+        path = draw(st.sampled_from(paths))
+        return _set(doc, path, [_get(doc, path)])
+    if fault == "length":  # a flat list one entry short or long; a matrix row makes it ragged
+        values = _get(doc, draw(st.sampled_from(flat_lists)))
+        if draw(st.booleans()):
+            values.pop()
+        else:
+            values.append(values[-1])
+        return doc
+    if fault == "missing key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        return doc
+    return draw(NOT_OBJECTS)
+
+
+NOT_NUMBERS = st.text(alphabet="abcxyz", max_size=4)
+NON_FINITE_CELLS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+
+
+@st.composite
+def broken_csv(draw, rows):
+    """The samples CSV of ``rows`` with one structural fault, as bytes."""
+    rows = [list(r) for r in rows]
+    fault = draw(st.sampled_from(
+        ["ragged", "not a number", "non-finite", "no samples", "no header", "not UTF-8"]
+    ))
+    k = draw(st.integers(1, len(rows) - 1))
+    col = draw(st.integers(0, len(rows[0]) - 1))
+    if fault == "ragged":
+        if draw(st.booleans()):
+            rows[k].pop()
+        else:
+            rows[k].append(rows[k][-1])
+    elif fault == "not a number":
+        rows[k][col] = draw(NOT_NUMBERS)
+    elif fault == "non-finite":
+        rows[k][col] = draw(NON_FINITE_CELLS)
+    elif fault == "no samples":
+        rows = rows[:1] + [[""]] * draw(st.integers(0, 2))
+    elif fault == "no header":
+        rows = [[""]] * draw(st.integers(0, 2))
+    data = _csv(rows)
+    if fault == "not UTF-8":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3("])) + data[at:]
+    return data
+
+
+class TestCliFuzz:
+    """Every subcommand that reads a file refuses a structurally faulty input with
+    exit 1 and one ``usage error:`` line naming the file, and never raises."""
+
+    @pytest.mark.parametrize("command", READERS)
+    def test_valid_input_exits_0(self, command):
+        code, err, _ = _run_reader(command, {})
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("command", READERS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_broken_input_exits_1(self, command, data):
+        files = READERS[command][1]
+        name = data.draw(st.sampled_from(sorted(files)))
+        if name == "samples":
+            broken = data.draw(broken_csv(SAMPLES_ROWS))
+        else:
+            broken = data.draw(broken_json(files[name]))
+        code, err, paths = _run_reader(command, {name: broken})
+        assert code == 1, err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert paths[name] in err
+
+    @pytest.mark.parametrize("command", READERS)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_arbitrary_bytes_exit_0_or_1(self, command, data):
+        name = data.draw(st.sampled_from(sorted(READERS[command][1])))
+        code, err, _ = _run_reader(command, {name: data.draw(st.binary(max_size=64))})
+        assert code in (0, 1), err
+        assert err.count("\n") == code and "Traceback" not in err
