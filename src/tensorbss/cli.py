@@ -4,10 +4,10 @@ Subcommands: ``gen`` (synthetic mixtures), ``cumulants``, ``ica``,
 ``parafac``, ``sylvester``, ``rank1``, ``tables``, ``score``.  Exit status is
 0 on success, 1 when the program refuses a flag, file, field or line (one
 ``usage error:`` line on stderr names it), and 2 on a numerical failure (a
-``{"error": ..., "message": ...}`` object on stderr).  All randomness is
-seeded via ``--seed``, so a run repeats byte for byte on the same machine with
-the same numpy and BLAS build; across builds only the statistics are
-guaranteed.
+``{"error": ..., "message": ...}`` object on stderr); a warning prints as one
+``warning:`` line.  All randomness is seeded via ``--seed``, so a run repeats
+byte for byte on the same machine with the same numpy and BLAS build; across
+builds only the statistics are guaranteed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -270,7 +271,8 @@ def _cmd_score(args) -> int:
             f"{args.result}: field 'separator' has {separator.shape[1]} columns, but the "
             f"mixing in {args.manifest} has {mixing.shape[0]} rows"
         )
-    zero = np.flatnonzero(~(separator @ mixing).any(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # score refuses the overflow
+        zero = np.flatnonzero(~(separator @ mixing).any(axis=1))
     if zero.size:
         raise tio.InputError(
             f"{args.result}: row {zero[0] + 1} of field 'separator' takes the mixing in "
@@ -295,8 +297,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                "warning: " + " ".join(str(message).split()), file=sys.stderr)
+            args = build_parser().parse_args(argv)
+            return _COMMANDS[args.command](args)
     except (tio.InputError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import (
-    counts_from_axes,
-    mindex_position,
-    multiplicities,
-    packed_length,
-    packing_positions,
-)
+from .indexing import multiplicities, packed_index, packed_length, packing_positions
 
 
 def _as_array(t) -> np.ndarray:
@@ -91,9 +85,11 @@ class SymTensor:
         if self.dim < 1 or self.order < 1:
             raise ValueError(f"dimension and order must be >= 1, got {self.dim} and {self.order}")
         packed = np.asarray(self.packed, dtype=float)
-        expected = packed_length(self.dim, self.order)
-        if packed.shape != (expected,):
-            raise ValueError(f"packed storage must have length {expected}, got {packed.shape}")
+        # a lower bound on the length refuses a huge dim or order before its binomial
+        least = 1 if self.dim == 1 else max(self.dim, self.order + 1)
+        if packed.ndim != 1 or not least <= packed.size == packed_length(self.dim, self.order):
+            raise ValueError(f"packed storage of shape {packed.shape} does not fit "
+                             f"dimension {self.dim} and order {self.order}")
         packed = packed.copy()
         packed.setflags(write=False)
         object.__setattr__(self, "packed", packed)
@@ -104,9 +100,15 @@ class SymTensor:
         return DenseTensor(full)
 
     def entry(self, *axes: int) -> float:
-        """Entry at 0-based indices ``axes`` (any permutation gives the same value)."""
-        j = counts_from_axes(axes, self.dim)
-        return float(self.packed[mindex_position(self.dim, self.order)[j]])
+        """Entry at 0-based indices ``axes`` (any permutation gives the same value).
+
+        Negative indices count from the end, as in numpy; an index outside
+        ``-dim..dim-1``, or other than ``order`` indices, raises ``IndexError``.
+        """
+        if len(axes) != self.order:
+            raise IndexError(f"expected {self.order} indices, got {len(axes)}")
+        rows = sorted(range(self.dim)[i] for i in axes)
+        return float(self.packed[packed_index(rows, self.dim)])
 
     def norm(self) -> float:
         """Frobenius norm of the expanded tensor, computed from packed storage."""
@@ -240,6 +242,13 @@ def greedy_match(score) -> list[int]:
         s[r, :] = -np.inf
         s[:, c] = -np.inf
     return match
+
+
+def lead_signs(m) -> np.ndarray:
+    """Per column of ``m`` (or for a vector), -1.0 where the entry of largest
+    magnitude (the first, on ties) is negative and 1.0 elsewhere."""
+    lead = np.take_along_axis(m, np.argmax(np.abs(m), axis=0)[None], axis=0)[0]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def real_roots(coeffs_ascending) -> np.ndarray:

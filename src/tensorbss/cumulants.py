@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SymTensor
-from .indexing import sorted_axes
+from .indexing import packed_index, sorted_axes
 
 MAX_ORDER = 4
 # Rows per block: the pair products of a block stay small (512 x 136 at 16
@@ -62,12 +62,10 @@ def _packed_moment(z: np.ndarray, shift: np.ndarray, d: int):
     a = sorted_axes(n, d).T
     if d == 2:
         return m2[a[0], a[1]], m2
-    pair = np.empty((n, n), dtype=np.intp)
-    pair[iu, ju] = np.arange(iu.size)
-    high /= z.shape[0]
+    high /= z.shape[0]  # rows, and columns at d = 4, in triu order: the packed order of pairs
     if d == 3:
-        return high[pair[a[0], a[1]], a[2]], m2
-    return high[pair[a[0], a[1]], pair[a[2], a[3]]], m2
+        return high[packed_index(a[:2].T, n), a[2]], m2
+    return high[packed_index(a[:2].T, n), packed_index(a[2:].T, n)], m2
 
 
 def cumulant_tensor(z, d: int) -> SymTensor:

@@ -3,8 +3,15 @@
 A multi-index ``j`` is a length-``n`` tuple of nonnegative integers; its
 weight ``|j|`` is the sum of the entries.  Symmetric tensors of order ``d``
 and dimension ``n`` are stored with one scalar per multi-index of weight
-``d``, enumerated in lexicographically descending order (``(d,0,..,0)``
-first, ``(0,..,0,d)`` last).
+``d``.  The slot of ``j`` is defined through the ascending tuple ``a`` of its
+``d`` axes, as the number of ascending tuples lexicographically before ``a``
+(the combinatorial number system), which :func:`packed_index` computes::
+
+    slot(a) = sum_k comb(n - a[k-1] + m, m + 1) - comb(n - a[k] + m, m + 1)
+
+with ``m = d - 1 - k`` and ``a[-1] = 0``; term ``k`` counts the tuples that
+first differ from ``a`` in slot ``k``.  On multi-indices this is descending
+lex order, ``(d,0,..,0)`` first and ``(0,..,0,d)`` last.
 """
 
 from __future__ import annotations
@@ -30,26 +37,25 @@ def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, counts.tolist()))
 
 
-@lru_cache(maxsize=None)
-def mindex_position(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
-    """Map each multi-index to its position in the packed enumeration."""
-    return {j: p for p, j in enumerate(multi_indices(nvars, degree))}
-
-
 def packed_length(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
-def counts_from_axes(idx, nvars: int) -> tuple[int, ...]:
-    """Occurrence counts of 0-based array indices ``idx`` among ``0..nvars-1``.
+def packed_index(axes, nvars: int) -> np.ndarray:
+    """Packed slot of each row (the last dimension) of ascending axes in ``0..nvars-1``.
 
-    ``counts_from_axes([0, 0, 3], 4) == (2, 0, 0, 1)``; the result has weight
-    ``len(idx)`` regardless of the ordering of ``idx``.
+    The module docstring's sum, telescoped by Pascal's rule into
+    ``packed_length - 1 - sum_k comb(n - 1 - a[k] + m, m + 1)``, each term
+    gathered from a length-``n`` table: nothing of size ``n^d`` is built.
     """
-    counts = [0] * nvars
-    for i in idx:
-        counts[i] += 1
-    return tuple(counts)
+    a = np.asarray(axes, dtype=np.intp)
+    d = a.shape[-1]
+    slot = np.full(a.shape[:-1], packed_length(nvars, d) - 1, dtype=np.intp)
+    term = x = np.arange(nvars - 1, -1, -1, dtype=np.intp)  # comb(x + m, m + 1), x = n - 1 - v
+    for m in range(d):
+        slot -= term[a[..., d - 1 - m]]
+        term = term * (x + m + 1) // (m + 2)  # exact: (m + 2) comb(x + m + 1, m + 2)
+    return slot
 
 
 def multiplicity(j) -> int:
@@ -73,14 +79,10 @@ def multiplicities(nvars: int, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def sorted_axes(nvars: int, degree: int) -> np.ndarray:
-    """Sorted 0-based axes of every packed multi-index, one row each, read-only.
+    """Sorted 0-based axes of every packed multi-index, row ``p`` for slot ``p``, read-only.
 
-    Row ``p`` lists each variable of the ``p``-th multi-index as often as it
-    occurs.  Descending-lex order on axis counts is ascending-lex order on
-    sorted axes, so the rows are the sorted tuples in the order
-    ``combinations_with_replacement`` yields them.  Gathers index matrices
-    with these columns to fill packed storage without a loop over
-    multi-indices.
+    The rows are the ascending tuples in lexicographic order, as
+    ``combinations_with_replacement`` yields them.
     """
     out = np.array(
         list(combinations_with_replacement(range(nvars), degree)), dtype=np.intp
@@ -93,18 +95,12 @@ def sorted_axes(nvars: int, degree: int) -> np.ndarray:
 def packing_positions(nvars: int, degree: int) -> np.ndarray:
     """Packed position of every full index tuple, flattened in C order.
 
-    Entry ``t`` of the result is the packed slot of the multi-index obtained
-    by counting the axes of the ``t``-th tuple in ``product(range(nvars),
-    repeat=degree)``: the tuple's axes are sorted and located among the
-    rows of :func:`sorted_axes` by their row-major key.
+    Entry ``t`` of the result is the :func:`packed_index` of the ``t``-th
+    tuple in ``product(range(nvars), repeat=degree)``, its axes sorted.
     """
-    size = nvars**degree
-    key = nvars ** np.arange(degree - 1, -1, -1, dtype=np.intp)
-    axes = np.indices((nvars,) * degree, dtype=np.intp).reshape(degree, size)
+    axes = np.indices((nvars,) * degree, dtype=np.intp).reshape(degree, -1)
     axes.sort(axis=0)
-    slot = np.empty(size, dtype=np.intp)
-    slot[sorted_axes(nvars, degree) @ key] = np.arange(packed_length(nvars, degree))
-    out = slot[key @ axes]
+    out = packed_index(axes.T, nvars)
     out.setflags(write=False)
     return out
 

@@ -51,6 +51,10 @@ solve returns exactly ``(0, 0)`` (its quartic's leading coefficient would
 also trim and cost a second root solve).  The other specs re-solve it with
 the rest: ``(1, 3)`` searches only half its period, and the quadratic forms'
 closed form returns angles near, not at, zero.
+
+The diagnostics (``contrast_value``, ``stationarity_residual``,
+``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries: the
+diagonal and the pair rows the sweep reads, from ``packed`` for a SymTensor.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ import numpy as np
 
 from .core import SymTensor, _as_array, real_roots, symmetrize
 from .cumulants import as_samples, cumulant_tensor
+from .indexing import packed_index
 from .whiten import Whitener, standardize
 
 SUPPORTED_SPECS = {(1, 3), (1, 4), (2, 3), (2, 4), (2, 2)}
@@ -146,28 +151,42 @@ class ICAResult:
     largest_angles: list[float] = field(default_factory=list)
 
 
+def _pair_layout(p, q, d: int) -> np.ndarray:
+    """Axes of the pair rows of index arrays ``p``, ``q``: row ``j`` holds ``j`` trailing ``q``s."""
+    trailing_q = np.arange(d) >= d - np.arange(d + 1)[:, None]
+    return np.where(trailing_q, np.asarray(q)[..., None, None], np.asarray(p)[..., None, None])
+
+
+def _read(z, d: int):
+    """Diagonal of the order-``d`` tensor ``z``, and a reader of its entries at rows of
+    axes: a SymTensor's from ``packed`` by :func:`packed_index`, an array's directly."""
+    sym = isinstance(z, SymTensor)
+    z = z if sym else _as_array(z)
+    order = z.order if sym else z.ndim
+    if order != d:
+        raise ValueError(f"tensor order {order} does not match the stated order {d}")
+    n = z.dim if sym else z.shape[0]
+
+    def read(axes):
+        if sym:
+            return z.packed[packed_index(np.sort(axes, axis=-1), n)]
+        return z[tuple(np.moveaxis(axes, -1, 0))]
+
+    return read(np.repeat(np.arange(n), d).reshape(n, d)), read
+
+
 def contrast_value(z, spec: ContrastSpec) -> float:
     """Sum of |diagonal| entries to the alpha; the signed sum when alpha is 1."""
-    arr = _as_array(z)
-    if arr.ndim != spec.order:
-        raise ValueError(f"tensor order {arr.ndim} does not match contrast order {spec.order}")
-    n = arr.shape[0]
-    diag = arr[tuple([np.arange(n)] * spec.order)]
+    diag, _ = _read(z, spec.order)
     if spec.alpha == 1:
         return float(np.sum(diag))
     return float(np.sum(np.abs(diag) ** spec.alpha))
 
 
 def _pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs ``p < q`` in row-major order, and their entries' flat positions.
-
-    Row ``k`` of the positions addresses pair ``k`` in an ``n^d`` array; its
-    entry ``j`` is ``z[p, .., p, q, .., q]`` with ``j`` trailing ``q``s.
-    """
+    """Index pairs ``p < q`` in row-major order, and their pair rows' flat positions in ``n^d``."""
     p, q = np.triu_indices(n, 1)
-    head = np.concatenate([[0], np.cumsum(n ** np.arange(d)[::-1])])
-    p_weight = head[d - np.arange(d + 1)]
-    return p, q, p[:, None] * p_weight + q[:, None] * (head[d] - p_weight)
+    return p, q, _pair_layout(p, q, d) @ n ** np.arange(d - 1, -1, -1)
 
 
 @cache
@@ -341,10 +360,7 @@ def _rotate_rows(v: np.ndarray, p: int, q: int, phi: float) -> None:
     v[q] = -s * vp + c * vq
 
 
-def _run_sweeps(
-    g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None
-) -> tuple[ICAResult, np.ndarray]:
-    """The sweep result and the swept dense tensor."""
+def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     zd = _as_array(g).copy()
@@ -354,7 +370,7 @@ def _run_sweeps(
     v = np.eye(n)
     trace = [contrast_value(zd, spec)]
     if n < 2:
-        return ICAResult(Q=np.eye(n), Z=symmetrize(zd), trace=trace), zd
+        return ICAResult(Q=np.eye(n), Z=symmetrize(zd), trace=trace)
 
     first, second, positions = _pairs(n, spec.order)
     flat = zd.reshape(-1)
@@ -413,11 +429,10 @@ def _run_sweeps(
                 stop_reason = "angle_tol"
                 break
 
-    result = ICAResult(
+    return ICAResult(
         Q=v.T.copy(), Z=symmetrize(zd), trace=trace, sweeps=sweeps,
         rotations=len(trace) - 1, stop_reason=stop_reason, largest_angles=largest,
     )
-    return result, zd
 
 
 def sweep_cyclic(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
@@ -426,7 +441,7 @@ def sweep_cyclic(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICARes
     Each sweep visits every pair once, as rounds of disjoint pairs (see
     :func:`_rounds`); at most ``max_sweeps`` sweeps, which must be ``>= 0``.
     """
-    return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)[0]
+    return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)
 
 
 def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICAResult:
@@ -434,51 +449,40 @@ def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICARes
 
     Stops after at most ``max_sweeps`` (``>= 0``) times the pair count rotations.
     """
-    return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)[0]
+    return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)
 
 
 def stationarity_residual(z, d: int) -> float:
     """Largest violation of the pairwise stationarity relations; 0 when diagonal."""
     if d not in (2, 3, 4):
         raise ValueError("stationarity defined for orders 2, 3, 4")
-    zd = _as_array(z)
-    if zd.ndim != d:
-        raise ValueError(f"tensor order {zd.ndim} does not match the stated order {d}")
-    i = np.arange(zd.shape[0])
-    diag = zd[(i,) * d]
+    diag, read = _read(z, d)
+    p, q = np.triu_indices(len(diag), 1)
+    rows = read(_pair_layout(p, q, d))
     if d == 2:
-        val = (diag[:, None] - diag[None, :]) * zd
-    else:
-        head = zd[(i,) * (d - 1)]  # head[q, r] = z[q, .., q, r]
-        tail = zd[(slice(None),) + (i,) * (d - 1)]  # tail[q, r] = z[q, r, .., r]
-        val = diag[:, None] * head - diag[None, :] * tail
-    val[i, i] = 0.0
+        val = (diag[p] - diag[q]) * rows[:, 1]
+    else:  # z[p, .., p, q] and z[p, q, .., q]; the (q, p) relation is its negative
+        val = diag[p] * rows[:, 1] - diag[q] * rows[:, d - 1]
     return float(np.abs(val).max(initial=0.0))
 
 
 def convexity_margin(z, d: int, q: int, r: int) -> float:
     """Second-differential expression for the pair; negative at strict local maxima."""
+    if d not in (2, 3, 4):
+        raise ValueError("convexity margin defined for orders 2, 3, 4")
+    diag, read = _read(z, d)
+    q, r = range(len(diag))[q], range(len(diag))[r]
     if q == r:
         raise ValueError("pair indices must be distinct")
-    zd = _as_array(z)
+    row = read(_pair_layout(q, r, d))  # row[j] = z[q, .., q, r, .., r], j r's
     if d == 2:
-        return 4.0 * zd[q, r] ** 2 - (zd[q, q] - zd[r, r]) ** 2
+        a, b, g = row
+        return float(4.0 * b**2 - (a - g) ** 2)
     if d == 3:
-        return (
-            4.0 * zd[q, q, r] ** 2
-            + 4.0 * zd[q, r, r] ** 2
-            - (zd[q, q, q] - zd[q, r, r]) ** 2
-            - (zd[r, r, r] - zd[q, q, r]) ** 2
-        )
-    if d == 4:
-        return (
-            4.5 * zd[q, q, r, r] ** 2
-            + 4.0 * zd[q, q, q, r] ** 2
-            + 4.0 * zd[q, r, r, r] ** 2
-            - (zd[q, q, q, q] - 1.5 * zd[q, q, r, r]) ** 2
-            - (zd[r, r, r, r] - 1.5 * zd[q, q, r, r]) ** 2
-        )
-    raise ValueError("convexity margin defined for orders 2, 3, 4")
+        a, b, e, g = row
+        return float(4.0 * b**2 + 4.0 * e**2 - (a - e) ** 2 - (g - b) ** 2)
+    a, b, e, f, g = row
+    return float(4.5 * e**2 + 4.0 * b**2 + 4.0 * f**2 - (a - 1.5 * e) ** 2 - (g - 1.5 * e) ** 2)
 
 
 def ica(
@@ -500,7 +504,6 @@ def ica(
     whitened problem unrotated.
     """
     z = as_samples(samples)
-    n = z.shape[1]
     if strategy not in ("cyclic", "greedy"):
         raise ValueError("strategy must be 'cyclic' or 'greedy'")
 
@@ -510,9 +513,9 @@ def ica(
     y = wh.apply(zc)
     g = cumulant_tensor(y, spec.order)
 
-    res, zd = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
+    res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
     null_var = {2: 2.0, 3: 6.0, 4: 24.0}[spec.order]
     confidence_floor = 5.0 * sqrt(null_var / z.shape[0])
-    diag = zd[(np.arange(n),) * spec.order]
+    diag, _ = _read(res.Z, spec.order)
     res.low_confidence = bool(np.max(np.abs(diag), initial=0.0) < confidence_floor)
     return wh, res

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_array, greedy_match, mode_n_unfold, real_roots
+from .core import DenseTensor, _as_array, greedy_match, lead_signs, mode_n_unfold, real_roots
 
 # a block update whose Gram matrix has at least this condition number is
 # solved by lstsq on the Khatri-Rao product instead of the normal equations
@@ -142,12 +142,6 @@ def als_step(g, f: KruskalFactors) -> tuple[KruskalFactors, dict]:
     return KruskalFactors(a, b, c), {"rank_deficient": deficient}
 
 
-def _lead_signs(m: np.ndarray) -> np.ndarray:
-    """Per column, -1 where the entry of largest magnitude (the first, on ties) is negative."""
-    lead = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    return np.where(lead < 0, -1.0, 1.0)
-
-
 def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product of polynomials whose ascending coefficients are arrays, taken entrywise."""
     out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:])
@@ -213,7 +207,7 @@ def normalized(f: KruskalFactors) -> KruskalFactors:
     norms = [np.linalg.norm(m, axis=0) for m in mats]
     a, b, c = (m / np.where(n > 0, n, 1.0) for m, n in zip(mats, norms))
     # canonical sign on A and B, compensated in C
-    sign_a, sign_b = _lead_signs(a), _lead_signs(b)
+    sign_a, sign_b = lead_signs(a), lead_signs(b)
     weights = norms[0] * norms[1] * norms[2]
     return KruskalFactors(a * sign_a, b * sign_b, c * (sign_a * sign_b), weights)
 

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import SymTensor
-from .indexing import mindex_position, multi_indices, multiplicity
+from .indexing import multi_indices, multiplicity, packed_index, packed_length
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,9 @@ def evaluate(p: HomogPoly, x) -> float:
 
 def poly_to_tensor(p: HomogPoly) -> SymTensor:
     """Symmetric tensor whose entries at axis counts ``j`` all equal ``gamma(j)``."""
-    packed = np.zeros(len(multi_indices(p.nvars, p.degree)))
-    pos = mindex_position(p.nvars, p.degree)
-    for j, g in p.coeffs.items():
-        packed[pos[j]] = g
+    packed = np.zeros(packed_length(p.nvars, p.degree))
+    axes = [np.repeat(np.arange(p.nvars), j) for j in p.coeffs]
+    packed[packed_index(np.reshape(axes, (-1, p.degree)), p.nvars)] = list(p.coeffs.values())
     return SymTensor(p.nvars, p.degree, packed)
 
 

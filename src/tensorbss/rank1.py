@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_array, rank1_sym
+from .core import _as_array, lead_signs, rank1_sym
 
 
 @dataclass
@@ -32,10 +32,8 @@ class Rank1Approx:
     def canonical(self) -> tuple[np.ndarray, float]:
         """Sign-fixed representative: largest-magnitude component positive."""
         w = np.asarray(self.w, dtype=float)
-        lead = int(np.argmax(np.abs(w)))
-        if w[lead] < 0:
-            return -w, self.sigma * (-1.0) ** self.order
-        return w.copy(), self.sigma
+        sign = float(lead_signs(w))
+        return w * sign, self.sigma * sign**self.order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rank1Approx):
@@ -161,11 +159,8 @@ def rayleigh_iterate(
     if not converged:
         w, extra, converged = _shifted_polish(arr, w, tol, budget=20 * max_iter)
         it += extra
-    sigma = sigma_of(arr, w)
-    lead = int(np.argmax(np.abs(w)))
-    if w[lead] < 0:
-        w = -w
-        sigma *= (-1.0) ** d
+    sign = float(lead_signs(w))
+    w, sigma = w * sign, sigma_of(arr, w) * sign**d
     return Rank1Approx(
         w=w, sigma=sigma, order=d, iterations=it, converged=converged,
         restarts=restarts, omega_d_history=history,

@@ -94,7 +94,7 @@ def score(separator: np.ndarray, mixing: np.ndarray) -> dict:
 
     Per-row dominance (largest entry magnitude over the row norm) and a
     greedily permutation-matched angle error; both are invariant under row
-    permutation and nonzero rescaling of the separator.
+    permutation and nonzero rescaling of the separator.  Overflow raises ``ValueError``.
     """
     separator = np.asarray(separator, dtype=float)
     mixing = np.asarray(mixing, dtype=float)
@@ -103,8 +103,11 @@ def score(separator: np.ndarray, mixing: np.ndarray) -> dict:
             f"separator with {separator.shape[1]} columns cannot score a "
             f"mixing with {mixing.shape[0]} rows"
         )
-    g = separator @ mixing
-    norms = np.linalg.norm(g, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = separator @ mixing
+        norms = np.linalg.norm(g, axis=1)
+    if not np.isfinite(norms).all():  # also catches an overflow in g itself
+        raise ValueError("separator @ mixing is not finite: the product or a row norm overflows")
     if np.any(norms == 0):
         raise ValueError("separator has a zero row")
     dominance = np.abs(g).max(axis=1) / norms

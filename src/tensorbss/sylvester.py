@@ -20,6 +20,8 @@ from math import comb
 
 import numpy as np
 
+from .core import lead_signs
+
 KERNEL_TOL = 1e-10
 DISTINCT_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
@@ -105,12 +107,7 @@ def kernel_vectors(h: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     cutoff = tol * s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     basis = vh[rank:].T
-    # canonical signs for reproducibility
-    for k in range(basis.shape[1]):
-        lead = np.argmax(np.abs(basis[:, k]))
-        if basis[lead, k] < 0:
-            basis[:, k] *= -1
-    return basis
+    return basis * lead_signs(basis)  # canonical signs for reproducibility
 
 
 def roots_of_q(g) -> tuple[list[tuple[complex, complex]], bool]:

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +346,12 @@ class TestSimulate:
             sorted(base["dominance"]), sorted(transformed["dominance"]), atol=1e-12
         )
 
+    def test_score_refuses_overflow(self):
+        with pytest.raises(ValueError, match="not finite"):
+            score(np.array([[1e200, 0.0], [1.0, 0.0]]), np.array([[1e200, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not finite"):  # entries finite, row norm not
+            score(np.array([[1e200, 1e200], [1.0, 0.0]]), np.eye(2))
+
     def test_random_separator_baseline(self):
         n = 4
         vals = []
@@ -543,6 +551,47 @@ class TestCliRoundTrips:
             f"usage error: {result}: row 1 of field 'separator' takes the mixing in "
             f"{manifest} to zero\n"
         )
+
+    def test_score_overflow_exits_2(self, tmp_path, capsys):
+        # finite entries whose gain matrix overflows: no RuntimeWarning, one JSON line
+        result, manifest = tmp_path / "r.json", tmp_path / "m.json"
+        result.write_text('{"separator": [[1e200, 0.0], [1.0, 0.0]]}\n')
+        manifest.write_text('{"mixing": [[1e200, 0.0], [0.0, 1.0]]}\n')
+        out = tmp_path / "score.json"
+        code = self.run("score", "--result", str(result), "--manifest", str(manifest),
+                        "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "separator @ mixing is not finite: the product or a row norm overflows",
+        }
+        assert not out.exists()
+
+    def test_huge_packed_tensor_exits_1_at_once(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"sym": true, "dim": 100000, "order": 100000, "packed": [1]}')
+        t0 = time.perf_counter()
+        code = self.run("rank1", "--in", str(path), "--out", str(tmp_path / "r.json"))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: packed storage")
+        assert err.count("\n") == 1 and len(err) < 250
+
+    def test_warning_prints_one_line(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"dims": [1, 1, 1], "data": [0]}')
+        out = tmp_path / "f.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run("parafac", "--rank", "1", "--in", str(path), "--out", str(out)) == 0
+        assert caught == []  # shown by main, not passed on
+        err = capsys.readouterr().err
+        assert err.startswith("warning: rank 1 is beyond the uniqueness guarantee")
+        assert err.count("\n") == 1
+        assert out.exists()
 
     def test_ica_negative_max_sweeps_exits_1(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"

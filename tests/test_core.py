@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,11 @@ from tensorbss.core import (
     tucker_transform,
 )
 from tensorbss.indexing import (
-    counts_from_axes,
-    mindex_position,
     multi_indices,
+    packed_index,
+    packed_length,
     packing_positions,
+    sorted_axes,
 )
 
 rng = np.random.default_rng(20240811)
@@ -235,6 +238,17 @@ class TestSymTensor:
         with pytest.raises(ValueError, match="packed"):
             SymTensor(2, 3, np.zeros(5))
 
+    def test_huge_dim_and_order_refused_from_cheap_bounds(self):
+        # the exact length, comb(2 * 10**5 - 1, 10**5), has 60206 digits
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="packed") as info:
+            SymTensor(10**5, 10**5, np.zeros(1))
+        assert time.perf_counter() - t0 < 0.1
+        assert len(str(info.value)) < 200
+
+    def test_dimension_one_has_one_entry_at_any_order(self):
+        assert SymTensor(1, 10**9, [2.5]).packed.tolist() == [2.5]
+
     def test_norm_matches_expansion(self):
         s = symmetrize(rng.standard_normal((4, 4, 4)))
         assert s.norm() == pytest.approx(np.linalg.norm(s.expand().array), rel=1e-12)
@@ -243,6 +257,17 @@ class TestSymTensor:
         s = symmetrize(rng.standard_normal((3, 3, 3)))
         full = s.expand().array
         assert s.entry(2, 0, 1) == pytest.approx(full[2, 0, 1])
+
+    def test_entry_reads_every_index_tuple(self):
+        s = symmetrize(rng.standard_normal((3, 3, 3, 3)))
+        full = s.expand().array
+        for idx in itertools.product(range(-3, 3), repeat=4):
+            assert s.entry(*idx) == full[idx]
+
+    @pytest.mark.parametrize("idx", [(0, 1), (0, 1, 2, 0), (0, 3, 1), (-4, 0, 0)])
+    def test_entry_rejects_bad_indices(self, idx):
+        with pytest.raises(IndexError):
+            symmetrize(rng.standard_normal((3, 3, 3))).entry(*idx)
 
     def test_from_dense_rejects_asymmetric(self):
         t = rng.standard_normal((3, 3, 3))
@@ -254,11 +279,31 @@ class TestIndexTables:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("d", range(1, 5))
     def test_packing_positions_match_tuple_definition(self, n, d):
-        pos = mindex_position(n, d)
+        pos = {j: p for p, j in enumerate(multi_indices(n, d))}
         expected = [
-            pos[counts_from_axes(idx, n)] for idx in itertools.product(range(n), repeat=d)
+            pos[tuple(np.bincount(idx, minlength=n).tolist())]
+            for idx in itertools.product(range(n), repeat=d)
         ]
         np.testing.assert_array_equal(packing_positions(n, d), expected)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_packed_index_is_the_sorted_axes_row(self, n, d):
+        rows = sorted_axes(n, d)
+        np.testing.assert_array_equal(packed_index(rows, n), np.arange(len(rows)))
+        for slot, row in enumerate(rows.tolist()):
+            assert packed_index(row, n) == slot
+
+    def test_packed_index_builds_nothing_dense(self):
+        n = 10**4
+        tracemalloc.start()
+        try:
+            slot = packed_index((n - 1,) * 4, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slot == packed_length(n, 4) - 1
+        assert peak < 10**6  # a few length-n tables; n^4 would be 10^16 entries
 
 
     @pytest.mark.parametrize("n", range(1, 7))

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import atan, atan2, ceil, pi, sqrt
 
 import numpy as np
@@ -721,6 +722,44 @@ class TestStationarity:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             stationarity_residual(np.zeros((2,) * 5), 5)
+
+
+class TestPackedDiagnostics:
+    """The diagnostics read a SymTensor's packed entries, never its n^d expansion."""
+
+    DIAGNOSTICS = [
+        pytest.param(lambda z: stationarity_residual(z, 4), id="stationarity_residual"),
+        pytest.param(lambda z: contrast_value(z, ContrastSpec(2, 4)), id="contrast_value"),
+        pytest.param(lambda z: convexity_margin(z, 4, 17, 3), id="convexity_margin"),
+    ]
+
+    @pytest.mark.parametrize("diagnostic", DIAGNOSTICS)
+    def test_peak_memory_below_a_dense_tensor(self, diagnostic):
+        n = 24
+        z = symmetrize(np.random.default_rng(1200).standard_normal((n,) * 4))
+        tracemalloc.start()
+        try:
+            value = diagnostic(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n**4 * 8 / 4
+        assert value == diagnostic(z.expand().array)
+
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_packed_and_dense_agree_bit_for_bit(self, alpha, d):
+        r = np.random.default_rng(1210 + 10 * d + alpha)
+        for n in range(1, 6):
+            z = symmetrize(r.standard_normal((n,) * d))
+            zd = z.expand().array
+            assert same_bits(contrast_value(z, ContrastSpec(alpha, d)),
+                             contrast_value(zd, ContrastSpec(alpha, d)))
+            assert same_bits(stationarity_residual(z, d), stationarity_residual(zd, d))
+            for q in range(-n, n):
+                for s in range(n):
+                    if q % n != s:
+                        assert same_bits(convexity_margin(z, d, q, s),
+                                         convexity_margin(zd, d, q, s))
 
 
 class TestConvexity:

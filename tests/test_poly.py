@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbss.core import symmetrize
-from tensorbss.indexing import counts_from_axes, multi_indices
+from tensorbss.indexing import multi_indices
 from tensorbss.poly import (
     HomogPoly,
     apolar_inner,
@@ -19,17 +19,6 @@ def random_poly(nvars, degree, seed):
     r = np.random.default_rng(seed)
     coeffs = {j: float(r.standard_normal()) for j in multi_indices(nvars, degree)}
     return HomogPoly(nvars, degree, coeffs)
-
-
-class TestIndexMap:
-    def test_paper_example(self):
-        assert counts_from_axes([0, 0, 3], 4) == (2, 0, 0, 1)
-
-    def test_single(self):
-        assert counts_from_axes([1], 3) == (0, 1, 0)
-
-    def test_permutation_free(self):
-        assert counts_from_axes([2, 0, 1, 0], 4) == counts_from_axes([0, 0, 1, 2], 4)
 
 
 class TestMultiplicity:
