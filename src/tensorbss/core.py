@@ -69,6 +69,23 @@ class DenseTensor:
         return float(np.linalg.norm(self.array))
 
 
+def _has_packed_length(dim: int, order: int, size: int) -> bool:
+    """Whether ``size == packed_length(dim, order)``, refusing a larger binomial early.
+
+    The binomial is ``comb(m + k, k)`` with ``k = min(dim - 1, order)`` and
+    ``m = max(dim - 1, order)``.  It is built as a running product of exact
+    binomials ``comb(m + i, i)``, which at least doubles at each factor, and
+    the build stops once it passes ``size``: a huge dim or order is refused
+    after a few steps, and no binomial much larger than ``size`` is formed.
+    """
+    m, b = max(dim - 1, order), 1
+    for i in range(1, min(dim - 1, order) + 1):
+        b = b * (m + i) // i
+        if b > size:
+            return False
+    return b == size
+
+
 @dataclass(frozen=True)
 class SymTensor:
     """Symmetric tensor stored by distinct entries, one per multi-index.
@@ -85,9 +102,7 @@ class SymTensor:
         if self.dim < 1 or self.order < 1:
             raise ValueError(f"dimension and order must be >= 1, got {self.dim} and {self.order}")
         packed = np.asarray(self.packed, dtype=float)
-        # a lower bound on the length refuses a huge dim or order before its binomial
-        least = 1 if self.dim == 1 else max(self.dim, self.order + 1)
-        if packed.ndim != 1 or not least <= packed.size == packed_length(self.dim, self.order):
+        if packed.ndim != 1 or not _has_packed_length(self.dim, self.order, packed.size):
             raise ValueError(f"packed storage of shape {packed.shape} does not fit "
                              f"dimension {self.dim} and order {self.order}")
         packed = packed.copy()

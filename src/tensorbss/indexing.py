@@ -18,23 +18,43 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 
 @lru_cache(maxsize=None)
 def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All weight-``degree`` multi-indices on ``nvars`` variables, descending lex order.
+    """All weight-``degree`` multi-indices on ``nvars`` variables, descending lex order."""
+    return tuple(map(tuple, _counts(nvars, degree).tolist()))
 
-    Counts the axes of each row of :func:`sorted_axes`, so the two share one order.
+
+@lru_cache(maxsize=None)
+def _counts(nvars: int, degree: int) -> np.ndarray:
+    """:func:`multi_indices` as a read-only ``packed_length x nvars`` array.
+
+    The counts are enumerated directly, one variable at a time: each prefix
+    of the first counts is followed by every count of the next variable that
+    fits its remaining weight, largest first, and the last variable takes the
+    rest.  Nothing ``degree`` long is built, so a huge degree on one variable
+    is one row.  The order is that of :func:`sorted_axes`' rows.
     """
     if nvars <= 0:
         raise ValueError("nvars must be positive")
-    axes = sorted_axes(nvars, degree)
-    counts = np.zeros((len(axes), nvars), dtype=np.intp)
-    np.add.at(counts, (np.arange(len(axes))[:, None], axes), 1)
-    return tuple(map(tuple, counts.tolist()))
+    steps, rest = [], np.array([degree], dtype=np.intp)
+    for _ in range(nvars - 1):
+        size = rest + 1
+        row = np.repeat(np.arange(rest.size), size)
+        j = rest[row] - (np.arange(row.size) - (np.cumsum(size) - size)[row])
+        steps.append((row, j))
+        rest = rest[row] - j
+    out = np.empty((nvars, rest.size), dtype=np.intp)
+    out[-1], row = rest, np.arange(rest.size)
+    for k in range(nvars - 2, -1, -1):  # follow each row back through its prefixes
+        out[k] = steps[k][1][row]
+        row = steps[k][0][row]
+    out.setflags(write=False)
+    return out.T
 
 
 def packed_length(nvars: int, degree: int) -> int:
@@ -59,20 +79,38 @@ def packed_index(axes, nvars: int) -> np.ndarray:
 
 
 def multiplicity(j) -> int:
-    """Multinomial coefficient ``|j|! / prod(j_k!)``: how many index tuples share ``j``."""
+    """Multinomial coefficient ``|j|! / prod(j_k!)``: how many index tuples share ``j``.
+
+    Computed as ``prod_k comb(j_0 + .. + j_k, j_k)``, so no factorial of
+    ``|j|`` is formed.
+    """
     j = tuple(int(v) for v in j)
     if any(v < 0 for v in j):
         raise ValueError("multi-index entries must be nonnegative")
-    num = factorial(sum(j))
+    num, total = 1, 0
     for v in j:
-        num //= factorial(v)
+        total += v
+        num *= comb(total, v)
     return num
 
 
 @lru_cache(maxsize=None)
 def multiplicities(nvars: int, degree: int) -> np.ndarray:
-    """Multiplicity of each packed multi-index, in enumeration order."""
-    arr = np.array([multiplicity(j) for j in multi_indices(nvars, degree)], dtype=float)
+    """Multiplicity of each packed multi-index, in enumeration order.
+
+    A multiplicity depends only on the multiset of counts, and at most
+    ``degree`` of them are nonzero, so it is computed once per distinct row
+    of the largest ``min(nvars, degree)`` counts, ascending.
+    """
+    counts = np.sort(_counts(nvars, degree), axis=1)[:, -min(nvars, max(degree, 1)):]
+    order = np.lexsort(counts.T)
+    counts = counts[order]
+    first = np.ones(len(counts), dtype=bool)
+    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
+    arr = np.empty(len(counts))
+    arr[order] = np.array([multiplicity(j) for j in counts[first].tolist()], dtype=float)[
+        np.cumsum(first) - 1
+    ]
     arr.setflags(write=False)
     return arr
 

@@ -38,9 +38,17 @@ Cyclic sweeps use this through the round-robin (parallel Jacobi) ordering
 of Brent & Luk (*SIAM J. Sci. Stat. Comput.*, 1985): each sweep is ``n - 1``
 rounds (``n`` for odd ``n``, with one index idle per round) of ``n // 2``
 disjoint pairs, and every pair comes once per sweep.  A round is solved in
-one call and its accepted pairs are then rotated one at a time, in round
-order; since no rotation of the round touches another pair's entries, each
-angle has the same bits as a solve made just before its own rotation.
+one call, and its accepted pairs (positive gain, nonzero angle) are then
+rotated together: Givens rotations of disjoint pairs commute and compose to
+one block-diagonal orthogonal matrix, which :func:`_rotate_round` applies by
+one matrix product per tensor axis.  No rotation of the round touches
+another pair's entries, so each angle is the one a solve made just before
+its own rotation would return, and the result is that of one rotation at a
+time up to rounding.  A round with no accepted pair is skipped, so it leaves
+every bit as it was.  Greedy sweeps rotate one pair per step, and there the
+slice update of :func:`_apply_rotation`, ``O(n^(d-1))``, beats a pass of a
+whole ``n x n`` matrix, ``O(n^(d+1))``; so they keep it.
+
 Greedy sweeps solve every pair in one call and then, after each rotation of
 ``(p, q)``, re-solve in one call the ``2n - 4`` pairs sharing exactly one
 index with it, so every other cached angle is exactly what a fresh solve
@@ -51,6 +59,11 @@ solve returns exactly ``(0, 0)`` (its quartic's leading coefficient would
 also trim and cost a second root solve).  The other specs re-solve it with
 the rest: ``(1, 3)`` searches only half its period, and the quadratic forms'
 closed form returns angles near, not at, zero.
+
+A round's matrix products sum through BLAS, so cyclic sweeps reproduce as
+far as BLAS does: the same input, in the same process and with the same BLAS
+build and thread count, gives identical bytes; nothing is promised across
+machines, BLAS builds or thread counts, which may sum in another order.
 
 The diagnostics (``contrast_value``, ``stationarity_residual``,
 ``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries: the
@@ -360,6 +373,24 @@ def _rotate_rows(v: np.ndarray, p: int, q: int, phi: float) -> None:
     v[q] = -s * vp + c * vq
 
 
+def _rotate_round(zd: np.ndarray, v: np.ndarray, p, q, phi) -> None:
+    """Rotate the disjoint pairs ``(p[i], q[i])`` by ``phi[i]`` at once, in place.
+
+    The round's Givens matrices compose to one block-diagonal ``g``, applied
+    along each axis by a matrix product over plain reshapes; the result is
+    written back into ``zd``'s own buffer, so views of it stay valid.
+    """
+    n, d = zd.shape[0], zd.ndim
+    c, s = np.cos(phi), np.sin(phi)
+    g = np.eye(n)
+    g[p, p], g[q, q], g[p, q], g[q, p] = c, c, s, -s
+    x = zd
+    for k in range(d - 1):
+        x = np.matmul(g, x.reshape(n**k, n, -1))
+    np.matmul(x.reshape(-1, n), g.T, out=zd.reshape(-1, n))
+    v[...] = g @ v
+
+
 def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
@@ -381,11 +412,6 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
     def solve(rows):
         return _best_angles(flat[positions[rows]], spec.order, spec.alpha)
 
-    def accept(p, q, phi, gain):
-        _apply_rotation(zd, p, q, phi)
-        _rotate_rows(v, p, q, phi)
-        trace.append(trace[-1] + gain)
-
     sweeps, stop_reason, largest = 0, "max_sweeps", []
     if greedy:
         # pair_index[i, j] is the index of pair {i, j}, -1 where i == j; a
@@ -402,7 +428,9 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
                 break
             p, q = int(first[k]), int(second[k])
-            accept(p, q, phi, gain)
+            _apply_rotation(zd, p, q, phi)
+            _rotate_rows(v, p, q, phi)
+            trace.append(trace[-1] + gain)
             angles.append(abs(phi))
             touched = np.concatenate([pair_index[p], pair_index[q]])
             touched = touched[(touched >= 0) & (touched != k)]
@@ -419,10 +447,13 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
             largest_phi = 0.0
             for rows in _rounds(n):
                 phis, gains = solve(rows)
-                for k, phi, gain in zip(rows.tolist(), phis.tolist(), gains.tolist()):
-                    if gain > 0.0 and phi != 0.0:
-                        accept(int(first[k]), int(second[k]), phi, gain)
-                        largest_phi = max(largest_phi, abs(phi))
+                ok = (gains > 0.0) & (phis != 0.0)
+                if not ok.any():
+                    continue
+                _rotate_round(zd, v, first[rows[ok]], second[rows[ok]], phis[ok])
+                for gain in gains[ok].tolist():
+                    trace.append(trace[-1] + gain)
+                largest_phi = max(largest_phi, float(np.abs(phis[ok]).max()))
             largest.append(largest_phi)
             sweeps += 1
             if largest_phi < ANGLE_TOL:

@@ -1,10 +1,12 @@
 import itertools
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tensorbss import core
 from tensorbss.core import (
     DenseTensor,
     SymTensor,
@@ -20,6 +22,7 @@ from tensorbss.core import (
 )
 from tensorbss.indexing import (
     multi_indices,
+    multiplicities,
     packed_index,
     packed_length,
     packing_positions,
@@ -246,8 +249,23 @@ class TestSymTensor:
         assert time.perf_counter() - t0 < 0.1
         assert len(str(info.value)) < 200
 
+    def test_length_refused_before_its_binomial(self, monkeypatch):
+        # comb(199999, 100000) has 60205 digits and took most of a second
+        def refuse(*args):
+            raise AssertionError("the exact packed length was computed")
+
+        monkeypatch.setattr(core, "packed_length", refuse)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="packed storage of shape") as info:
+            SymTensor(10**5, 10**5, np.zeros(10**5 + 1))
+        assert time.perf_counter() - t0 < 0.1
+        assert str(info.value) == (
+            "packed storage of shape (100001,) does not fit dimension 100000 and order 100000"
+        )
+
     def test_dimension_one_has_one_entry_at_any_order(self):
         assert SymTensor(1, 10**9, [2.5]).packed.tolist() == [2.5]
+        assert SymTensor(1, 10**9, [2.5]).norm() == 2.5
 
     def test_norm_matches_expansion(self):
         s = symmetrize(rng.standard_normal((4, 4, 4)))
@@ -319,6 +337,24 @@ class TestIndexTables:
 
         for d in range(6):
             assert multi_indices(n, d) == tuple(recursive(n, d))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("d", range(6))
+    def test_multi_indices_count_the_sorted_axes(self, n, d):
+        # the former definition: the axis counts of each sorted_axes row
+        axes = sorted_axes(n, d)
+        counts = np.zeros((len(axes), n), dtype=np.intp)
+        np.add.at(counts, (np.arange(len(axes))[:, None], axes), 1)
+        assert multi_indices(n, d) == tuple(map(tuple, counts.tolist()))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("d", range(7))
+    def test_multiplicities_match_factorials(self, n, d):
+        expected = [
+            math.factorial(d) / math.prod(math.factorial(v) for v in j)
+            for j in multi_indices(n, d)
+        ]
+        assert multiplicities(n, d).tolist() == expected
 
 
 def greedy_match_oracle(score):

@@ -14,6 +14,7 @@ from tensorbss.jacobi import (
     ContrastSpec,
     _apply_rotation,
     _best_angles,
+    _rotate_round,
     _rotate_rows,
     _rotated_diag,
     contrast_value,
@@ -658,6 +659,10 @@ class TestCyclicOracle:
 
     @pytest.mark.parametrize("alpha,d", ALL_SPECS)
     def test_matches_one_pair_per_solve(self, alpha, d):
+        # a round is rotated by one matrix product, so the results agree with
+        # one rotation at a time up to rounding; at order 2 the closed form
+        # returns angles near, not at, zero, so rounding can add or drop a
+        # rotation of about 1e-14 and only the counts of orders 3 and 4 match
         spec = ContrastSpec(alpha, d)
         r = np.random.default_rng(1100 + 10 * d + alpha)
         for n in range(2, 8):
@@ -667,10 +672,12 @@ class TestCyclicOracle:
                 q, trace, rotations, sweeps, stop_reason, largest = sweep_cyclic_one_pair(
                     g.expand().array, spec, max_sweeps
                 )
-                assert res.Q.tobytes() == q.tobytes()
-                assert res.trace == trace
-                assert (res.rotations, res.sweeps, res.stop_reason) == (rotations, sweeps, stop_reason)
-                assert res.largest_angles == largest
+                assert (res.sweeps, res.stop_reason) == (sweeps, stop_reason)
+                if d > 2:
+                    assert res.rotations == rotations
+                np.testing.assert_allclose(res.Q, q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(res.largest_angles, largest, rtol=0, atol=1e-12)
+                assert res.trace[-1] == pytest.approx(trace[-1], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_one_solve_per_round(self, monkeypatch, n):
@@ -679,6 +686,55 @@ class TestCyclicOracle:
         res = sweep_cyclic(g, ContrastSpec(2, 4))
         assert res.rotations > 0
         assert rows == [n // 2] * (res.sweeps * (n - 1 + n % 2))
+
+
+class TestRotateRound:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_one_rotation_at_a_time(self, d, n):
+        # odd n leave one index idle in every round
+        r = np.random.default_rng(1200 + 10 * n + d)
+        first, second = np.triu_indices(n, 1)
+        for rows in jacobi._rounds(n):
+            rows = rows[r.random(len(rows)) < 0.7]
+            phis = r.uniform(-pi / 2, pi / 2, len(rows))
+            zd = symmetrize(r.standard_normal((n,) * d)).expand().array.copy()
+            v = np.linalg.qr(r.standard_normal((n, n)))[0]
+            z_seq, v_seq = zd.copy(), v.copy()
+            for k, phi in zip(rows.tolist(), phis.tolist()):
+                _apply_rotation(z_seq, int(first[k]), int(second[k]), phi)
+                _rotate_rows(v_seq, int(first[k]), int(second[k]), phi)
+            norm = np.linalg.norm(zd)
+            _rotate_round(zd, v, first[rows], second[rows], phis)
+            assert np.abs(zd - z_seq).max() <= 1e-13 * norm
+            assert np.abs(v - v_seq).max() <= 1e-13
+            assert abs(np.linalg.norm(zd) - norm) <= 1e-13 * norm
+
+    def test_rounds_without_accepted_pair_change_nothing(self, monkeypatch):
+        # (2, 4) solves a diagonal pair to exactly (0, 0), so no pair is accepted
+        calls = []
+        monkeypatch.setattr(jacobi, "_rotate_round", lambda *args: calls.append(args))
+        g = diag_tensor([2.0, -1.5, 0.5, 3.0, 0.0], 4)
+        res = sweep_cyclic(g, ContrastSpec(2, 4))
+        assert calls == []
+        assert res.Q.tobytes() == np.eye(5).tobytes()
+        assert res.Z.packed.tobytes() == symmetrize(g).packed.tobytes()
+        assert (res.rotations, res.stop_reason) == (0, "angle_tol")
+
+    def test_only_rounds_with_accepted_pairs_rotate(self, monkeypatch):
+        # only the pair (0, 1) is coupled, and rotating it keeps it so
+        sizes = []
+
+        def counted(zd, v, p, q, phi):
+            sizes.append(len(phi))
+            _rotate_round(zd, v, p, q, phi)
+
+        monkeypatch.setattr(jacobi, "_rotate_round", counted)
+        g = diag_tensor([0.0, 0.0, 0.5, 3.0, -1.0], 4)
+        g[:2, :2, :2, :2] = rotated_diag([2.0, -1.0], 4, 1320)[0].expand().array
+        res = sweep_cyclic(g, ContrastSpec(2, 4))
+        assert res.rotations > 0
+        assert sizes == [1] * res.rotations
 
 
 def stationarity_oracle(zd, d):
@@ -824,6 +880,18 @@ class TestIcaPipeline:
         signs = np.diag([1.0, -1.0, 1.0])
         transformed = row_max(q.T @ (q0 @ perm @ signs))
         np.testing.assert_allclose(np.sort(base), np.sort(transformed), atol=1e-12)
+
+    def test_repeated_run_gives_identical_bytes(self):
+        # the promise: the same input in the same process, with the same BLAS
+        # build and thread count, gives the same bytes
+        r = np.random.default_rng(47)
+        s = r.uniform(-np.sqrt(3), np.sqrt(3), size=(20_000, 16))
+        y = s @ r.standard_normal((16, 16)).T
+        (_, first), (_, second) = ica(y), ica(y)
+        assert first.rotations > 0
+        assert first.Q.tobytes() == second.Q.tobytes()
+        assert first.Z.packed.tobytes() == second.Z.packed.tobytes()
+        assert np.array(first.trace).tobytes() == np.array(second.trace).tobytes()
 
     def test_separator_composition(self):
         r = np.random.default_rng(37)
