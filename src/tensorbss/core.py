@@ -266,28 +266,39 @@ def lead_signs(m) -> np.ndarray:
     return np.where(lead < 0, -1.0, 1.0)
 
 
-def real_roots(coeffs_ascending) -> np.ndarray:
-    """Sorted real roots of a polynomial given by ascending coefficients.
+def poly_roots(rows) -> np.ndarray:
+    """Each row's polynomial roots (ascending coefficients), sorted, as complex.
 
-    Coefficients below ``1e-14`` times the largest magnitude are dropped from
-    the top; the roots are the eigenvalues of the companion matrix, and those
-    with imaginary part within ``1e-8 * (1 + |real part|)`` count as real.
+    A top coefficient at most ``1e-14`` times its row's largest magnitude is
+    trimmed, and its root slot, after the row's sorted roots, is ``nan``.  The
+    roots are the eigenvalues of numpy's ``polycompanion``, one stacked
+    ``eigvals`` call for each degree the rows have after trimming, so each
+    row's result depends on that row alone.
     """
-    c = np.asarray(coeffs_ascending, dtype=float)
+    c = np.asarray(rows, dtype=float)
+    m, deg = c.shape[0], c.shape[1] - 1
+    if deg < 1:
+        return np.empty((m, 0), dtype=complex)
     mag = np.abs(c)
-    scale = mag.max(initial=0.0)
-    kept = np.flatnonzero(mag > 1e-14 * scale)
-    if scale == 0.0 or kept.size == 0 or kept[-1] == 0:
-        return np.array([])
-    c = c[: kept[-1] + 1]
-    if c.size == 2:
-        roots = np.array([-c[0] / c[1]])
-    else:
-        # the companion matrix as numpy.polynomial's polycompanion builds it
-        deg = c.size - 1
-        mat = np.zeros((deg, deg))
-        mat.reshape(-1)[deg :: deg + 1] = 1.0
-        mat[:, -1] -= c[:-1] / c[-1]
-        roots = np.linalg.eigvals(mat)
-        roots.sort()
-    return np.real(roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))])
+    trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
+    if trimmed.all():
+        return np.c_[poly_roots(c[:, :-1]), np.full(m, np.nan)]
+    comp = np.zeros((m, deg, deg))
+    comp.reshape(m, -1)[:, deg :: deg + 1] = 1.0
+    comp[:, :, -1] = c[:, :-1] / -np.where(trimmed, 1.0, c[:, -1])[:, None]
+    roots = np.sort(np.linalg.eigvals(comp), axis=1).astype(complex, copy=False)
+    if trimmed.any():
+        roots[trimmed, -1] = np.nan
+        roots[trimmed, :-1] = poly_roots(c[trimmed, :-1])
+    return roots
+
+
+def is_real(roots) -> np.ndarray:
+    """Which roots count as real: ``|imag| <= 1e-8 * (1 + |real|)``, never a ``nan`` slot."""
+    return np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
+
+
+def real_roots(coeffs_ascending) -> np.ndarray:
+    """Sorted real roots of one polynomial, by :func:`poly_roots` and :func:`is_real`."""
+    roots = poly_roots(np.asarray(coeffs_ascending, dtype=float)[None])[0]
+    return roots.real[is_real(roots)]

@@ -21,16 +21,19 @@ pair, the contrast is a trigonometric polynomial of the rotation angle:
 
 The angle solve, :func:`_best_angles`, takes one row of pair entries per
 pair and solves them all at once: fixed tables turn each row into its
-samples or polynomial coefficients, the roots of all rows come from one
-stacked companion-matrix ``eigvals`` call, and each row's result depends on
-that row alone.  The candidate with the largest restricted contrast wins, and
-candidates within ``1e-12`` of the best are ties that go to the smallest
-angle.  A rotation is applied only when its contrast gain is strictly
-positive, so the recorded contrast trace never decreases.  Sweeps stop once
-no rotation of a whole sweep exceeds ``ANGLE_TOL`` (cyclic), once the best
-pair's angle falls below it or no pair gains (greedy), or after
-``max_sweeps`` sweeps (``max_sweeps`` times the pair count in rotations, for
-greedy); the result's ``stop_reason`` says which.
+samples or polynomial coefficients, the roots of all rows come from
+:func:`~tensorbss.core.poly_roots` (one stacked companion-matrix ``eigvals``
+call for each degree the rows have after trimming), and each row's result
+depends on that row alone.  The quadratic forms count
+their off-diagonal coefficient as zero within its rounding floor, so a pair
+diagonal up to rounding is not rotated.  The candidate with the largest
+restricted contrast wins, and candidates within ``1e-12`` of the best are
+ties that go to the smallest angle.  A rotation is applied only when its
+contrast gain is strictly positive, so the recorded contrast trace never
+decreases.  Sweeps stop once no rotation of a whole sweep exceeds
+``ANGLE_TOL`` (cyclic), once the best pair's angle falls below it or no pair
+gains (greedy), or after ``max_sweeps`` sweeps (``max_sweeps`` times the pair
+count in rotations, for greedy); the result's ``stop_reason`` says which.
 
 A rotation of ``(p, q)`` rewrites only tensor slices indexed by ``p`` or
 ``q``, and a pair's angle reads only the entries indexed within that pair.
@@ -56,9 +59,10 @@ would return.  Under ``(2, 4)`` the rotated pair itself is cached as
 ``(0, 0)`` unsolved: it now sits at its global optimum, ``phi = 0``, where
 no candidate beats the current contrast by the ``1e-15`` margin, so a fresh
 solve returns exactly ``(0, 0)`` (its quartic's leading coefficient would
-also trim and cost a second root solve).  The other specs re-solve it with
-the rest: ``(1, 3)`` searches only half its period, and the quadratic forms'
-closed form returns angles near, not at, zero.
+also trim and cost a second ``eigvals`` call).  The other specs re-solve it
+with the rest: ``(1, 3)`` searches only half its period, and the quadratic
+forms return ``(0, 0)`` only when the rotation's own rounding leaves the
+pair's off-diagonal coefficient within its rounding floor.
 
 A round's matrix products sum through BLAS, so cyclic sweeps reproduce as
 far as BLAS does: the same input, in the same process and with the same BLAS
@@ -78,7 +82,7 @@ from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .core import SymTensor, _as_array, real_roots, symmetrize
+from .core import SymTensor, _as_array, is_real, poly_roots, symmetrize
 from .cumulants import as_samples, cumulant_tensor
 from .indexing import packed_index
 from .whiten import Whitener, standardize
@@ -152,16 +156,23 @@ class ICAResult:
     or ``"max_sweeps"`` (a tensor without pairs is already stationary).
     ``largest_angles`` holds the largest accepted ``|phi|`` of each sweep (for
     greedy, of each block of pair-count rotations), one entry per sweep.
+    ``sweeps`` and ``rotations`` are read from these two lists.
     """
 
     Q: np.ndarray
     Z: SymTensor
-    trace: list[float] = field(default_factory=list)
-    sweeps: int = 0
-    rotations: int = 0
+    trace: list[float]
     low_confidence: bool = False
     stop_reason: str = "angle_tol"
     largest_angles: list[float] = field(default_factory=list)
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.largest_angles)
+
+    @property
+    def rotations(self) -> int:
+        return len(self.trace) - 1
 
 
 def _pair_layout(p, q, d: int) -> np.ndarray:
@@ -260,30 +271,6 @@ def _forms(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (x[:, None, :] * table).sum(axis=2)
 
 
-def _real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's polynomial roots (ascending coefficients), sorted, and which are real.
-
-    Rows keeping their leading coefficient share one stacked companion-matrix
-    ``eigvals`` call; rows whose leading coefficient trims (``1e-14`` times
-    the row's largest) go through :func:`real_roots` one at a time.  A root
-    counts as real under :func:`real_roots`' rule.
-    """
-    m, deg = coeffs.shape[0], coeffs.shape[1] - 1
-    mag = np.abs(coeffs)
-    trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
-    comp = np.zeros((m, deg, deg))
-    comp.reshape(m, -1)[:, deg :: deg + 1] = 1.0
-    comp[:, :, -1] = coeffs[:, :-1] / -np.where(trimmed, 1.0, coeffs[:, -1])[:, None]
-    roots = np.sort(np.linalg.eigvals(comp), axis=1)
-    x = roots.real
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(x))
-    for i in np.flatnonzero(trimmed):
-        r = real_roots(coeffs[i])
-        x[i, : r.size] = r
-        real[i] = np.arange(deg) < r.size
-    return x, real
-
-
 def _select(x: np.ndarray, val: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row by row, the winning candidate ``x`` and its gain over ``x = 0``.
 
@@ -311,13 +298,15 @@ def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     if (alpha, d) in QUADRATIC_FORM_SPECS:
         # reconstruct the exact quadratic form in (cos 2phi, sin 2phi) from
         # three samples; its dominant eigenvector gives the angle, and the
-        # gain over phi = 0 has a cancellation-free closed form so rotations
-        # far below the contrast's own float resolution are still accepted
+        # gain over phi = 0 has a cancellation-free closed form; b12 is zero
+        # within the rounding floor of the three samples it is made of
         z = _forms(vals, _SAMPLE_TABLES[d])
         if alpha == 2:
             z = z * z
-        b11, b22, b12 = (z[:, :3] + z[:, 3:]).T
-        b12 = b12 - 0.5 * (b11 + b22)
+        b11, b22, f = (z[:, :3] + z[:, 3:]).T
+        b12 = f - 0.5 * (b11 + b22)
+        floor = 4.0 * np.finfo(float).eps * (np.abs(b11) + np.abs(b22) + np.abs(f))
+        b12[np.abs(b12) <= floor] = 0.0
         delta = 0.5 * (b11 - b22)
         radius = np.hypot(delta, b12)
         phi = np.where(radius > 0.0, 0.25 * np.arctan2(b12, delta), 0.0)
@@ -327,9 +316,9 @@ def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     if (alpha, d) == (1, 3):
         # candidates h = 1, -1 (phi = +-pi/2), then the stationary h in [-1, 1]
         coeffs = _forms(vals, _TABLE_13)
-        h, real = _real_roots_rows(coeffs[:, :7])
-        h = np.concatenate([np.tile([1.0, -1.0], (m, 1)), h], axis=1)
-        real = np.concatenate([np.ones((m, 2), bool), real & (np.abs(h[:, 2:]) <= 1.0 + 1e-12)], 1)
+        h = poly_roots(coeffs[:, :7])
+        real = np.c_[np.ones((m, 2), bool), is_real(h) & (np.abs(h.real) <= 1.0 + 1e-12)]
+        h = np.c_[np.tile([1.0, -1.0], (m, 1)), h.real]
         val = coeffs[:, 13:14]
         for k in range(12, 6, -1):
             val = val * h + coeffs[:, k : k + 1]
@@ -339,7 +328,8 @@ def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
         return 2.0 * np.arctan(h), gain
 
     coeffs = _forms((vals[:, :, None] * vals[:, None, :]).reshape(m, 25), _TABLE_24)
-    xi, real = _real_roots_rows(coeffs[:, :5])
+    xi = poly_roots(coeffs[:, :5])
+    real, xi = is_real(xi), xi.real
     val = coeffs[:, 9:10]
     for k in range(8, 4, -1):
         val = val * xi + coeffs[:, k : k + 1]
@@ -412,7 +402,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
     def solve(rows):
         return _best_angles(flat[positions[rows]], spec.order, spec.alpha)
 
-    sweeps, stop_reason, largest = 0, "max_sweeps", []
+    stop_reason, largest = "max_sweeps", []
     if greedy:
         # pair_index[i, j] is the index of pair {i, j}, -1 where i == j; a
         # rotated (2, 4) pair is cached as (0, 0), see the module docstring
@@ -441,7 +431,6 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
             if touched.size:  # none for a rotated (2, 4) pair at n = 2
                 phis[touched], gains[touched] = solve(touched)
         largest = [max(angles[i : i + npairs]) for i in range(0, len(angles), npairs)]
-        sweeps = len(largest)
     else:
         for _ in range(max_sweeps):
             largest_phi = 0.0
@@ -455,14 +444,13 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                     trace.append(trace[-1] + gain)
                 largest_phi = max(largest_phi, float(np.abs(phis[ok]).max()))
             largest.append(largest_phi)
-            sweeps += 1
             if largest_phi < ANGLE_TOL:
                 stop_reason = "angle_tol"
                 break
 
     return ICAResult(
-        Q=v.T.copy(), Z=symmetrize(zd), trace=trace, sweeps=sweeps,
-        rotations=len(trace) - 1, stop_reason=stop_reason, largest_angles=largest,
+        Q=v.T.copy(), Z=symmetrize(zd), trace=trace, stop_reason=stop_reason,
+        largest_angles=largest,
     )
 
 

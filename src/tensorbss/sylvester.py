@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .core import lead_signs
+from .core import lead_signs, poly_roots
 
 KERNEL_TOL = 1e-10
 DISTINCT_TOL = 1e-8
@@ -114,8 +114,8 @@ def roots_of_q(g) -> tuple[list[tuple[complex, complex]], bool]:
     """Projective roots of ``q(x, y) = sum_l g_l x^l y^(w-l)`` and a distinctness flag.
 
     Roots at ``x = 0`` and ``y = 0`` come from vanishing extreme coefficients;
-    the remaining ones are companion-matrix roots of the dehomogenized
-    polynomial.  Exactly ``w`` roots (with multiplicity) are returned.
+    the remaining ones are the :func:`~tensorbss.core.poly_roots` of the
+    dehomogenized polynomial.  Exactly ``w`` roots (with multiplicity) are returned.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     omega = g.size - 1
@@ -127,10 +127,8 @@ def roots_of_q(g) -> tuple[list[tuple[complex, complex]], bool]:
     roots: list[tuple[complex, complex]] = []
     roots.extend([(0.0 + 0j, 1.0 + 0j)] * lo)  # x divides q
     roots.extend([(1.0 + 0j, 0.0 + 0j)] * (omega - hi))  # y divides q
-    if hi > lo:
-        # descending coefficients in tau = x / y for numpy's companion rooting
-        tau = np.roots(g[lo : hi + 1][::-1])
-        roots.extend((complex(t), 1.0 + 0j) for t in tau)
+    # |g[hi]| is above 1e-13 of the largest |g|, so poly_roots trims no root of tau = x / y
+    roots.extend((complex(t), 1.0 + 0j) for t in poly_roots(g[None, lo : hi + 1])[0])
     return roots, _all_distinct(roots)
 
 

@@ -396,6 +396,66 @@ class TestGreedyMatch:
             assert greedy_match(score) == greedy_match_oracle(score)
 
 
+def mixed_trim_rows(seed):
+    """Degree-5 rows: full degree, trimmed by 1 and by 2, a 1e-20 top coefficient, all zero."""
+    r = np.random.default_rng(seed)
+    rows = r.standard_normal((18, 6))
+    rows[6:10, -1] = 0.0
+    rows[10:14, -2:] = 0.0
+    rows[14:16, -1] = 1e-20
+    rows[16:] = 0.0
+    return rows, [0] * 6 + [1] * 4 + [2] * 4 + [1] * 2 + [5] * 2
+
+
+class TestPolyRoots:
+    def test_rows_independent_of_batch(self):
+        rows, trims = mixed_trim_rows(31)
+        order = np.random.default_rng(32).permutation(len(rows))
+        batch = core.poly_roots(rows[order])
+        assert batch.shape == (len(rows), 5) and batch.dtype == complex
+        for row, roots, trim in zip(rows[order], batch, np.array(trims)[order]):
+            assert roots.tobytes() == core.poly_roots(row[None])[0].tobytes()
+            assert np.isnan(roots).tolist() == [False] * (5 - trim) + [True] * trim
+
+    def test_roots_rebuild_the_polynomial(self):
+        rows, trims = mixed_trim_rows(33)
+        for row, roots, trim in zip(rows, core.poly_roots(rows), trims):
+            if trim == 5:
+                continue
+            kept = row[: row.size - trim]
+            rebuilt = kept[-1] * np.polynomial.polynomial.polyfromroots(roots[: kept.size - 1])
+            np.testing.assert_allclose(rebuilt, kept, rtol=0, atol=1e-10 * np.abs(kept).max())
+
+    def test_one_eigvals_call_per_degree_after_trimming(self, monkeypatch):
+        rows, _ = mixed_trim_rows(34)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        core.poly_roots(rows[:6])
+        assert calls == [(6, 5, 5)]
+        calls.clear()
+        core.poly_roots(rows[:16])
+        assert calls == [(16, 5, 5), (10, 4, 4), (4, 3, 3)]
+        calls.clear()
+        core.poly_roots(rows[10:11])  # a degree where every row trims makes no call
+        core.poly_roots(rows[16:])
+        assert calls == [(1, 3, 3)]
+
+    def test_real_roots_and_degenerate_rows(self):
+        # (x - 1)(x + 2)(x^2 + 1): two real roots, sorted; a 1e-20 top is trimmed
+        np.testing.assert_allclose(core.real_roots([-2.0, 1.0, -1.0, 1.0, 1.0, 1e-20]), [-2.0, 1.0])
+        assert core.real_roots([0.0, 0.0]).size == 0
+        assert core.real_roots([3.0]).size == 0
+        assert core.poly_roots(np.zeros((3, 1))).shape == (3, 0)
+        roots = np.array([np.nan, 1.0 + 1e-8j, 1.0 + 3e-8j, np.nan + 0j])
+        assert core.is_real(roots).tolist() == [False, True, False, False]
+
+
 class TestDenseTensor:
     def test_flat_roundtrip(self):
         t = DenseTensor.from_flat([2, 3], range(6))

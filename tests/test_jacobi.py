@@ -106,11 +106,14 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
     if (alpha, d) in QUADRATIC_FORM_SPECS:
         # reconstruct the exact quadratic form in (cos 2phi, sin 2phi) from
         # three samples; its dominant eigenvector gives the angle, and the
-        # gain over phi = 0 has a cancellation-free closed form so rotations
-        # far below the contrast's own float resolution are still accepted
+        # gain over phi = 0 has a cancellation-free closed form.  b12 within
+        # the rounding floor of its three samples is zero
         b11 = base
         b22 = _restricted(vals, d, alpha, pi / 4)
-        b12 = _restricted(vals, d, alpha, pi / 8) - 0.5 * (b11 + b22)
+        f = _restricted(vals, d, alpha, pi / 8)
+        b12 = f - 0.5 * (b11 + b22)
+        if abs(b12) <= 4.0 * np.finfo(float).eps * (abs(b11) + abs(b22) + abs(f)):
+            b12 = 0.0
         delta = 0.5 * (b11 - b22)
         radius = np.hypot(delta, b12)
         if radius == 0.0:
@@ -235,6 +238,14 @@ class TestSweepCyclic:
         res = sweep_cyclic(g, ContrastSpec(2, 4))
         np.testing.assert_array_equal(res.Q, np.eye(3))
         assert res.sweeps == 1 and res.rotations == 0
+
+    def test_counts_are_read_from_trace_and_angles(self):
+        g, _ = rotated_diag([1.0, -2.0, 0.7], 4, seed=5)
+        for res in (sweep_cyclic(g, ContrastSpec(2, 4)), sweep_greedy(g, ContrastSpec(2, 4))):
+            assert res.sweeps == len(res.largest_angles) > 0
+            assert res.rotations == len(res.trace) - 1 > 0
+            with pytest.raises(AttributeError):
+                res.rotations = 0
 
     def test_two_uniform_sources_exact(self):
         g, q0 = rotated_diag([-1.2, -1.2], 4, seed=3)
@@ -629,18 +640,21 @@ class TestGreedyOracle:
             assert same_bits(phi, 0.0) and same_bits(gain, 0.0)
 
     def test_greedy_ica_takes_no_trimmed_roots(self, monkeypatch):
+        # a trimmed top coefficient would cost poly_roots a second eigvals call
+        rows = count_solve_rows(monkeypatch)
         calls = []
+        eigvals = np.linalg.eigvals
 
-        def counted(coeffs):
-            calls.append(coeffs)
-            return real_roots(coeffs)
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
 
-        monkeypatch.setattr(jacobi, "real_roots", counted)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
         r = np.random.default_rng(980)
         s = r.uniform(-sqrt(3.0), sqrt(3.0), (5000, 6))
         _, res = ica(s @ r.standard_normal((6, 6)).T, strategy="greedy")
         assert res.rotations > 0
-        assert calls == []
+        assert calls == [(m, 4, 4) for m in rows]
 
 
 class TestCyclicOracle:
@@ -660,9 +674,7 @@ class TestCyclicOracle:
     @pytest.mark.parametrize("alpha,d", ALL_SPECS)
     def test_matches_one_pair_per_solve(self, alpha, d):
         # a round is rotated by one matrix product, so the results agree with
-        # one rotation at a time up to rounding; at order 2 the closed form
-        # returns angles near, not at, zero, so rounding can add or drop a
-        # rotation of about 1e-14 and only the counts of orders 3 and 4 match
+        # one rotation at a time up to rounding
         spec = ContrastSpec(alpha, d)
         r = np.random.default_rng(1100 + 10 * d + alpha)
         for n in range(2, 8):
@@ -672,9 +684,8 @@ class TestCyclicOracle:
                 q, trace, rotations, sweeps, stop_reason, largest = sweep_cyclic_one_pair(
                     g.expand().array, spec, max_sweeps
                 )
-                assert (res.sweeps, res.stop_reason) == (sweeps, stop_reason)
-                if d > 2:
-                    assert res.rotations == rotations
+                assert (res.sweeps, res.rotations) == (sweeps, rotations)
+                assert res.stop_reason == stop_reason
                 np.testing.assert_allclose(res.Q, q, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(res.largest_angles, largest, rtol=0, atol=1e-12)
                 assert res.trace[-1] == pytest.approx(trace[-1], rel=1e-12, abs=0)
@@ -720,6 +731,14 @@ class TestRotateRound:
         assert res.Q.tobytes() == np.eye(5).tobytes()
         assert res.Z.packed.tobytes() == symmetrize(g).packed.tobytes()
         assert (res.rotations, res.stop_reason) == (0, "angle_tol")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_quadratic_forms_leave_a_diagonal_tensor(self, d):
+        # the off-diagonal coefficient of a diagonal pair is a rounding residue,
+        # within the floor of its samples, so no rotation is made for no gain
+        res = sweep_cyclic(diag_tensor([2.0, -1.5, 0.5, 3.0, 0.0], d), ContrastSpec(2, d))
+        assert res.Q.tobytes() == np.eye(5).tobytes()
+        assert (res.rotations, res.largest_angles) == (0, [0.0])
 
     def test_only_rounds_with_accepted_pairs_rotate(self, monkeypatch):
         # only the pair (0, 1) is coupled, and rotating it keeps it so

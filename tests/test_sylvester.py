@@ -115,6 +115,23 @@ class TestRoots:
             val = sum(g[l] * a**l * b ** (3 - l) for l in range(4))
             assert abs(val) <= 1e-10 * (1 + np.abs(g).max())
 
+    def test_matches_np_roots(self):
+        # the finite roots tau = x / y against numpy's own companion rooting;
+        # zeros at the ends of g put roots at x = 0 and y = 0
+        r = np.random.default_rng(271)
+        for w in range(1, 10):
+            for trial in range(20):
+                g = r.standard_normal(w + 1)
+                lo, top = (trial % 3, trial % 2) if w > 3 else (0, 0)
+                g[:lo] = 0.0
+                g[w + 1 - top :] = 0.0
+                roots, _ = roots_of_q(g)
+                assert len(roots) == w
+                tau = np.sort_complex([a / b for a, b in roots if b != 0])
+                expect = np.sort_complex(np.roots(g[::-1]))
+                assert tau.size == expect.size == w - top
+                assert np.abs(tau - expect).max() <= 1e-12 * (1.0 + np.abs(expect).max())
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             roots_of_q([0.0, 0.0])
