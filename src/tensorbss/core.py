@@ -131,15 +131,18 @@ class SymTensor:
         return float(np.sqrt(np.sum(c * self.packed**2)))
 
     @classmethod
-    def from_dense(cls, t, tol: float = 1e-8) -> "SymTensor":
-        """Pack an (already symmetric) dense tensor; reject asymmetry beyond ``tol``."""
+    def from_dense(cls, t) -> "SymTensor":
+        """Pack an (already symmetric) dense tensor.
+
+        Rejects an entry off its symmetrization by more than ``1e-8 * max(1, max|t|)``.
+        """
         arr = _as_array(t)
         dims = set(arr.shape)
         if len(dims) > 1:
             raise ValueError("symmetric tensors need equal dimensions on every mode")
         sym = symmetrize(arr)
         scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-        if np.abs(sym.expand().array - arr).max(initial=0.0) > tol * scale:
+        if np.abs(sym.expand().array - arr).max(initial=0.0) > 1e-8 * scale:
             raise ValueError("input tensor is not symmetric within tolerance")
         return sym
 
@@ -196,10 +199,10 @@ def mode_n_unfold(t, n: int) -> np.ndarray:
     return np.moveaxis(arr, n - 1, 0).reshape(arr.shape[n - 1], -1)
 
 
-def mode_n_rank(t, n: int, eps: float = 1e-12) -> int:
+def mode_n_rank(t, n: int) -> int:
     """Numerical rank of the mode-``n`` unfolding.
 
-    Singular values above ``max(dims) * eps * sigma_1`` count; the tensor rank
+    Singular values above ``max(dims) * 1e-12 * sigma_1`` count; the tensor rank
     is never smaller than any mode rank.
     """
     arr = _as_array(t)
@@ -207,7 +210,7 @@ def mode_n_rank(t, n: int, eps: float = 1e-12) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > max(arr.shape) * eps * s[0]))
+    return int(np.sum(s > max(arr.shape) * 1e-12 * s[0]))
 
 
 def frobenius_inner(g, h) -> float:

@@ -40,6 +40,8 @@ def as_samples(z) -> np.ndarray:
         raise ValueError("samples must be a 2-D array, one observation per row")
     if z.shape[0] < 1:
         raise ValueError("at least one sample is required")
+    if z.shape[1] < 1:
+        raise ValueError("samples must have at least one column")
     if not np.all(np.isfinite(z)):
         raise ValueError("samples must be finite")
     return z

@@ -17,7 +17,6 @@ lex order, ``(d,0,..,0)`` first and ``(0,..,0,d)`` last.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -119,12 +118,12 @@ def multiplicities(nvars: int, degree: int) -> np.ndarray:
 def sorted_axes(nvars: int, degree: int) -> np.ndarray:
     """Sorted 0-based axes of every packed multi-index, row ``p`` for slot ``p``, read-only.
 
-    The rows are the ascending tuples in lexicographic order, as
-    ``combinations_with_replacement`` yields them.
+    Row ``p`` repeats each axis as often as row ``p`` of :func:`_counts`
+    counts it, so the rows are the ascending tuples in lexicographic order.
     """
-    out = np.array(
-        list(combinations_with_replacement(range(nvars), degree)), dtype=np.intp
-    ).reshape(packed_length(nvars, degree), degree)
+    counts = _counts(nvars, degree)
+    out = np.repeat(np.tile(np.arange(nvars, dtype=np.intp), len(counts)), counts.ravel())
+    out = out.reshape(len(counts), degree)
     out.setflags(write=False)
     return out
 

@@ -24,9 +24,11 @@ pair and solves them all at once: fixed tables turn each row into its
 samples or polynomial coefficients, the roots of all rows come from
 :func:`~tensorbss.core.poly_roots` (one stacked companion-matrix ``eigvals``
 call for each degree the rows have after trimming), and each row's result
-depends on that row alone.  The quadratic forms count
-their off-diagonal coefficient as zero within its rounding floor, so a pair
-diagonal up to rounding is not rotated.  The candidate with the largest
+depends on that row alone.  The quadratic forms count their off-diagonal
+coefficient and their diagonal difference as zero within the rounding floor
+of the samples each is made of, so a pair diagonal up to rounding is not
+rotated, not even by the ``pi/4`` swap that a rounding residue in its
+diagonal difference would favour.  The candidate with the largest
 restricted contrast wins, and candidates within ``1e-12`` of the best are
 ties that go to the smallest angle.  A rotation is applied only when its
 contrast gain is strictly positive, so the recorded contrast trace never
@@ -298,16 +300,18 @@ def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     if (alpha, d) in QUADRATIC_FORM_SPECS:
         # reconstruct the exact quadratic form in (cos 2phi, sin 2phi) from
         # three samples; its dominant eigenvector gives the angle, and the
-        # gain over phi = 0 has a cancellation-free closed form; b12 is zero
-        # within the rounding floor of the three samples it is made of
+        # gain over phi = 0 has a cancellation-free closed form; b12 and the
+        # diagonal difference are zero within the rounding floor of the
+        # samples each is made of
         z = _forms(vals, _SAMPLE_TABLES[d])
         if alpha == 2:
             z = z * z
         b11, b22, f = (z[:, :3] + z[:, 3:]).T
+        eps4 = 4.0 * np.finfo(float).eps
         b12 = f - 0.5 * (b11 + b22)
-        floor = 4.0 * np.finfo(float).eps * (np.abs(b11) + np.abs(b22) + np.abs(f))
-        b12[np.abs(b12) <= floor] = 0.0
+        b12[np.abs(b12) <= eps4 * (np.abs(b11) + np.abs(b22) + np.abs(f))] = 0.0
         delta = 0.5 * (b11 - b22)
+        delta[np.abs(delta) <= eps4 * (np.abs(b11) + np.abs(b22))] = 0.0
         radius = np.hypot(delta, b12)
         phi = np.where(radius > 0.0, 0.25 * np.arctan2(b12, delta), 0.0)
         gain = np.divide(b12 * b12, radius + delta, out=radius - delta, where=delta > 0.0)

@@ -82,35 +82,6 @@ def omega_criteria(c, w, sigma: float) -> tuple[float, float, float]:
     return omega0, omega_dm1, abs(lam)
 
 
-def _shifted_polish(arr, w, tol, budget):
-    """Shifted power update sharing the plain iteration's fixed points.
-
-    The plain update can settle into a period-2 orbit on indefinite
-    even-order tensors; adding ``alpha * w`` before normalizing makes the
-    ascent monotone for large enough ``alpha`` without moving any stationary
-    point, so it finishes the job whenever the plain loop stalls.
-    """
-    alpha = max(float(np.linalg.norm(arr)), 1e-12)
-    steps = 0
-    while steps < budget:
-        v = contract_to_vector(arr, w)
-        s = 1.0 if float(v @ w) >= 0 else -1.0
-        shifted = s * v + alpha * w
-        nv = np.linalg.norm(shifted)
-        if nv == 0.0:
-            alpha *= 2.0
-            continue
-        w_new = shifted / nv
-        delta = np.linalg.norm(w_new - w)
-        w = w_new
-        steps += 1
-        if delta < tol:
-            return w, steps, True
-        if steps % (budget // 4 or 1) == 0:
-            alpha *= 2.0  # slow spiral: damp harder
-    return w, steps, False
-
-
 def rayleigh_iterate(
     c,
     init,
@@ -118,14 +89,23 @@ def rayleigh_iterate(
     max_iter: int = 500,
     seed: int = 0,
 ) -> Rank1Approx:
-    """Symmetric power iteration from ``init``.
+    """Symmetric power iteration from ``init``; one update, shifted once it stalls.
 
-    Stops when consecutive iterates agree up to sign within ``tol``; a
-    vanishing contraction restarts from a perturbed vector (counted in the
-    result).  If the plain update oscillates instead of settling, a shifted
-    update with identical fixed points takes over, so returned points always
-    satisfy the stationarity relation with residual of order
-    ``tol * norm(C)``.
+    Each step is ``w <- x / norm(x)`` with ``x = v + s alpha w``, ``v = C.w^(d-1)``
+    and ``s`` the sign of ``v . w``; it stops when ``norm(w_new - s w) < tol``,
+    consecutive iterates agreeing up to sign.  The shift ``alpha`` is 0 for
+    the first ``max_iter`` steps, the plain iteration: there a contraction at
+    or below ``1e-14 * max(1, max|C|)`` restarts from a perturbed vector
+    (counted in ``restarts``), and every other step records ``|v . w|`` in
+    ``omega_d_history``.  The plain update can settle into a period-2 orbit on
+    indefinite even-order tensors, so at most ``20 * max_iter`` further steps
+    take ``alpha = max(norm(C), 1e-12)``, doubled every ``5 * max_iter`` steps:
+    the shift moves no fixed point of ``C.w^(d-1) = lambda w`` and makes the
+    ascent monotone for large enough ``alpha`` (Kolda & Mayo, *SIAM J. Matrix
+    Anal. Appl.* 2011), so returned points satisfy the stationarity relation
+    with residual of order ``tol * norm(C)``.  As ``s v . w >= 0``,
+    ``norm(x) >= alpha``, which exceeds the restart threshold: no restart
+    happens once ``alpha > 0``.
     """
     arr = _as_array(c)
     d = arr.ndim
@@ -136,29 +116,28 @@ def rayleigh_iterate(
     w = w / nrm
     rng = np.random.default_rng(seed)
     tiny = 1e-14 * max(1.0, float(np.abs(arr).max()))
-    restarts = 0
-    converged = False
-    history = []
-    it = 0
-    for it in range(1, max_iter + 1):
+    shift = max(float(np.linalg.norm(arr)), 1e-12)
+    restarts, converged, history, it = 0, False, [], 0
+    for it in range(1, 21 * max_iter + 1):
+        alpha = 0.0 if it <= max_iter else shift * 2.0 ** ((it - max_iter - 1) // (5 * max_iter))
         v = contract_to_vector(arr, w)
-        nv = np.linalg.norm(v)
-        if nv <= tiny:
+        vw = float(v @ w)
+        s = 1.0 if vw >= 0 else -1.0
+        x = v + s * alpha * w  # at alpha = 0 exactly v: the plain steps keep v's sign
+        nx = np.linalg.norm(x)
+        if nx <= tiny:
             w = w + 0.1 * rng.standard_normal(w.size)
             w /= np.linalg.norm(w)
             restarts += 1
             continue
-        w_new = v / nv
-        history.append(abs(float(v @ w)))
-        s = 1.0 if float(w_new @ w) >= 0 else -1.0
+        if alpha == 0.0:
+            history.append(abs(vw))
+        w_new = x / nx
         delta = np.linalg.norm(w_new - s * w)
         w = w_new
         if delta < tol:
             converged = True
             break
-    if not converged:
-        w, extra, converged = _shifted_polish(arr, w, tol, budget=20 * max_iter)
-        it += extra
     sign = float(lead_signs(w))
     w, sigma = w * sign, sigma_of(arr, w) * sign**d
     return Rank1Approx(

@@ -99,12 +99,12 @@ def hankel_matrix(p: BinaryQuantic, omega: int) -> np.ndarray:
     return np.array([p.gamma[r : r + omega + 1] for r in range(d - omega + 1)])
 
 
-def kernel_vectors(h: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
+def kernel_vectors(h: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, one column per direction."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
     _, s, vh = np.linalg.svd(h, full_matrices=True)
     ncols = h.shape[1]
-    cutoff = tol * s[0] if s.size and s[0] > 0 else 0.0
+    cutoff = KERNEL_TOL * s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     basis = vh[rank:].T
     return basis * lead_signs(basis)  # canonical signs for reproducibility
@@ -193,7 +193,7 @@ def _normalize_terms(weights, roots, degree):
     return tuple(terms)
 
 
-def _rref_nullspace(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _rref_nullspace(h: np.ndarray) -> np.ndarray:
     """Sparse canonical kernel basis (one vector per free column) via RREF."""
     m = np.array(h, dtype=float)
     rows, cols = m.shape
@@ -206,7 +206,7 @@ def _rref_nullspace(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         if r >= rows:
             break
         lead = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[lead, c]) <= tol * scale:
+        if abs(m[lead, c]) <= KERNEL_TOL * scale:
             continue
         m[[r, lead]] = m[[lead, r]]
         m[r] /= m[r, c]

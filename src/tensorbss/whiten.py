@@ -71,12 +71,12 @@ def detect_sources(r_y, r_v=None, threshold: float = 0.1, noise_scale: float | N
     """Count sources by the eigenvalue spectrum and build the reduced whitener.
 
     The observation covariance is noise-whitened (identity noise shape when
-    ``r_v`` is None but noise is to be estimated), eigendecomposed, and
-    eigenvalues exceeding ``sigma * (1 + threshold)`` are counted as signal.
-    When ``noise_scale`` is unknown it is taken as the mean of the discarded
-    eigenvalues, iterated to a fixed point.  Passing ``r_v=None`` and
-    ``noise_scale=0`` treats the data as noiseless and counts all numerically
-    nonzero eigenvalues.
+    ``r_v`` is None), eigendecomposed, and eigenvalues exceeding
+    ``sigma * (1 + threshold)`` are counted as signal, ``sigma`` being
+    ``noise_scale`` when given.  With ``r_v`` and no ``noise_scale``, ``sigma``
+    is the mean of the discarded eigenvalues, iterated to a fixed point.
+    With neither, the data is taken as noiseless: ``sigma = 0`` and the
+    eigenvalues above ``n * 1e-12`` times the largest count.
 
     Returns ``(P, Whitener)`` where the whitener has ``P`` rows and maps the
     observations to a P-dimensional vector whose signal part has unit

@@ -126,6 +126,11 @@ class TestCumulants:
         with pytest.raises(ValueError):
             cumulant_tensor(np.ones((1, 2)), 2)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_needs_a_column(self, d):
+        with pytest.raises(ValueError, match="at least one column"):
+            cumulant_tensor(np.zeros((10, 0)), d)
+
     def test_symmetry_exact(self):
         z = rng.standard_normal((64, 3))
         full = cumulant_tensor(z, 4).expand().array

@@ -107,7 +107,8 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
         # reconstruct the exact quadratic form in (cos 2phi, sin 2phi) from
         # three samples; its dominant eigenvector gives the angle, and the
         # gain over phi = 0 has a cancellation-free closed form.  b12 within
-        # the rounding floor of its three samples is zero
+        # the rounding floor of its three samples is zero, and so is the
+        # diagonal difference within that of its two
         b11 = base
         b22 = _restricted(vals, d, alpha, pi / 4)
         f = _restricted(vals, d, alpha, pi / 8)
@@ -115,6 +116,8 @@ def _best_angle(vals, d: int, alpha: int) -> tuple[float, float]:
         if abs(b12) <= 4.0 * np.finfo(float).eps * (abs(b11) + abs(b22) + abs(f)):
             b12 = 0.0
         delta = 0.5 * (b11 - b22)
+        if abs(delta) <= 4.0 * np.finfo(float).eps * (abs(b11) + abs(b22)):
+            delta = 0.0
         radius = np.hypot(delta, b12)
         if radius == 0.0:
             return 0.0, 0.0
@@ -911,6 +914,22 @@ class TestIcaPipeline:
         assert first.Q.tobytes() == second.Q.tobytes()
         assert first.Z.packed.tobytes() == second.Z.packed.tobytes()
         assert np.array(first.trace).tobytes() == np.array(second.trace).tobytes()
+
+    def test_rejects_samples_without_columns(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            ica(np.zeros((10, 0)))
+
+    @pytest.mark.parametrize("strategy", ["cyclic", "greedy"])
+    def test_second_order_contrast_makes_no_rounding_swaps(self, strategy):
+        # whitened data is diagonal at order 2 up to rounding, so every pair's
+        # diagonal difference is a rounding residue: counted as zero, it no
+        # longer favours a pi/4 swap for a gain of twice that residue
+        r = np.random.default_rng(1)
+        s = r.uniform(-np.sqrt(3), np.sqrt(3), size=(20_000, 16))
+        y = s @ r.standard_normal((16, 16)).T
+        _, res = ica(y, ContrastSpec(2, 2), strategy=strategy)
+        assert res.rotations == 0
+        assert res.stop_reason != "max_sweeps"
 
     def test_separator_composition(self):
         r = np.random.default_rng(37)

@@ -132,6 +132,17 @@ class TestRayleigh:
             _, o_dm1, _ = omega_criteria(c, res.w, res.sigma)
             assert o_dm1 <= 1e-8
 
+    def test_shifted_phase_converges_past_a_doubling(self):
+        # the plain phase stalls within max_iter = 5; the shifted phase then
+        # needs more than 5 * max_iter steps, so its shift is doubled at least once
+        c = symmetrize(np.random.default_rng(0).standard_normal((3,) * 4))
+        res = rayleigh_iterate(c, np.random.default_rng(1).standard_normal(3), max_iter=5)
+        assert res.converged
+        assert res.iterations > 6 * 5
+        assert len(res.omega_d_history) == 5 - res.restarts
+        _, o_dm1, _ = omega_criteria(c, res.w, res.sigma)
+        assert o_dm1 <= 1e-8 * c.norm()
+
     def test_zero_contraction_restarts(self):
         # start orthogonal to the only factor: the first contraction vanishes
         c = rank1_sym(np.array([1.0, 0.0]), 3, 1.0)

@@ -80,6 +80,15 @@ class TestDetectSources:
         p, _ = detect_sources(r, None, noise_scale=0.0)
         assert p == 4
 
+    def test_noiseless_rank_deficient(self):
+        # no noise model: the numerical rank is the source count, and the
+        # reduced whitener standardizes the covariance on its range
+        a = np.random.default_rng(13).standard_normal((5, 3))
+        ry = a @ a.T
+        p, w = detect_sources(ry)
+        assert (p, w.source_count, w.noise_variance) == (3, 3, 0.0)
+        np.testing.assert_allclose(w.T @ ry @ w.T.T, np.eye(3), atol=1e-10)
+
     def test_reduced_whitener_standardizes_signal(self):
         r = np.random.default_rng(21)
         a = r.standard_normal((6, 2))
