@@ -17,11 +17,21 @@ the remedy for the slow "swamps" of nearly collinear factors: it steps from
 the current factors along their change over the previous cycle.  The squared
 error along that line is a degree-6 polynomial in the step, assembled from
 three MTTKRPs and the factor Grams without forming a model tensor; the step
-goes to the best real root of its derivative.  The step is kept only when the
-exactly recomputed fit is strictly lower, and each block update is exact
-least squares, so the relative fit error never increases.  Factors are
-returned normalized: unit-norm columns, nonnegative weights, sign carried by
-the last factor.
+goes to the best real root of its derivative.  The step is kept only when its
+fit is strictly lower, and each block update is exact least squares, so the
+relative fit error never increases.
+
+No fit forms a model tensor either: ``norm(G - M)^2 = norm(G)^2 - 2 <G, M> +
+sum(A'A * B'B * C'C)``, with ``<G, M>`` read off the C update's MTTKRP, or off
+a line-search step's mode-1 MTTKRP, which then serves the A update.  The
+identity rounds to within ``GRAM_ROUNDING s``, ``s = max(norm(G)^2,
+sum|A'A * B'B * C'C|)``, so the initial fit, a squared error ``e`` with ``e
+norm(G)^2 <= GRAM_FIT_FLOOR s^2`` and the verdict on a step that close to the
+current fit come from the residual: a Gram fit stays within 1e-12 of it.  A
+tensor whose largest entry lies outside ``2**(+-SAFE_EXPONENT)`` is fitted
+divided by a power of two, weights multiplied back, so that no squared norm
+overflows or underflows.  Factors are returned normalized: unit-norm columns,
+nonnegative weights, sign carried by the last factor.
 """
 
 from __future__ import annotations
@@ -36,6 +46,10 @@ from .core import DenseTensor, _as_array, greedy_match, lead_signs, mode_n_unfol
 # a block update whose Gram matrix has at least this condition number is
 # solved by lstsq on the Khatri-Rao product instead of the normal equations
 GRAM_COND_LIMIT = 1e8
+# the Gram fit's limits, explained in the module docstring
+GRAM_ROUNDING = 1e-14  # its rounding error was measured at most 1.4e-15
+GRAM_FIT_FLOOR = 1e-6
+SAFE_EXPONENT = 256
 
 
 @dataclass(frozen=True)
@@ -108,38 +122,49 @@ def _scaled_factors(f: KruskalFactors) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return f.A * f.weights, f.B, f.C
 
 
-def _block_solve(unfolding: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+def _block_solve(unfolding, x, y, mttkrp) -> tuple[np.ndarray, bool]:
     """Least-squares ``m`` minimizing ``norm(unfolding - m @ khatri_rao(x, y).T)``.
 
-    Also reports whether the system was rank deficient, as ``lstsq`` judges it.
+    ``mttkrp`` is ``unfolding @ khatri_rao(x, y)``.  Also reports whether the
+    system was rank deficient, as ``lstsq`` judges it.
     """
-    kr = khatri_rao(x, y)
     gram = (x.T @ x) * (y.T @ y)
     eig = np.linalg.eigvalsh(gram)
     if eig[0] * GRAM_COND_LIMIT > eig[-1]:
-        return np.linalg.solve(gram, (unfolding @ kr).T).T, False
+        return np.linalg.solve(gram, mttkrp.T).T, False
+    kr = khatri_rao(x, y)
     sol, _, rank, _ = np.linalg.lstsq(kr, unfolding.T, rcond=None)
     return sol.T, rank < kr.shape[1]
 
 
-def als_step(g, f: KruskalFactors) -> tuple[KruskalFactors, dict]:
-    """One A/B/C refresh cycle; reports least-squares rank deficiencies."""
+def als_step(g, f: KruskalFactors, *, _unfolded=None, _mttkrp=None) -> tuple[KruskalFactors, dict]:
+    """One A/B/C refresh cycle; reports rank deficiencies and ``inner = <G, model>``.
+
+    ``als`` passes the unfoldings of ``g`` and the A update's MTTKRP, which it has.
+    """
     arr = _as_array(g)
     if arr.ndim != 3:
         raise ValueError("alternating least squares expects an order-3 tensor")
+    if _unfolded is None:
+        _unfolded = tuple(mode_n_unfold(arr, mode) for mode in (1, 2, 3))
     a, b, c = _scaled_factors(f)
     deficient = []
 
-    def solve(mode, x, y, name):
-        sol, rank_deficient = _block_solve(mode_n_unfold(arr, mode), x, y)
+    def solve(mode, x, y, name, mttkrp=None):
+        unfolding = _unfolded[mode - 1]
+        if mttkrp is None:
+            mttkrp = unfolding @ khatri_rao(x, y)
+        sol, rank_deficient = _block_solve(unfolding, x, y, mttkrp)
         if rank_deficient:
             deficient.append(name)
-        return sol
+        return sol, mttkrp
 
-    a = solve(1, b, c, "A")
-    b = solve(2, a, c, "B")
-    c = solve(3, a, b, "C")
-    return KruskalFactors(a, b, c), {"rank_deficient": deficient}
+    a, _ = solve(1, b, c, "A", _mttkrp)
+    b, _ = solve(2, a, c, "B")
+    c, mttkrp = solve(3, a, b, "C")
+    # <G, model> = sum(C * MTTKRP_3) for any C, the lstsq one included
+    inner = float(np.sum(c * mttkrp))
+    return KruskalFactors(a, b, c), {"rank_deficient": deficient, "inner": inner}
 
 
 def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -150,18 +175,21 @@ def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _line_search(arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors) -> KruskalFactors | None:
+def _line_search(
+    arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors, *, _mttkrp=None
+) -> KruskalFactors | None:
     """The factors ``f + mu (f - prev)`` whose model is closest to ``arr``.
 
     Enhanced line search for unweighted factors; ``None`` when the squared
-    error has no stationary point along the line.
+    error has no stationary point along the line.  ``_mttkrp`` is
+    ``unfolding_1 @ khatri_rao(f.B, f.C)``, when the caller has it.
     """
     a, b, c = f.A, f.B, f.C
     da, db, dc = a - prev.A, b - prev.B, c - prev.C
     unfolding = mode_n_unfold(arr, 1)
     # <G, model(mu)> = sum((A + mu dA) * (P0 + mu P1 + mu^2 P2)), P the mode-1 MTTKRPs
     mttkrp = [
-        unfolding @ khatri_rao(b, c),
+        unfolding @ khatri_rao(b, c) if _mttkrp is None else _mttkrp,
         unfolding @ (khatri_rao(db, c) + khatri_rao(b, dc)),
         unfolding @ khatri_rao(db, dc),
     ]
@@ -216,7 +244,9 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
     """Iterate ALS until the relative fit stalls; never raises on non-convergence.
 
     Returns normalized factors and the per-iteration relative fit history
-    ``norm(G - reconstruct) / norm(G)`` (first entry: the initial guess).
+    ``norm(G - reconstruct) / norm(G)`` (first entry: the initial guess), later
+    entries from the Gram identity, guarded and rescaled as the module
+    docstring says.
     """
     arr = _as_array(g)
     if arr.ndim != 3:
@@ -238,26 +268,48 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
             stacklevel=2,
         )
 
+    peak = np.max(np.abs(arr), initial=0.0)
+    exponent = 0 if 2.0**-SAFE_EXPONENT <= peak <= 2.0**SAFE_EXPONENT else int(np.frexp(peak)[1])
+    if exponent:
+        arr = np.ldexp(arr, -exponent)
     gnorm = float(np.linalg.norm(arr))
+    gsq = gnorm * gnorm
+    unfoldings = tuple(mode_n_unfold(arr, mode) for mode in (1, 2, 3))
     f = _init_factors(arr, cfg)
 
-    def fit(fac):
+    def direct_fit(fac):
         if gnorm == 0.0:
             return 0.0
         return float(np.linalg.norm(arr - reconstruct(fac).array)) / gnorm
 
-    history = [fit(f)]
-    prev = None
+    def squared_error(fac, inner):  # from inner = <G, model>; also the rounding scale
+        grams = (fac.A.T @ fac.A) * (fac.B.T @ fac.B) * (fac.C.T @ fac.C)
+        return gsq - 2.0 * inner + float(np.sum(grams)), max(gsq, float(np.sum(np.abs(grams))))
+
+    # the loop's factors are unweighted, as _init_factors, _line_search and als_step return them
+    history = [direct_fit(f)]
+    prev = sq = scale = guarded = None
     for _ in range(cfg.max_iters):
-        step = _line_search(arr, f, prev) if prev is not None else None
-        if step is not None and fit(step) < history[-1]:
-            f = step
+        mttkrp = unfoldings[0] @ khatri_rao(f.B, f.C)
+        step = _line_search(arr, f, prev, _mttkrp=mttkrp) if prev is not None else None
+        if step is not None:
+            step_mttkrp = unfoldings[0] @ khatri_rao(step.B, step.C)
+            step_sq, step_scale = squared_error(step, np.sum(step.A * step_mttkrp))
+            if abs(step_sq - sq) > GRAM_ROUNDING * (step_scale + scale):
+                keep = step_sq < sq
+            else:  # closer than the formula's rounding: compare the residuals
+                keep = direct_fit(step) < (history[-1] if guarded else direct_fit(f))
+            if keep:
+                f, mttkrp = step, step_mttkrp
         prev = f
-        f, _ = als_step(arr, f)
-        history.append(fit(f))
+        f, report = als_step(arr, f, _unfolded=unfoldings, _mttkrp=mttkrp)
+        sq, scale = squared_error(f, report["inner"])
+        guarded = sq * gsq <= GRAM_FIT_FLOOR * scale * scale
+        history.append(direct_fit(f) if guarded else float(np.sqrt(sq)) / gnorm)
         if abs(history[-2] - history[-1]) < cfg.rel_tol:
             break
-    return normalized(f), history
+    f = normalized(f)
+    return KruskalFactors(f.A, f.B, f.C, np.ldexp(f.weights, exponent)), history
 
 
 def congruence_match(f: KruskalFactors, ref: KruskalFactors) -> tuple[list[int], np.ndarray]:

@@ -106,6 +106,30 @@ def lstsq_als(arr, cfg):
     return history
 
 
+def direct_als(arr, cfg):
+    """``als`` with every fit taken from the residual through ``reconstruct``: its oracle."""
+    gnorm = float(np.linalg.norm(arr))
+    f = parafac._init_factors(arr, cfg)
+
+    def fit(fac):
+        if gnorm == 0.0:
+            return 0.0
+        return float(np.linalg.norm(arr - reconstruct(fac).array)) / gnorm
+
+    history = [fit(f)]
+    prev = None
+    for _ in range(cfg.max_iters):
+        step = parafac._line_search(arr, f, prev) if prev is not None else None
+        if step is not None and fit(step) < history[-1]:
+            f = step
+        prev = f
+        f, _ = als_step(arr, f)
+        history.append(fit(f))
+        if abs(history[-2] - history[-1]) < cfg.rel_tol:
+            break
+    return normalized(f), history
+
+
 def swamp_tensor(seed, n=20, rank=3, cosine=0.8, noise=0.01):
     """Planted unit columns with equal pairwise cosines in every mode, plus noise."""
     r = np.random.default_rng(seed)
@@ -123,7 +147,7 @@ class TestBlockSolve:
             rank = int(r.integers(1, 6))
             x, y = r.standard_normal((7, rank)), r.standard_normal((6, rank))
             unfolding = r.standard_normal((5, 42))
-            sol, deficient = _block_solve(unfolding, x, y)
+            sol, deficient = _block_solve(unfolding, x, y, unfolding @ khatri_rao(x, y))
             ref = np.linalg.lstsq(khatri_rao(x, y), unfolding.T, rcond=None)[0].T
             assert not deficient
             np.testing.assert_allclose(sol, ref, rtol=1e-10, atol=1e-12)
@@ -137,7 +161,7 @@ class TestBlockSolve:
         real = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or real(*a, **k))
         unfolding = np.arange(8.0).reshape(2, 4)
-        sol, deficient = _block_solve(unfolding, x, y)
+        sol, deficient = _block_solve(unfolding, x, y, unfolding @ khatri_rao(x, y))
         assert calls and not deficient
         np.testing.assert_allclose(
             sol, real(khatri_rao(x, y), unfolding.T, rcond=None)[0].T, rtol=1e-12
@@ -268,8 +292,8 @@ class TestAls:
         taken = []
         search = parafac._line_search
 
-        def spy(arr, f, prev):
-            step = search(arr, f, prev)
+        def spy(arr, f, prev, **cached):
+            step = search(arr, f, prev, **cached)
             taken.append(step is not None)
             return step
 
@@ -307,12 +331,98 @@ class TestAls:
         cfg = ALSConfig(rank=3, max_iters=30, rel_tol=0.0)
         histories = []
         for search in (
-            lambda arr, f, prev: None,
-            lambda arr, f, prev: KruskalFactors(f.A, f.B + 1.0, f.C),
+            lambda arr, f, prev, **cached: None,
+            lambda arr, f, prev, **cached: KruskalFactors(f.A, f.B + 1.0, f.C),
         ):
             monkeypatch.setattr(parafac, "_line_search", search)
             histories.append(als(g, cfg)[1])
         assert histories[0] == histories[1]
+
+    @pytest.mark.parametrize("case", ["swamp0", "swamp1", "swamp2", "random0", "random1"])
+    def test_gram_fit_against_direct_oracle(self, case):
+        seed = int(case[-1])
+        if case.startswith("swamp"):
+            g, cfg = swamp_tensor(seed), ALSConfig(rank=3, max_iters=1000, rel_tol=1e-10)
+        else:
+            g, cfg = np.random.default_rng(seed).standard_normal((6, 5, 4)), ALSConfig(rank=3)
+        _, ref = direct_als(g, cfg)
+        _, history = als(g, cfg)
+        assert len(history) == len(ref)
+        np.testing.assert_allclose(history, ref, rtol=0, atol=1e-12)
+
+    def test_gram_fit_after_lstsq_fallback(self, monkeypatch):
+        init = parafac._init_factors
+
+        def duplicated(arr, cfg):
+            f = init(arr, cfg)
+            b, c = f.B.copy(), f.C.copy()
+            b[:, 1], c[:, 1] = b[:, 0], c[:, 0]
+            return KruskalFactors(f.A, b, c)
+
+        monkeypatch.setattr(parafac, "_init_factors", duplicated)
+        g = np.random.default_rng(0).standard_normal((5, 4, 6))
+        cfg = ALSConfig(rank=3, max_iters=40)
+        _, ref = direct_als(g, cfg)
+        reports = []
+        step = parafac.als_step
+
+        def spy(*args, **kwargs):
+            out, report = step(*args, **kwargs)
+            reports.append(report)
+            return out, report
+
+        monkeypatch.setattr(parafac, "als_step", spy)
+        _, history = als(g, cfg)
+        assert reports[0]["rank_deficient"] == ["A", "B", "C"]
+        assert len(history) == len(ref) and min(history) > 0.5
+        np.testing.assert_allclose(history, ref, rtol=0, atol=1e-12)
+
+    def test_small_fits_come_from_the_residual(self, monkeypatch):
+        g = reconstruct(random_factors((4, 4, 4), 2, seed=101)).array
+        cfg = ALSConfig(rank=2, max_iters=500, rel_tol=1e-14)
+        _, ref = direct_als(g, cfg)
+        events = []
+
+        def spy(name):
+            fn = getattr(parafac, name)
+
+            def traced(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return traced
+
+        for name in ("reconstruct", "als_step"):
+            monkeypatch.setattr(parafac, name, spy(name))
+        _, history = als(g, cfg)
+        # entry k is direct when a reconstruct follows the k-th als_step at once
+        cycles = [i for i, e in enumerate(events) if e == "als_step"]
+        direct = np.array([i + 1 < len(events) and events[i + 1] == "reconstruct" for i in cycles])
+        h = np.array(history[1:])
+        assert len(history) == len(ref) and history[-1] <= 1e-8
+        np.testing.assert_allclose(history, ref, rtol=0, atol=1e-12)
+        assert np.all(direct[h < 1e-3]) and direct[-1]
+        assert np.any(~direct & (h < 1e-2))  # Gram fits just above the threshold
+
+    @pytest.mark.parametrize("k", [-700, -300, 300, 600])
+    def test_far_scales_fit_as_the_unit_scale(self, k):
+        g = swamp_tensor(4, n=6)
+        g = np.ldexp(g, -int(np.frexp(np.max(np.abs(g)))[1]))  # largest entry in [0.5, 1)
+        cfg = ALSConfig(rank=3, max_iters=100)
+        f0, ref = als(g, cfg)
+        f, history = als(np.ldexp(g, k), cfg)
+        assert history == ref
+        for m, m0 in zip((f.A, f.B, f.C, f.weights), (f0.A, f0.B, f0.C, np.ldexp(f0.weights, k))):
+            np.testing.assert_array_equal(m, m0)
+
+    def test_repeat_run_is_byte_identical(self):
+        g = swamp_tensor(5, n=10)
+        cfg = ALSConfig(rank=3, max_iters=200, rel_tol=1e-10)
+        runs = [als(g, cfg) for _ in range(2)]
+        (f0, h0), (f1, h1) = runs
+        assert np.array(h0).tobytes() == np.array(h1).tobytes()
+        for m0, m1 in zip((f0.A, f0.B, f0.C, f0.weights), (f1.A, f1.B, f1.C, f1.weights)):
+            assert m0.tobytes() == m1.tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",
