@@ -309,7 +309,11 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
         if abs(history[-2] - history[-1]) < cfg.rel_tol:
             break
     f = normalized(f)
-    return KruskalFactors(f.A, f.B, f.C, np.ldexp(f.weights, exponent)), history
+    with np.errstate(over="ignore"):
+        weights = np.ldexp(f.weights, exponent)
+    if not np.isfinite(weights).all():
+        raise ValueError("the weights overflow the float range")
+    return KruskalFactors(f.A, f.B, f.C, weights), history
 
 
 def congruence_match(f: KruskalFactors, ref: KruskalFactors) -> tuple[list[int], np.ndarray]:

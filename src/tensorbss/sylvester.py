@@ -9,8 +9,14 @@ generalized Vandermonde solve.  The driver ascends ``w`` from 1 and returns
 the first admissible decomposition, so the reported rank is minimal under the
 kernel-search policy documented in :func:`cand_binary`.
 
-Roots are taken over the complex numbers (conjugate pairs keep the
-reconstruction real); each decomposition records whether real forms sufficed.
+``w`` linear forms are one ``(w, 2)`` complex array of rows ``(a, b)``, taken
+over the complex numbers (conjugate pairs keep the reconstruction real) in a
+fixed order: the roots ``x = 0``, then ``y = 0``, then the sorted finite ones.
+One power matrix (:func:`_powers`), one rank rule (:func:`_rank`: singular
+values above ``KERNEL_TOL`` times the Hankel matrix's largest), one chordal
+distinctness test (:func:`_distinct`) and one realness rule
+(:func:`tensorbss.core.is_real`) serve the whole module.  The weight solve
+divides the coefficients by a power of two, so they may reach the float range.
 """
 
 from __future__ import annotations
@@ -20,12 +26,20 @@ from math import comb
 
 import numpy as np
 
-from .core import lead_signs, poly_roots
+from .core import is_real, lead_signs, poly_roots
 
 KERNEL_TOL = 1e-10
 DISTINCT_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 PENCIL_ANGLES = 181
+_ANGLES = np.linspace(0.0, np.pi, PENCIL_ANGLES)[:, None]
+_COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
+
+
+def _powers(forms, d: int) -> np.ndarray:
+    """Row ``i``, column ``k``: ``a_k^i b_k^(d-i)`` for the rows ``(a_k, b_k)`` of ``forms``."""
+    i = np.arange(d + 1)[:, None]
+    return forms[:, 0] ** i * forms[:, 1] ** (d - i)
 
 
 @dataclass(frozen=True)
@@ -38,20 +52,19 @@ class BinaryQuantic:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        g = np.asarray(self.gamma, dtype=float)
+        g = np.array(self.gamma, dtype=float)
         if g.shape != (self.degree + 1,):
-            raise ValueError(
-                f"gamma must hold degree + 1 = {self.degree + 1} coefficients, got shape {g.shape}"
-            )
-        g = g.copy()
+            raise ValueError(f"gamma must hold degree + 1 = {self.degree + 1} coefficients, "
+                             f"got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("gamma must hold finite coefficients")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
 
     def __call__(self, x: float, y: float) -> float:
         d = self.degree
-        return float(
-            sum(self.gamma[i] * comb(d, i) * x**i * y ** (d - i) for i in range(d + 1))
-        )
+        binom = np.array([comb(d, i) for i in range(d + 1)], dtype=float)
+        return float((self.gamma * binom) @ _powers(np.array([[x, y]], dtype=float), d)[:, 0])
 
     @classmethod
     def from_poly(cls, p) -> "BinaryQuantic":
@@ -64,9 +77,7 @@ class BinaryQuantic:
         from .poly import HomogPoly
 
         d = self.degree
-        return HomogPoly(
-            2, d, {(i, d - i): float(self.gamma[i]) for i in range(d + 1)}
-        )
+        return HomogPoly(2, d, {(i, d - i): float(self.gamma[i]) for i in range(d + 1)})
 
 
 @dataclass(frozen=True)
@@ -84,11 +95,8 @@ class WaringDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """Coefficient vector of ``sum_j w_j (a_j x + b_j y)^d`` in the gamma basis."""
-        d = self.degree
-        out = np.zeros(d + 1, dtype=complex)
-        for w, a, b in self.terms:
-            out += w * np.array([a**i * b ** (d - i) for i in range(d + 1)])
-        return np.real_if_close(out, tol=1e6)
+        terms = np.array(self.terms, dtype=complex).reshape(-1, 3)
+        return np.real_if_close(_powers(terms[:, 1:], self.degree) @ terms[:, 0], tol=1e6)
 
 
 def hankel_matrix(p: BinaryQuantic, omega: int) -> np.ndarray:
@@ -96,26 +104,51 @@ def hankel_matrix(p: BinaryQuantic, omega: int) -> np.ndarray:
     d = p.degree
     if not 1 <= omega <= d:
         raise ValueError(f"candidate rank must lie in 1..{d}")
-    return np.array([p.gamma[r : r + omega + 1] for r in range(d - omega + 1)])
+    return p.gamma[np.arange(d - omega + 1)[:, None] + np.arange(omega + 1)]
+
+
+def _rank(s, top) -> int:
+    """Numerical rank: how many singular values ``s`` exceed ``KERNEL_TOL * top``."""
+    return int(np.count_nonzero(s > KERNEL_TOL * top))
 
 
 def kernel_vectors(h: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, one column per direction."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
     _, s, vh = np.linalg.svd(h, full_matrices=True)
-    ncols = h.shape[1]
-    cutoff = KERNEL_TOL * s[0] if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
-    basis = vh[rank:].T
+    basis = vh[_rank(s, s.max(initial=0.0)) :].T
     return basis * lead_signs(basis)  # canonical signs for reproducibility
 
 
-def roots_of_q(g) -> tuple[list[tuple[complex, complex]], bool]:
+def _sparse_kernel(h: np.ndarray, dim: int) -> np.ndarray | None:
+    """Kernel basis with one vector per free column, ``None`` unless ``dim`` columns are free.
+
+    A column is a pivot when it raises the rank of the pivots before it.  A free
+    column's vector is 1 there and, on the pivots, minus the pivot columns'
+    least-squares solve against it, by QR: an SVD ``lstsq`` rounds exact zeros.
+    """
+    top = np.linalg.norm(h, 2)
+    pivots: list[int] = []
+    free: list[int] = []
+    for c in range(h.shape[1]):
+        s = np.linalg.svd(h[:, pivots + [c]], compute_uv=False)
+        (pivots if _rank(s, top) > len(pivots) else free).append(c)
+    if len(free) != dim:
+        return None
+    basis = np.zeros((h.shape[1], dim))
+    basis[free, range(dim)] = 1.0
+    q, r = np.linalg.qr(h[:, pivots])
+    basis[pivots] = -np.linalg.solve(r, q.T @ h[:, free])
+    return basis
+
+
+def roots_of_q(g) -> tuple[np.ndarray, bool]:
     """Projective roots of ``q(x, y) = sum_l g_l x^l y^(w-l)`` and a distinctness flag.
 
-    Roots at ``x = 0`` and ``y = 0`` come from vanishing extreme coefficients;
-    the remaining ones are the :func:`~tensorbss.core.poly_roots` of the
-    dehomogenized polynomial.  Exactly ``w`` roots (with multiplicity) are returned.
+    The roots are the rows ``(a, b)`` of a ``(w, 2)`` complex array, ``w``
+    of them with multiplicity: first ``(0, 1)`` and ``(1, 0)`` for the
+    vanishing low and high coefficients, then ``(tau, 1)`` for the
+    :func:`~tensorbss.core.poly_roots` of the dehomogenized polynomial.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     omega = g.size - 1
@@ -124,108 +157,56 @@ def roots_of_q(g) -> tuple[list[tuple[complex, complex]], bool]:
         raise ValueError("kernel vector must be nonzero")
     support = np.nonzero(np.abs(g) > 1e-13 * scale)[0]
     lo, hi = int(support[0]), int(support[-1])
-    roots: list[tuple[complex, complex]] = []
-    roots.extend([(0.0 + 0j, 1.0 + 0j)] * lo)  # x divides q
-    roots.extend([(1.0 + 0j, 0.0 + 0j)] * (omega - hi))  # y divides q
+    roots = np.ones((omega, 2), dtype=complex)
+    roots[:lo, 0] = 0.0  # x divides q
+    roots[lo : lo + omega - hi, 1] = 0.0  # y divides q
     # |g[hi]| is above 1e-13 of the largest |g|, so poly_roots trims no root of tau = x / y
-    roots.extend((complex(t), 1.0 + 0j) for t in poly_roots(g[None, lo : hi + 1])[0])
-    return roots, _all_distinct(roots)
+    roots[lo + omega - hi :, 0] = poly_roots(g[None, lo : hi + 1])[0]
+    return roots, _distinct(roots)
 
 
-def _chordal(f1, f2) -> float:
-    a1, b1 = f1
-    a2, b2 = f2
-    num = abs(a1 * b2 - a2 * b1)
-    return num / (np.hypot(abs(a1), abs(b1)) * np.hypot(abs(a2), abs(b2)))
-
-
-def _all_distinct(roots) -> bool:
-    return all(
-        _chordal(roots[i], roots[j]) > DISTINCT_TOL
-        for i in range(len(roots))
-        for j in range(i + 1, len(roots))
-    )
-
-
-def _all_real(roots) -> bool:
-    return all(
-        abs(a.imag) <= 1e-9 * (1.0 + abs(a)) and abs(b.imag) <= 1e-9 * (1.0 + abs(b))
-        for a, b in roots
-    )
+def _distinct(forms) -> bool:
+    """Whether every two rows ``(a, b)`` of ``forms`` are more than ``DISTINCT_TOL`` apart
+    in the chordal distance ``|a1 b2 - a2 b1| / (|(a1, b1)| |(a2, b2)|)``."""
+    a, b = forms[:, 0], forms[:, 1]
+    norms = np.hypot(np.abs(a), np.abs(b))
+    chord = np.abs(a[:, None] * b - a * b[:, None]) / (norms[:, None] * norms)
+    np.fill_diagonal(chord, np.inf)
+    return bool((chord > DISTINCT_TOL).all())
 
 
 def solve_weights(p: BinaryQuantic, forms) -> tuple[np.ndarray, float]:
     """Weights matching coefficients of ``p`` against the forms' d-th powers.
 
     Solves the generalized Vandermonde system in the least-squares sense and
-    reports the relative residual; proportional forms make the system
-    singular and are rejected.  Each form enters the system scaled to
-    max(|a|, |b|) = 1, so a root far from the origin does not swamp the
-    columns, and the returned weight absorbs the d-th power of that scale.
+    reports the relative residual; proportional forms raise ``ValueError``, a
+    rank-deficient system ``LinAlgError``.  Each form enters scaled to
+    max(|a|, |b|) = 1, so a far root does not swamp the columns, and the
+    coefficients divided by a power of two, which is exact; the weights absorb
+    both scales, and weights beyond the float range raise ``ValueError``.
     """
     d = p.degree
-    forms = [(complex(a), complex(b)) for a, b in forms]
-    if not _all_distinct(forms):
+    forms = np.asarray(forms, dtype=complex).reshape(-1, 2)
+    if not _distinct(forms):
         raise ValueError("forms must be pairwise non-proportional")
-    scales = np.array([max(abs(a), abs(b)) for a, b in forms])
-    v = np.array(
-        [[(a / m) ** i * (b / m) ** (d - i) for (a, b), m in zip(forms, scales)]
-         for i in range(d + 1)]
-    )
-    weights, _, rank, _ = np.linalg.lstsq(v, p.gamma.astype(complex), rcond=None)
+    scales = np.abs(forms).max(axis=1)
+    v = _powers(forms / scales[:, None], d)
+    exponent = int(np.frexp(np.abs(p.gamma).max())[1])
+    gamma = np.ldexp(p.gamma, -exponent)
+    weights, _, rank, _ = np.linalg.lstsq(v, gamma.astype(complex), rcond=None)
     if rank < len(forms):
-        raise ValueError("singular weight system: forms too close to proportional")
-    scale = float(np.linalg.norm(p.gamma))
-    residual = float(np.linalg.norm(v @ weights - p.gamma)) / (scale if scale > 0 else 1.0)
-    return weights / scales**d, residual
+        raise np.linalg.LinAlgError("singular weight system: forms too close to proportional")
+    scale = float(np.linalg.norm(gamma))
+    residual = float(np.linalg.norm(v @ weights - gamma)) / (scale if scale > 0 else 1.0)
+    with np.errstate(over="ignore"):
+        weights = np.ldexp((weights / scales**d).view(float), exponent).view(complex)
+    if not np.isfinite(weights).all():
+        raise ValueError("the weights overflow the float range")
+    return weights, residual
 
 
-def _normalize_terms(weights, roots, degree):
-    """Scale each form so max(|a|, |b|) = 1 with a positive real leading
-    component; the weight absorbs the d-th power of the scaling."""
-    terms = []
-    for w, (a, b) in zip(weights, roots):
-        m = max(abs(a), abs(b))
-        lead = a if abs(a) > 1e-10 * m else b
-        phase = lead / abs(lead)
-        u = np.conj(phase) / m
-        terms.append((complex(w / u**degree), complex(a * u), complex(b * u)))
-    return tuple(terms)
-
-
-def _rref_nullspace(h: np.ndarray) -> np.ndarray:
-    """Sparse canonical kernel basis (one vector per free column) via RREF."""
-    m = np.array(h, dtype=float)
-    rows, cols = m.shape
-    scale = np.abs(m).max(initial=0.0)
-    if scale == 0.0:
-        return np.eye(cols)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        lead = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[lead, c]) <= KERNEL_TOL * scale:
-            continue
-        m[[r, lead]] = m[[lead, r]]
-        m[r] /= m[r, c]
-        for other in range(rows):
-            if other != r:
-                m[other] -= m[other, c] * m[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1.0
-        for rr, pc in enumerate(pivots):
-            basis[pc, k] = -m[rr, fc]
-    return basis
-
-
-def _kernel_candidates(h: np.ndarray, basis: np.ndarray):
-    """Deterministic sequence of kernel vectors to try for distinct roots.
+def _kernel_candidates(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Deterministic sequence of kernel vectors to try for distinct roots, one per row.
 
     Dimension 1: the vector itself.  Dimension 2: a 1-parameter pencil over a
     fixed grid of angles (any admissible member is a valid decomposition, the
@@ -235,31 +216,17 @@ def _kernel_candidates(h: np.ndarray, basis: np.ndarray):
     """
     dim = basis.shape[1]
     if dim == 1:
-        yield basis[:, 0]
-        return
-    angles = np.linspace(0.0, np.pi, PENCIL_ANGLES)
+        return basis.T
+    sparse = _sparse_kernel(h, dim) if dim >= 3 else None
+    cols = basis.T if sparse is None else sparse.T
+    i, j = np.nonzero(np.arange(dim)[:, None] < np.arange(dim))  # the pairs i < j in order
+    pencils = _COS * cols[i][:, None] + _SIN * cols[j][:, None]
+    pencils = pencils.reshape(-1, cols.shape[1])
     if dim == 2:
-        b1, b2 = basis[:, 0], basis[:, 1]
-        for t in angles:
-            yield np.cos(t) * b1 + np.sin(t) * b2
-        return
-    sparse = _rref_nullspace(h)
-    if sparse.shape[1] != dim:
-        sparse = basis
-    cols = [sparse[:, k] for k in range(sparse.shape[1])]
-    for v in cols:
-        yield v
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            yield cols[i] + cols[j]
-            yield cols[i] - cols[j]
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            for t in angles:
-                yield np.cos(t) * cols[i] + np.sin(t) * cols[j]
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        yield basis @ rng.standard_normal(dim)
+        return pencils
+    sums = np.stack([cols[i] + cols[j], cols[i] - cols[j]], axis=1).reshape(-1, cols.shape[1])
+    spread = np.random.default_rng(0).standard_normal((20, dim)) @ basis.T
+    return np.concatenate([cols, sums, pencils, spread])
 
 
 class NoDecompositionError(ValueError):
@@ -274,10 +241,10 @@ def cand_binary(p: BinaryQuantic) -> WaringDecomposition:
     above, candidates whose roots are all real take precedence over complex
     ones; the 1- and 2-dimensional cases accept the first candidate with
     distinct roots.  The returned decomposition reproduces the coefficients
-    to a relative residual of 1e-8 or better.
+    to a relative residual of 1e-8 or better.  Weights beyond the float range
+    raise ``ValueError``.
     """
-    scale = np.abs(p.gamma).max(initial=0.0)
-    if scale == 0.0:
+    if not np.abs(p.gamma).max(initial=0.0):
         raise ValueError("the zero form has no decomposition")
     for omega in range(1, p.degree + 1):
         h = hankel_matrix(p, omega)
@@ -287,45 +254,38 @@ def cand_binary(p: BinaryQuantic) -> WaringDecomposition:
         prefer_real = basis.shape[1] >= 3
         fallback = None
         for g in _kernel_candidates(h, basis):
-            if np.abs(g).max(initial=0.0) == 0.0:
-                continue
             roots, distinct = roots_of_q(g)
-            if not distinct:
-                continue
-            candidate = _assemble(p, roots)
-            if candidate is None:
-                continue
-            if not prefer_real or candidate.field == "real":
+            candidate = _assemble(p, roots) if distinct else None
+            if candidate is not None and (not prefer_real or candidate.field == "real"):
                 return candidate
-            if fallback is None:
-                fallback = candidate
+            fallback = fallback or candidate
         if fallback is not None:
             return fallback
-    raise NoDecompositionError(
-        f"no decomposition with distinct forms found for degree {p.degree} "
-        "within the degree bound"
-    )
+    raise NoDecompositionError(f"no decomposition with distinct forms found for degree "
+                               f"{p.degree} within the degree bound")
 
 
-def _assemble(p: BinaryQuantic, roots) -> WaringDecomposition | None:
+def _assemble(p: BinaryQuantic, forms: np.ndarray) -> WaringDecomposition | None:
+    """The decomposition over ``forms``, or ``None`` if their weights miss ``p``; each form
+    scaled to max(|a|, |b|) = 1 with a positive real leading entry, the weight absorbing it."""
     try:
-        weights, residual = solve_weights(p, roots)
-    except ValueError:
+        weights, residual = solve_weights(p, forms)
+    except np.linalg.LinAlgError:
         return None
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         return None
-    terms = _normalize_terms(weights, roots, p.degree)
-    is_real = _all_real([(a, b) for _, a, b in terms]) and all(
-        abs(w.imag) <= 1e-9 * (1.0 + abs(w)) for w, _, _ in terms
-    )
-    if is_real:
-        terms = tuple(
-            (complex(w.real), complex(a.real), complex(b.real)) for w, a, b in terms
-        )
+    m = np.abs(forms).max(axis=1)
+    lead = np.where(np.abs(forms[:, 0]) > 1e-10 * m, forms[:, 0], forms[:, 1])
+    u = np.conj(lead / np.abs(lead)) / m
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.column_stack([weights / u**p.degree, forms * u[:, None]])
+    if not np.isfinite(terms).all():
+        raise ValueError("the weights overflow the float range")
+    real = bool(is_real(terms).all())
     return WaringDecomposition(
         degree=p.degree,
-        terms=terms,
-        field="real" if is_real else "complex",
+        terms=tuple(map(tuple, (terms.real.astype(complex) if real else terms).tolist())),
+        field="real" if real else "complex",
         residual=residual,
     )
 
@@ -335,6 +295,4 @@ def generic_rank_binary(d: int) -> tuple[int, int]:
     unique kernel vector, even degrees a 2-dimensional pencil."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if d % 2 == 1:
-        return (d + 1) // 2, 1
-    return d // 2 + 1, 2
+    return ((d + 1) // 2, 1) if d % 2 else (d // 2 + 1, 2)

@@ -616,6 +616,32 @@ class TestCliRoundTrips:
         dec = load_json(dpath)
         assert dec["rank"] == 3 and dec["field"] == "real"
 
+    @pytest.mark.parametrize("gamma", ["[1e200, -3e200, 2e200, 5e199]", "[1e308, 1e308, 0, 1e308]"])
+    def test_sylvester_huge_coefficients(self, tmp_path, capsys, gamma):
+        # the weight solve works on the coefficients divided by a power of two
+        qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"
+        qpath.write_text(f'{{"degree": 3, "gamma": {gamma}}}')
+        assert self.run("sylvester", "--in", str(qpath), "--out", str(dpath)) == 0
+        assert capsys.readouterr().err == ""
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        dec = json.loads(dpath.read_text(), parse_constant=refuse)
+        assert dec["rank"] == 2 and 0.0 <= dec["residual"] <= 1e-8
+
+    def test_parafac_weight_overflow_exits_2(self, tmp_path, capsys):
+        tpath, out = tmp_path / "t.json", tmp_path / "f.json"
+        tpath.write_text(
+            '{"dims": [2, 2, 2], "data": [1e308, -1.7e308, 1e308, 0, 0, 5e307, 0, 1.7e308]}'
+        )
+        assert self.run("parafac", "--rank", "1", "--in", str(tpath), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "the weights overflow the float range"}
+        assert not out.exists()
+
     def test_rank1_command(self, tmp_path):
         from tensorbss.core import rank1_sym
 

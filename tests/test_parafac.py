@@ -415,6 +415,12 @@ class TestAls:
         for m, m0 in zip((f.A, f.B, f.C, f.weights), (f0.A, f0.B, f0.C, np.ldexp(f0.weights, k))):
             np.testing.assert_array_equal(m, m0)
 
+    def test_weight_beyond_the_float_range_refused(self):
+        # finite entries whose rank-1 weight exceeds the largest float
+        g = np.array([1e308, -1.7e308, 1e308, 0, 0, 5e307, 0, 1.7e308]).reshape(2, 2, 2)
+        with pytest.raises(ValueError, match="overflow the float range"):
+            als(g, ALSConfig(rank=1, max_iters=50))
+
     def test_repeat_run_is_byte_identical(self):
         g = swamp_tensor(5, n=10)
         cfg = ALSConfig(rank=3, max_iters=200, rel_tol=1e-10)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tensorbss.sylvester import (
+    DISTINCT_TOL,
+    KERNEL_TOL,
     BinaryQuantic,
     NoDecompositionError,
     WaringDecomposition,
@@ -11,6 +13,9 @@ from tensorbss.sylvester import (
     kernel_vectors,
     roots_of_q,
     solve_weights,
+    _distinct,
+    _kernel_candidates,
+    _sparse_kernel,
 )
 from tensorbss.tables import generic_rank, orbit_class, orbit_polynomial
 
@@ -106,6 +111,12 @@ class TestRoots:
         roots, distinct = roots_of_q([0.0, 0.0, 1.0])
         assert not distinct
         assert len(roots) == 2
+
+    def test_root_order(self):
+        # x = 0 roots first, then y = 0 roots, then the finite ones
+        roots, distinct = roots_of_q([0.0, 0.0, 1.0, 1.0, 0.0])  # x^2 y (x + y)
+        np.testing.assert_array_equal(roots, [[0, 1], [0, 1], [1, 0], [-1, 1]])
+        assert roots.dtype == complex and not distinct
 
     def test_random_roots_annihilate_q(self):
         g = rng.standard_normal(4)
@@ -240,13 +251,134 @@ class TestCandBinary:
         assert dec.rank == 1
         np.testing.assert_allclose(dec.reconstruct(), [2.0, 3.0], atol=1e-12)
 
+    def test_sum_of_fourth_powers_is_real(self):
+        dec = cand_binary(BinaryQuantic(4, [1.0, 0.0, 0.0, 0.0, 1.0]))  # x^4 + y^4
+        assert dec.rank == 2 and dec.field == "real"
+        assert_same_decomposition(dec.terms, [(1.0, 1.0, 0.0), (1.0, 0.0, 1.0)], d=4)
+
     def test_complex_field_recorded(self):
-        # x^4 + y^4 needs complex forms at its rank
-        dec = cand_binary(BinaryQuantic(4, [1.0, 0.0, 0.0, 0.0, 1.0]))
-        rec = dec.reconstruct()
-        np.testing.assert_allclose(np.real(rec), [1, 0, 0, 0, 1], atol=1e-8)
-        assert dec.field in ("real", "complex")
-        assert np.abs(np.imag(np.asarray(rec, dtype=complex))).max() <= 1e-8
+        # x^3 - 3 x y^2 = Re((x + iy)^3) needs the conjugate forms (1, +-i)
+        dec = cand_binary(BinaryQuantic(3, [0.0, -1.0, 0.0, 1.0]))
+        assert dec.rank == 2 and dec.field == "complex"
+        assert_same_decomposition(dec.terms, [(0.5, 1.0, 1j), (0.5, 1.0, -1j)], d=3, tol=1e-12)
+        np.testing.assert_allclose(dec.reconstruct(), [0.0, -1.0, 0.0, 1.0], atol=1e-12)
+
+    def test_non_finite_coefficients_refused(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BinaryQuantic(3, [bad, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("k", [-990, -300, 300, 1020])
+    def test_far_scales_decompose_as_the_unit_scale(self, k):
+        # the weight solve divides by a power of two, which is exact
+        gamma = np.array([1.0, -3.0, 2.0, 0.5])
+        ref = cand_binary(BinaryQuantic(3, gamma))
+        dec = cand_binary(BinaryQuantic(3, np.ldexp(gamma, k)))
+        assert (dec.rank, dec.field) == (ref.rank, ref.field)
+        assert dec.residual <= 1e-8
+        for (w, a, b), (w0, a0, b0) in zip(dec.terms, ref.terms):
+            assert abs(a - a0) <= 1e-15 and abs(b - b0) <= 1e-15
+            assert abs(w - w0 * 2.0**k) <= 1e-14 * abs(w0 * 2.0**k)
+
+    def test_weights_beyond_the_float_range_refused(self):
+        # nearly proportional forms: the weights are about 3e310
+        forms = [(1.0, 1.0), (1.0, 1.001)]
+        diff = np.array([1.0 - 1.001 ** (3 - i) for i in range(4)])  # x^i y^(3-i) per form
+        p = BinaryQuantic(3, 1e308 * diff / np.abs(diff).max())
+        with pytest.raises(ValueError, match="overflow the float range"):
+            solve_weights(p, forms)
+        with pytest.raises(ValueError, match="overflow the float range"):
+            cand_binary(p)
+
+
+def rref_nullspace(h):
+    """Sparse kernel basis by Gauss-Jordan elimination, pivots cut at KERNEL_TOL * max|h|."""
+    m = np.array(h, dtype=float)
+    rows, cols = m.shape
+    scale = np.abs(m).max(initial=0.0)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        lead = r + int(np.argmax(np.abs(m[r:, c])))
+        if abs(m[lead, c]) <= KERNEL_TOL * scale:
+            continue
+        m[[r, lead]] = m[[lead, r]]
+        m[r] /= m[r, c]
+        for other in range(rows):
+            if other != r:
+                m[other] -= m[other, c] * m[r]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)))
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1.0
+        for rr, pc in enumerate(pivots):
+            basis[pc, k] = -m[rr, fc]
+    return basis
+
+
+def chordal_distinct(forms):
+    """Pairwise non-proportionality, one chordal distance per pair."""
+    def chordal(f1, f2):
+        (a1, b1), (a2, b2) = f1, f2
+        num = abs(a1 * b2 - a2 * b1)
+        return num / (np.hypot(abs(a1), abs(b1)) * np.hypot(abs(a2), abs(b2)))
+
+    forms = [(complex(a), complex(b)) for a, b in forms]
+    return all(
+        chordal(forms[i], forms[j]) > DISTINCT_TOL
+        for i in range(len(forms))
+        for j in range(i + 1, len(forms))
+    )
+
+
+def integer_quantics(count=60):
+    r = np.random.default_rng(2718)
+    for k in range(count):
+        d = 4 + k % 7
+        g = r.integers(-1, 2, size=d + 1).astype(float)
+        if np.any(g):
+            yield BinaryQuantic(d, g)
+
+
+class TestOracles:
+    def test_sparse_kernel_matches_elimination(self):
+        checked = 0
+        for p in integer_quantics():
+            for omega in range(1, p.degree + 1):
+                h = hankel_matrix(p, omega)
+                dim = kernel_vectors(h).shape[1]
+                if dim < 3:
+                    continue
+                sparse = _sparse_kernel(h, dim)
+                assert sparse is not None
+                np.testing.assert_allclose(sparse, rref_nullspace(h), rtol=0, atol=1e-11)
+                checked += 1
+        assert checked >= 100
+
+    def test_distinct_matches_pairwise_loop(self):
+        flags = []
+        for p in integer_quantics():
+            for omega in range(1, p.degree + 1):
+                h = hankel_matrix(p, omega)
+                basis = kernel_vectors(h)
+                if basis.shape[1] == 0:
+                    continue
+                for g in _kernel_candidates(h, basis)[:40]:
+                    roots, distinct = roots_of_q(g)
+                    assert distinct == chordal_distinct(roots)
+                    flags.append(distinct)
+        assert any(flags) and not all(flags)
+
+    def test_distinct_at_the_tolerance(self):
+        r = np.random.default_rng(5)
+        for _ in range(200):
+            forms = r.standard_normal((4, 2)) + 1j * r.standard_normal((4, 2)) * (r.random() < 0.5)
+            forms[3] = forms[0] * (2.0 + 1e-8 * r.standard_normal(2))  # within about DISTINCT_TOL
+            assert _distinct(forms) == chordal_distinct(forms)
 
 
 class TestGenericRankBinary:
