@@ -9,17 +9,21 @@ that Gram matrix is ill-conditioned (condition number at least
 ``GRAM_COND_LIMIT``, from its eigenvalues) the update falls back to ``lstsq``
 on the Khatri-Rao product itself, which also decides rank deficiency; every
 system ``lstsq`` calls rank deficient has a far larger Gram condition number,
-so it always takes the fallback.
+so it always takes the fallback.  Each factor's Gram ``m.T @ m`` is formed
+once, right after its update, and serves the next block updates and the fit.
+The ``svd`` initial guess takes each mode's leading left singular vectors
+from ``R^T``, with ``Q R`` the QR of the transposed unfolding: it has the
+same singular values and left vectors.
 
-Before every cycle after the first, the iteration tries an enhanced
-line search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008),
-the remedy for the slow "swamps" of nearly collinear factors: it steps from
-the current factors along their change over the previous cycle.  The squared
+Before every cycle after the first, the iteration tries an enhanced line
+search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008), the
+remedy for the slow "swamps" of nearly collinear factors: it steps from the
+current factors along their change over the previous cycle.  The squared
 error along that line is a degree-6 polynomial in the step, assembled from
-three MTTKRPs and the factor Grams without forming a model tensor; the step
-goes to the best real root of its derivative.  The step is kept only when its
-fit is strictly lower, and each block update is exact least squares, so the
-relative fit error never increases.
+three MTTKRPs and one Gram of ``[m, dm]`` per factor ``m`` without forming a
+model tensor; the step goes to the best real root of its derivative.  The
+step is kept only when its fit is strictly lower, and each block update is
+exact least squares, so the relative fit error never increases.
 
 No fit forms a model tensor either: ``norm(G - M)^2 = norm(G)^2 - 2 <G, M> +
 sum(A'A * B'B * C'C)``, with ``<G, M>`` read off the C update's MTTKRP, or off
@@ -107,7 +111,7 @@ def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     if x.shape[1] != y.shape[1]:
         raise ValueError("operands must share their column count")
-    return (x[:, None, :] * y[None, :, :]).reshape(x.shape[0] * y.shape[0], x.shape[1])
+    return np.einsum("jr,kr->jkr", x, y).reshape(x.shape[0] * y.shape[0], x.shape[1])
 
 
 def reconstruct(f: KruskalFactors) -> DenseTensor:
@@ -122,13 +126,12 @@ def _scaled_factors(f: KruskalFactors) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return f.A * f.weights, f.B, f.C
 
 
-def _block_solve(unfolding, x, y, mttkrp) -> tuple[np.ndarray, bool]:
+def _block_solve(unfolding, x, y, mttkrp, gram) -> tuple[np.ndarray, bool]:
     """Least-squares ``m`` minimizing ``norm(unfolding - m @ khatri_rao(x, y).T)``.
 
-    ``mttkrp`` is ``unfolding @ khatri_rao(x, y)``.  Also reports whether the
-    system was rank deficient, as ``lstsq`` judges it.
+    ``mttkrp`` and ``gram`` are ``unfolding @ khatri_rao(x, y)`` and ``x.T @ x * y.T @ y``.
+    Also reports whether the system was rank deficient, as ``lstsq`` judges it.
     """
-    gram = (x.T @ x) * (y.T @ y)
     eig = np.linalg.eigvalsh(gram)
     if eig[0] * GRAM_COND_LIMIT > eig[-1]:
         return np.linalg.solve(gram, mttkrp.T).T, False
@@ -137,10 +140,12 @@ def _block_solve(unfolding, x, y, mttkrp) -> tuple[np.ndarray, bool]:
     return sol.T, rank < kr.shape[1]
 
 
-def als_step(g, f: KruskalFactors, *, _unfolded=None, _mttkrp=None) -> tuple[KruskalFactors, dict]:
-    """One A/B/C refresh cycle; reports rank deficiencies and ``inner = <G, model>``.
+def als_step(
+    g, f: KruskalFactors, *, _unfolded=None, _mttkrp=None, _grams=None
+) -> tuple[KruskalFactors, dict]:
+    """One A/B/C refresh cycle; reports rank deficiencies, ``inner = <G, model>``, ``grams``.
 
-    ``als`` passes the unfoldings of ``g`` and the A update's MTTKRP, which it has.
+    ``als`` passes the unfoldings of ``g``, the A update's MTTKRP and f's Grams, which it has.
     """
     arr = _as_array(g)
     if arr.ndim != 3:
@@ -148,23 +153,25 @@ def als_step(g, f: KruskalFactors, *, _unfolded=None, _mttkrp=None) -> tuple[Kru
     if _unfolded is None:
         _unfolded = tuple(mode_n_unfold(arr, mode) for mode in (1, 2, 3))
     a, b, c = _scaled_factors(f)
+    _, gb, gc = _grams if _grams is not None else (None, b.T @ b, c.T @ c)
     deficient = []
 
-    def solve(mode, x, y, name, mttkrp=None):
+    def solve(mode, x, y, gx, gy, name, mttkrp=None):
         unfolding = _unfolded[mode - 1]
         if mttkrp is None:
             mttkrp = unfolding @ khatri_rao(x, y)
-        sol, rank_deficient = _block_solve(unfolding, x, y, mttkrp)
+        sol, rank_deficient = _block_solve(unfolding, x, y, mttkrp, gx * gy)
         if rank_deficient:
             deficient.append(name)
-        return sol, mttkrp
+        return sol, sol.T @ sol, mttkrp
 
-    a, _ = solve(1, b, c, "A", _mttkrp)
-    b, _ = solve(2, a, c, "B")
-    c, mttkrp = solve(3, a, b, "C")
+    a, ga, _ = solve(1, b, c, gb, gc, "A", _mttkrp)
+    b, gb, _ = solve(2, a, c, ga, gc, "B")
+    c, gc, mttkrp = solve(3, a, b, ga, gb, "C")
     # <G, model> = sum(C * MTTKRP_3) for any C, the lstsq one included
     inner = float(np.sum(c * mttkrp))
-    return KruskalFactors(a, b, c), {"rank_deficient": deficient, "inner": inner}
+    report = {"rank_deficient": deficient, "inner": inner, "grams": (ga, gb, gc)}
+    return KruskalFactors(a, b, c), report
 
 
 def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -176,17 +183,17 @@ def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _line_search(
-    arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors, *, _mttkrp=None
+    arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors, *, _unfolded=None, _mttkrp=None
 ) -> KruskalFactors | None:
     """The factors ``f + mu (f - prev)`` whose model is closest to ``arr``.
 
     Enhanced line search for unweighted factors; ``None`` when the squared
-    error has no stationary point along the line.  ``_mttkrp`` is
-    ``unfolding_1 @ khatri_rao(f.B, f.C)``, when the caller has it.
+    error has no stationary point along the line.  ``als`` passes the unfoldings of
+    ``arr`` and the mode-1 MTTKRP ``unfolding_1 @ khatri_rao(f.B, f.C)``, which it has.
     """
     a, b, c = f.A, f.B, f.C
     da, db, dc = a - prev.A, b - prev.B, c - prev.C
-    unfolding = mode_n_unfold(arr, 1)
+    unfolding = mode_n_unfold(arr, 1) if _unfolded is None else _unfolded[0]
     # <G, model(mu)> = sum((A + mu dA) * (P0 + mu P1 + mu^2 P2)), P the mode-1 MTTKRPs
     mttkrp = [
         unfolding @ khatri_rao(b, c) if _mttkrp is None else _mttkrp,
@@ -198,9 +205,10 @@ def _line_search(
         cross[k] += np.sum(a * p)
         cross[k + 1] += np.sum(da * p)
     # norm(model(mu))^2 = sum(GA(mu) * GB(mu) * GC(mu)), each Gram quadratic in mu
-    grams = [
-        np.stack([m.T @ m, m.T @ d + d.T @ m, d.T @ d]) for m, d in ((a, da), (b, db), (c, dc))
-    ]
+    grams = []
+    for h in (np.hstack([m, d]) for m, d in ((a, da), (b, db), (c, dc))):
+        h = (h.T @ h).reshape(2, a.shape[1], 2, a.shape[1])  # [[m'm, m'd], [d'm, d'd]]
+        grams.append(np.stack([h[0, :, 0], h[0, :, 1] + h[1, :, 0], h[1, :, 1]]))
     # the squared error along the line, less its constant norm(G)^2
     err = _poly_product(_poly_product(grams[0], grams[1]), grams[2]).sum(axis=(1, 2))
     err[:4] -= 2.0 * cross
@@ -215,17 +223,12 @@ def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> KruskalFactors:
     rng = np.random.default_rng(cfg.seed)
     mats = []
     for mode in range(3):
-        n = arr.shape[mode]
-        if cfg.init == "svd":
-            u, s, _ = np.linalg.svd(mode_n_unfold(arr, mode + 1), full_matrices=False)
-            usable = min(cfg.rank, u.shape[1], int(np.sum(s > s[0] * 1e-12)) if s.size else 0)
-            m = np.empty((n, cfg.rank))
-            m[:, :usable] = u[:, :usable]
-            if usable < cfg.rank:
-                m[:, usable:] = rng.standard_normal((n, cfg.rank - usable))
-        else:
-            m = rng.standard_normal((n, cfg.rank))
-        mats.append(m)
+        u = np.empty((arr.shape[mode], 0))
+        if cfg.init == "svd":  # U^T = Q R: R^T has the unfolding's singular values and U
+            r = np.linalg.qr(mode_n_unfold(arr, mode + 1).T, mode="r")
+            u, s, _ = np.linalg.svd(r.T, full_matrices=False)
+            u = u[:, : min(cfg.rank, int(np.sum(s > s[:1] * 1e-12)))]
+        mats.append(np.hstack([u, rng.standard_normal((u.shape[0], cfg.rank - u.shape[1]))]))
     return KruskalFactors(*mats)
 
 
@@ -282,28 +285,30 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
             return 0.0
         return float(np.linalg.norm(arr - reconstruct(fac).array)) / gnorm
 
-    def squared_error(fac, inner):  # from inner = <G, model>; also the rounding scale
-        grams = (fac.A.T @ fac.A) * (fac.B.T @ fac.B) * (fac.C.T @ fac.C)
-        return gsq - 2.0 * inner + float(np.sum(grams)), max(gsq, float(np.sum(np.abs(grams))))
+    def squared_error(grams, inner):  # from the factor Grams and inner = <G, model>
+        prod = grams[0] * grams[1] * grams[2]  # also returns the rounding scale
+        return gsq - 2.0 * inner + float(np.sum(prod)), max(gsq, float(np.sum(np.abs(prod))))
 
     # the loop's factors are unweighted, as _init_factors, _line_search and als_step return them
     history = [direct_fit(f)]
-    prev = sq = scale = guarded = None
+    prev = sq = scale = guarded = grams = None
     for _ in range(cfg.max_iters):
         mttkrp = unfoldings[0] @ khatri_rao(f.B, f.C)
-        step = _line_search(arr, f, prev, _mttkrp=mttkrp) if prev is not None else None
+        step = _line_search(arr, f, prev, _unfolded=unfoldings, _mttkrp=mttkrp) if prev else None
         if step is not None:
             step_mttkrp = unfoldings[0] @ khatri_rao(step.B, step.C)
-            step_sq, step_scale = squared_error(step, np.sum(step.A * step_mttkrp))
+            step_grams = tuple(m.T @ m for m in (step.A, step.B, step.C))
+            step_sq, step_scale = squared_error(step_grams, np.sum(step.A * step_mttkrp))
             if abs(step_sq - sq) > GRAM_ROUNDING * (step_scale + scale):
                 keep = step_sq < sq
             else:  # closer than the formula's rounding: compare the residuals
                 keep = direct_fit(step) < (history[-1] if guarded else direct_fit(f))
             if keep:
-                f, mttkrp = step, step_mttkrp
+                f, mttkrp, grams = step, step_mttkrp, step_grams
         prev = f
-        f, report = als_step(arr, f, _unfolded=unfoldings, _mttkrp=mttkrp)
-        sq, scale = squared_error(f, report["inner"])
+        f, report = als_step(arr, f, _unfolded=unfoldings, _mttkrp=mttkrp, _grams=grams)
+        grams = report["grams"]
+        sq, scale = squared_error(grams, report["inner"])
         guarded = sq * gsq <= GRAM_FIT_FLOOR * scale * scale
         history.append(direct_fit(f) if guarded else float(np.sqrt(sq)) / gnorm)
         if abs(history[-2] - history[-1]) < cfg.rel_tol:

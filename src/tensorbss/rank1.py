@@ -5,7 +5,9 @@ vector and renormalizes; its fixed points satisfy ``C . w^(d-1) = lambda w``.
 Minimizing the approximation error ``|C - sigma w^..^w|`` is equivalent to
 maximizing the full contraction ``|C . w^d|``, and the two criteria satisfy
 the exact identity ``err^2 + contraction^2 = |C|^2`` at ``sigma`` equal to
-the full contraction.
+the full contraction.  Every contraction, in ``contract_to_vector`` and in the
+iteration, is one matrix-vector product per contracted axis, with the tensor
+read as an ``(n^(d-1), n)`` matrix.
 """
 
 from __future__ import annotations
@@ -49,16 +51,20 @@ class Rank1Approx:
         )
 
 
+def _contract(arr: np.ndarray, w: np.ndarray, times: int) -> np.ndarray:
+    """``arr`` contracted ``times`` times with ``w``, each time as a ``(-1, w.size)`` matrix."""
+    for _ in range(times):
+        arr = arr.reshape(-1, w.size) @ w
+    return arr
+
+
 def contract_to_vector(c, w) -> np.ndarray:
     """``C`` contracted ``d - 1`` times with ``w``; matrix-vector product at d = 2."""
     arr = _as_array(c)
     w = np.asarray(w, dtype=float).reshape(-1)
-    if np.linalg.norm(w) == 0.0:
-        raise ValueError("contraction vector must be nonzero")
-    out = arr
-    for _ in range(arr.ndim - 1):
-        out = out @ w
-    return out
+    if np.linalg.norm(w) == 0.0 or arr.shape[1:] != (w.size,) * (arr.ndim - 1):
+        raise ValueError("contraction vector must be nonzero and match the tensor's last axes")
+    return _contract(arr, w, arr.ndim - 1)
 
 
 def sigma_of(c, w) -> float:
@@ -111,31 +117,32 @@ def rayleigh_iterate(
     d = arr.ndim
     w = np.asarray(init, dtype=float).reshape(-1)
     nrm = np.linalg.norm(w)
-    if nrm == 0.0:
-        raise ValueError("initial vector must be nonzero")
+    if nrm == 0.0 or arr.shape != (w.size,) * d:
+        raise ValueError("initial vector must be nonzero and match every axis of the tensor")
     w = w / nrm
+    flat = arr.reshape(-1, w.size) if d > 1 else arr  # C as (n^(d-1), n), reshaped once
     rng = np.random.default_rng(seed)
     tiny = 1e-14 * max(1.0, float(np.abs(arr).max()))
     shift = max(float(np.linalg.norm(arr)), 1e-12)
     restarts, converged, history, it = 0, False, [], 0
     for it in range(1, 21 * max_iter + 1):
         alpha = 0.0 if it <= max_iter else shift * 2.0 ** ((it - max_iter - 1) // (5 * max_iter))
-        v = contract_to_vector(arr, w)
+        v = _contract(flat, w, d - 1)
         vw = float(v @ w)
         s = 1.0 if vw >= 0 else -1.0
         x = v + s * alpha * w  # at alpha = 0 exactly v: the plain steps keep v's sign
-        nx = np.linalg.norm(x)
+        nx = np.sqrt(x @ x)  # np.linalg.norm of a real vector, without its dispatch
         if nx <= tiny:
             w = w + 0.1 * rng.standard_normal(w.size)
-            w /= np.linalg.norm(w)
+            w /= np.sqrt(w @ w)
             restarts += 1
             continue
         if alpha == 0.0:
             history.append(abs(vw))
         w_new = x / nx
-        delta = np.linalg.norm(w_new - s * w)
+        delta = w_new - s * w
         w = w_new
-        if delta < tol:
+        if np.sqrt(delta @ delta) < tol:
             converged = True
             break
     sign = float(lead_signs(w))

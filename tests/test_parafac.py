@@ -71,6 +71,16 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             KruskalFactors(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "rows, rank", [((4, 5), 3), ((6, 7), 1), ((1, 5), 2), ((5, 1), 4), ((1, 1), 1), ((50, 50), 5)]
+    )
+    def test_khatri_rao_bit_identical_to_broadcast(self, rows, rank):
+        r = np.random.default_rng(sum(rows) + rank)
+        x, y = r.standard_normal((rows[0], rank)), r.standard_normal((rows[1], rank))
+        ref = (x[:, None, :] * y[None, :, :]).reshape(rows[0] * rows[1], rank)
+        out = khatri_rao(x, y)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
 
 def lstsq_als_step(arr, a, b, c):
     """The A/B/C refresh as lstsq on the Khatri-Rao products, with lstsq's rank verdicts."""
@@ -147,7 +157,9 @@ class TestBlockSolve:
             rank = int(r.integers(1, 6))
             x, y = r.standard_normal((7, rank)), r.standard_normal((6, rank))
             unfolding = r.standard_normal((5, 42))
-            sol, deficient = _block_solve(unfolding, x, y, unfolding @ khatri_rao(x, y))
+            sol, deficient = _block_solve(
+                unfolding, x, y, unfolding @ khatri_rao(x, y), (x.T @ x) * (y.T @ y)
+            )
             ref = np.linalg.lstsq(khatri_rao(x, y), unfolding.T, rcond=None)[0].T
             assert not deficient
             np.testing.assert_allclose(sol, ref, rtol=1e-10, atol=1e-12)
@@ -161,7 +173,7 @@ class TestBlockSolve:
         real = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or real(*a, **k))
         unfolding = np.arange(8.0).reshape(2, 4)
-        sol, deficient = _block_solve(unfolding, x, y, unfolding @ khatri_rao(x, y))
+        sol, deficient = _block_solve(unfolding, x, y, unfolding @ khatri_rao(x, y), gram)
         assert calls and not deficient
         np.testing.assert_allclose(
             sol, real(khatri_rao(x, y), unfolding.T, rcond=None)[0].T, rtol=1e-12
@@ -191,6 +203,29 @@ class TestAlsStep:
             assert diag["rank_deficient"] == ref_deficient == []
             for m, m_ref in zip((out.A, out.B, out.C), ref):
                 np.testing.assert_allclose(m, m_ref, rtol=1e-9, atol=1e-12)
+
+    def test_report_grams_are_the_returned_factors(self, monkeypatch):
+        r = np.random.default_rng(23)
+        g = r.standard_normal((4, 5, 3))
+        mats = [r.standard_normal((n, 3)) for n in (4, 5, 3)]
+        duplicated = [m.copy() for m in mats]
+        duplicated[1][:, 1], duplicated[2][:, 1] = duplicated[1][:, 0], duplicated[2][:, 0]
+        calls = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for fallback, factors in ((False, mats), (True, duplicated)):
+            calls.clear()
+            f = KruskalFactors(*factors)
+            out, diag = als_step(g, f)
+            assert bool(calls) == fallback
+            for m, gram in zip((out.A, out.B, out.C), diag["grams"]):
+                assert (m.T @ m).tobytes() == gram.tobytes()
+            # the Grams of f, passed in as als passes them, change no bit
+            grams = tuple(m.T @ m for m in (f.A, f.B, f.C))
+            out2, diag2 = als_step(g, f, _grams=grams)
+            for m, m2 in zip((out.A, out.B, out.C), (out2.A, out2.B, out2.C)):
+                assert m.tobytes() == m2.tobytes()
+            assert diag2["inner"] == diag["inner"]
 
     def test_fixed_point_at_truth(self):
         truth = random_factors((4, 4, 4), 2, seed=8)
@@ -223,6 +258,63 @@ class TestAlsStep:
             err = np.linalg.norm(g - reconstruct(f).array)
             hits += err < 1e-6
         assert hits == 100
+
+
+def full_svd_init(arr, cfg):
+    """``_init_factors`` from the full SVD of each unfolding: its oracle."""
+    rr = np.random.default_rng(cfg.seed)
+    mats = []
+    for mode in range(3):
+        u, s, _ = np.linalg.svd(mode_n_unfold(arr, mode + 1), full_matrices=False)
+        usable = min(cfg.rank, u.shape[1], int(np.sum(s > s[0] * 1e-12)) if s.size else 0)
+        m = np.empty((arr.shape[mode], cfg.rank))
+        m[:, :usable] = u[:, :usable]
+        m[:, usable:] = rr.standard_normal((arr.shape[mode], cfg.rank - usable))
+        mats.append((m, usable))
+    return mats
+
+
+class TestInit:
+    @staticmethod
+    def _cases():
+        r = np.random.default_rng(31)
+        yield r.standard_normal((10, 2, 2)), 3
+        yield r.standard_normal((2, 7, 3)), 4
+        yield np.zeros((3, 3, 3)), 2
+        yield np.array([[[2.5]]]), 1
+        yield reconstruct(random_factors((6, 6, 6), 1, seed=32)).array, 2
+        yield reconstruct(random_factors((6, 6, 6), 2, seed=33)).array, 3
+
+    def test_matches_full_svd_oracle(self):
+        for arr, rank in self._cases():
+            cfg = ALSConfig(rank=rank)
+            f = _init_factors(arr, cfg)
+            for m, (ref, usable) in zip((f.A, f.B, f.C), full_svd_init(arr, cfg)):
+                # equal usable counts draw the same random fill
+                assert m[:, usable:].tobytes() == ref[:, usable:].tobytes()
+                u, u_ref = m[:, :usable], ref[:, :usable]
+                np.testing.assert_allclose(u.T @ u, np.eye(usable), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(u @ u.T, u_ref @ u_ref.T, rtol=0, atol=1e-12)
+
+    def test_cases_cover_full_partial_and_zero_usable_counts(self):
+        counts = [
+            tuple(usable for _, usable in full_svd_init(arr, ALSConfig(rank=rank)))
+            for arr, rank in self._cases()
+        ]
+        assert counts == [(3, 2, 2), (2, 4, 3), (0, 0, 0), (1, 1, 1), (1, 1, 1), (2, 2, 2)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_swamp_iterations_match_full_svd_init(self, seed, monkeypatch):
+        g = swamp_tensor(seed, n=50, rank=5)
+        cfg = ALSConfig(rank=5, max_iters=1000, rel_tol=1e-10)
+        _, history = als(g, cfg)
+        monkeypatch.setattr(
+            parafac, "_init_factors",
+            lambda arr, cfg: KruskalFactors(*(m for m, _ in full_svd_init(arr, cfg))),
+        )
+        _, ref = als(g, cfg)
+        assert len(history) == len(ref)
+        assert abs(history[-1] - ref[-1]) <= 1e-12
 
 
 class TestAls:
@@ -305,6 +397,19 @@ class TestAls:
     def _line_error(g, f, prev, mu):
         mats = (m + mu * (m - p) for m, p in zip((f.A, f.B, f.C), (prev.A, prev.B, prev.C)))
         return np.linalg.norm(g - reconstruct(KruskalFactors(*mats)).array)
+
+    def test_unfoldings_built_once(self, monkeypatch):
+        calls = []
+        unfold = parafac.mode_n_unfold
+        monkeypatch.setattr(
+            parafac, "mode_n_unfold", lambda *a: calls.append(a[1]) or unfold(*a)
+        )
+        counts = []
+        for iters in (2, 20):
+            calls.clear()
+            als(swamp_tensor(0), ALSConfig(rank=3, max_iters=iters, rel_tol=0.0))
+            counts.append(len(calls))
+        assert counts == [6, 6]  # three for the initial guess, three for the loop
 
     def test_line_search_finds_the_line_minimum(self):
         # along this line the model is [mu^2, mu] and G is [1, 0.1]: the squared

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tensorbss.core import rank1_sym, symmetrize
+from tensorbss.core import lead_signs, rank1_sym, symmetrize
 from tensorbss.rank1 import (
     Rank1Approx,
     best_rank1,
@@ -32,6 +32,44 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def rayleigh_loop(c, init, tol=1e-10, max_iter=500, seed=0):
+    """The power iteration on ``contract_to_vector`` and ``np.linalg.norm``, one
+    step at a time: the oracle for ``rayleigh_iterate``."""
+    arr = np.asarray(c, dtype=float)
+    d = arr.ndim
+    w = np.asarray(init, dtype=float).reshape(-1)
+    w = w / np.linalg.norm(w)
+    rng = np.random.default_rng(seed)
+    tiny = 1e-14 * max(1.0, float(np.abs(arr).max()))
+    shift = max(float(np.linalg.norm(arr)), 1e-12)
+    restarts, converged, history, it = 0, False, [], 0
+    for it in range(1, 21 * max_iter + 1):
+        alpha = 0.0 if it <= max_iter else shift * 2.0 ** ((it - max_iter - 1) // (5 * max_iter))
+        v = contract_to_vector(arr, w)
+        vw = float(v @ w)
+        s = 1.0 if vw >= 0 else -1.0
+        x = v + s * alpha * w
+        nx = np.linalg.norm(x)
+        if nx <= tiny:
+            w = w + 0.1 * rng.standard_normal(w.size)
+            w /= np.linalg.norm(w)
+            restarts += 1
+            continue
+        if alpha == 0.0:
+            history.append(abs(vw))
+        w_new = x / nx
+        delta = np.linalg.norm(w_new - s * w)
+        w = w_new
+        if delta < tol:
+            converged = True
+            break
+    sign = float(lead_signs(w))
+    return Rank1Approx(
+        w=w * sign, sigma=sigma_of(arr, w) * sign**d, order=d, iterations=it,
+        converged=converged, restarts=restarts, omega_d_history=history,
+    )
+
+
 class TestContractions:
     def test_identity_matrix(self):
         w = rng.standard_normal(4)
@@ -51,6 +89,12 @@ class TestContractions:
         np.testing.assert_allclose(
             contract_to_vector(c, w), contract_brute(c, w, 3), atol=1e-10
         )
+
+    @pytest.mark.parametrize("shape, size", [((2, 6), 3), ((4, 3, 4), 4), ((2, 2, 4), 2)])
+    def test_mismatched_vector_rejected(self, shape, size):
+        # the flat contraction would reshape these; the trailing axes must match
+        with pytest.raises(ValueError):
+            contract_to_vector(np.ones(shape), np.ones(size))
 
     def test_sigma_diagonal(self):
         c = np.zeros((3,) * 4)
@@ -153,6 +197,35 @@ class TestRayleigh:
     def test_zero_init_rejected(self):
         with pytest.raises(ValueError):
             rayleigh_iterate(np.eye(2), np.zeros(2))
+
+    @pytest.mark.parametrize("shape, size", [((3, 3), 4), ((3, 4, 4), 4), ((4,), 3)])
+    def test_mismatched_init_rejected(self, shape, size):
+        with pytest.raises(ValueError):
+            rayleigh_iterate(np.ones(shape), np.ones(size))
+
+    @staticmethod
+    def _cases():
+        r = np.random.default_rng(77)
+        for d in (1, 2, 3, 4):
+            c = symmetrize(r.standard_normal((4,) * d)).expand().array
+            yield c, r.standard_normal(4), {}
+        # a zero first contraction restarts; a plain phase of 5 steps stalls into the shift
+        yield rank1_sym(np.array([1.0, 0.0]), 3, 1.0).array, np.array([0.0, 1.0]), {}
+        c = symmetrize(np.random.default_rng(0).standard_normal((3,) * 4)).expand().array
+        yield c, np.random.default_rng(1).standard_normal(3), {"max_iter": 5}
+
+    def test_bit_identical_to_the_contraction_loop(self):
+        restarted = shifted = False
+        for c, w0, kwargs in self._cases():
+            res, ref = rayleigh_iterate(c, w0, **kwargs), rayleigh_loop(c, w0, **kwargs)
+            assert res.w.tobytes() == ref.w.tobytes()
+            assert (res.sigma, res.order, res.iterations, res.converged, res.restarts) == (
+                ref.sigma, ref.order, ref.iterations, ref.converged, ref.restarts
+            )
+            assert np.array(res.omega_d_history).tobytes() == np.array(ref.omega_d_history).tobytes()
+            restarted |= res.restarts > 0
+            shifted |= res.iterations > kwargs.get("max_iter", 500)
+        assert restarted and shifted
 
 
 class TestHosvdInit:
