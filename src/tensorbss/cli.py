@@ -4,7 +4,8 @@ Subcommands: ``gen`` (synthetic mixtures), ``cumulants``, ``ica``,
 ``parafac``, ``sylvester``, ``rank1``, ``tables``, ``score``.  Exit status is
 0 on success, 1 when the program refuses a flag, file, field or line (one
 ``usage error:`` line on stderr names it), and 2 on a numerical failure (a
-``{"error": ..., "message": ...}`` object on stderr); a warning prints as one
+``{"error": ..., "message": ...}`` object on stderr; running out of memory
+counts as one); a warning prints as one
 ``warning:`` line.  All randomness is seeded via ``--seed``, so a run repeats
 byte for byte on the same machine with the same numpy and BLAS build; across
 builds only the statistics are guaranteed.
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     except (tio.InputError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 2

@@ -199,6 +199,19 @@ def mode_n_unfold(t, n: int) -> np.ndarray:
     return np.moveaxis(arr, n - 1, 0).reshape(arr.shape[n - 1], -1)
 
 
+def leading_left_vectors(mat, k: int) -> np.ndarray:
+    """At most ``k`` leading left singular vectors of ``mat``, as columns.
+
+    Only vectors whose singular value exceeds ``1e-12`` times the largest are
+    usable, so a zero matrix gives none.  With ``Q R`` the QR of ``mat.T``,
+    ``R^T`` has the singular values and left vectors of ``mat``, and the SVD
+    runs on it alone: no right vectors of the long side are formed.
+    """
+    r = np.linalg.qr(np.asarray(mat, dtype=float).T, mode="r")
+    u, s, _ = np.linalg.svd(r.T, full_matrices=False)
+    return u[:, : min(k, int(np.sum(s > s[:1] * 1e-12)))]
+
+
 def mode_n_rank(t, n: int) -> int:
     """Numerical rank of the mode-``n`` unfolding.
 

@@ -12,8 +12,22 @@ system ``lstsq`` calls rank deficient has a far larger Gram condition number,
 so it always takes the fallback.  Each factor's Gram ``m.T @ m`` is formed
 once, right after its update, and serves the next block updates and the fit.
 The ``svd`` initial guess takes each mode's leading left singular vectors
-from ``R^T``, with ``Q R`` the QR of the transposed unfolding: it has the
-same singular values and left vectors.
+``U_n`` by ``core.leading_left_vectors``, from the QR of the transposed
+unfolding.
+
+With that guess the iteration first runs on a core: CANDELINC compression
+(Carroll, Pruzansky & Kruskal, Psychometrika 1980) onto the HOSVD basis (De
+Lathauwer, De Moor & Vandewalle, SIMAX 2000).  Each mode longer than the
+rank whose ``U_n`` has R columns, and so is its initial factor, is projected
+onto it: ``core = G x_n U_n^T``, at most R x R x R, and the initial factors lie
+in its subspace.  The loop below runs on the core unchanged, then the factors
+are multiplied back by ``U_n`` and the same loop finishes on the full tensor,
+whose optimum may leave the subspace.  Each loop stops when its own fit
+changes by less than ``rel_tol``.  The history is the full tensor's fit all
+along: ``sqrt(norm(G - P(G))^2 + norm(core - M_c)^2) / norm(G)``, with ``P(G)``
+the core expanded back, exact for an orthogonal projection of a model in the
+subspace.  ``norm(G - P(G))`` is taken once from that residual, as
+``norm(G)^2 - norm(core)^2`` cancels on near-exact tensors.
 
 Before every cycle after the first, the iteration tries an enhanced line
 search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008), the
@@ -45,7 +59,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_array, greedy_match, lead_signs, mode_n_unfold, real_roots
+from .core import (
+    DenseTensor,
+    _as_array,
+    greedy_match,
+    lead_signs,
+    leading_left_vectors,
+    mode_n_unfold,
+    real_roots,
+    tucker_transform,
+)
 
 # a block update whose Gram matrix has at least this condition number is
 # solved by lstsq on the Khatri-Rao product instead of the normal equations
@@ -219,17 +242,17 @@ def _line_search(
     return KruskalFactors(a + mu * da, b + mu * db, c + mu * dc)
 
 
-def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> KruskalFactors:
+def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> tuple[KruskalFactors, list[np.ndarray]]:
+    """The initial factors and, per mode, the leading left singular vectors they start with."""
     rng = np.random.default_rng(cfg.seed)
-    mats = []
+    mats, bases = [], []
     for mode in range(3):
         u = np.empty((arr.shape[mode], 0))
-        if cfg.init == "svd":  # U^T = Q R: R^T has the unfolding's singular values and U
-            r = np.linalg.qr(mode_n_unfold(arr, mode + 1).T, mode="r")
-            u, s, _ = np.linalg.svd(r.T, full_matrices=False)
-            u = u[:, : min(cfg.rank, int(np.sum(s > s[:1] * 1e-12)))]
+        if cfg.init == "svd":
+            u = leading_left_vectors(mode_n_unfold(arr, mode + 1), cfg.rank)
+        bases.append(u)
         mats.append(np.hstack([u, rng.standard_normal((u.shape[0], cfg.rank - u.shape[1]))]))
-    return KruskalFactors(*mats)
+    return KruskalFactors(*mats), bases
 
 
 def normalized(f: KruskalFactors) -> KruskalFactors:
@@ -243,13 +266,63 @@ def normalized(f: KruskalFactors) -> KruskalFactors:
     return KruskalFactors(a * sign_a, b * sign_b, c * (sign_a * sign_b), weights)
 
 
+def _relative_norm(x: np.ndarray, gnorm: float) -> float:
+    return float(np.linalg.norm(x)) / gnorm if gnorm else 0.0
+
+
+def _iterate(arr, f, fit, history, gnorm, outside, iters, rel_tol) -> KruskalFactors:
+    """Up to ``iters`` line-search and ALS cycles on ``arr`` from unweighted factors ``f``.
+
+    ``fit`` is ``norm(arr - model(f)) / gnorm``.  Each cycle takes the new model's fit as
+    the module docstring says, appends ``hypot(outside, fit)`` to ``history`` and stops
+    the loop once the fit differs from the one before by less than ``rel_tol``.  Returns
+    the last unweighted factors.
+    """
+    tnorm = float(np.linalg.norm(arr))
+    tsq = tnorm * tnorm
+    unfoldings = tuple(mode_n_unfold(arr, mode) for mode in (1, 2, 3))
+
+    def direct_fit(fac):
+        return _relative_norm(arr - reconstruct(fac).array, gnorm)
+
+    def squared_error(grams, inner):  # from the factor Grams and inner = <arr, model>
+        prod = grams[0] * grams[1] * grams[2]  # also returns the rounding scale
+        return tsq - 2.0 * inner + float(np.sum(prod)), max(tsq, float(np.sum(np.abs(prod))))
+
+    # the loop's factors are unweighted, as _init_factors, _line_search and als_step return them
+    prev = sq = scale = guarded = grams = None
+    for _ in range(iters):
+        mttkrp = unfoldings[0] @ khatri_rao(f.B, f.C)
+        step = _line_search(arr, f, prev, _unfolded=unfoldings, _mttkrp=mttkrp) if prev else None
+        if step is not None:
+            step_mttkrp = unfoldings[0] @ khatri_rao(step.B, step.C)
+            step_grams = tuple(m.T @ m for m in (step.A, step.B, step.C))
+            step_sq, step_scale = squared_error(step_grams, np.sum(step.A * step_mttkrp))
+            if abs(step_sq - sq) > GRAM_ROUNDING * (step_scale + scale):
+                keep = step_sq < sq
+            else:  # closer than the formula's rounding: compare the residuals
+                keep = direct_fit(step) < (fit if guarded else direct_fit(f))
+            if keep:
+                f, mttkrp, grams = step, step_mttkrp, step_grams
+        prev = f
+        f, report = als_step(arr, f, _unfolded=unfoldings, _mttkrp=mttkrp, _grams=grams)
+        grams = report["grams"]
+        sq, scale = squared_error(grams, report["inner"])
+        guarded = sq * tsq <= GRAM_FIT_FLOOR * scale * scale
+        last, fit = fit, direct_fit(f) if guarded else float(np.sqrt(sq)) / gnorm
+        history.append(float(np.hypot(outside, fit)))  # exactly fit when outside is 0
+        if abs(last - fit) < rel_tol:
+            break
+    return f
+
+
 def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
     """Iterate ALS until the relative fit stalls; never raises on non-convergence.
 
     Returns normalized factors and the per-iteration relative fit history
     ``norm(G - reconstruct) / norm(G)`` (first entry: the initial guess), later
-    entries from the Gram identity, guarded and rescaled as the module
-    docstring says.
+    entries from the Gram identity, guarded and rescaled, core phase first, as
+    the module docstring says.  ``max_iters`` bounds both phases together.
     """
     arr = _as_array(g)
     if arr.ndim != 3:
@@ -276,43 +349,21 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
     if exponent:
         arr = np.ldexp(arr, -exponent)
     gnorm = float(np.linalg.norm(arr))
-    gsq = gnorm * gnorm
-    unfoldings = tuple(mode_n_unfold(arr, mode) for mode in (1, 2, 3))
-    f = _init_factors(arr, cfg)
-
-    def direct_fit(fac):
-        if gnorm == 0.0:
-            return 0.0
-        return float(np.linalg.norm(arr - reconstruct(fac).array)) / gnorm
-
-    def squared_error(grams, inner):  # from the factor Grams and inner = <G, model>
-        prod = grams[0] * grams[1] * grams[2]  # also returns the rounding scale
-        return gsq - 2.0 * inner + float(np.sum(prod)), max(gsq, float(np.sum(np.abs(prod))))
-
-    # the loop's factors are unweighted, as _init_factors, _line_search and als_step return them
-    history = [direct_fit(f)]
-    prev = sq = scale = guarded = grams = None
-    for _ in range(cfg.max_iters):
-        mttkrp = unfoldings[0] @ khatri_rao(f.B, f.C)
-        step = _line_search(arr, f, prev, _unfolded=unfoldings, _mttkrp=mttkrp) if prev else None
-        if step is not None:
-            step_mttkrp = unfoldings[0] @ khatri_rao(step.B, step.C)
-            step_grams = tuple(m.T @ m for m in (step.A, step.B, step.C))
-            step_sq, step_scale = squared_error(step_grams, np.sum(step.A * step_mttkrp))
-            if abs(step_sq - sq) > GRAM_ROUNDING * (step_scale + scale):
-                keep = step_sq < sq
-            else:  # closer than the formula's rounding: compare the residuals
-                keep = direct_fit(step) < (history[-1] if guarded else direct_fit(f))
-            if keep:
-                f, mttkrp, grams = step, step_mttkrp, step_grams
-        prev = f
-        f, report = als_step(arr, f, _unfolded=unfoldings, _mttkrp=mttkrp, _grams=grams)
-        grams = report["grams"]
-        sq, scale = squared_error(grams, report["inner"])
-        guarded = sq * gsq <= GRAM_FIT_FLOOR * scale * scale
-        history.append(direct_fit(f) if guarded else float(np.sqrt(sq)) / gnorm)
-        if abs(history[-2] - history[-1]) < cfg.rel_tol:
-            break
+    f, bases = _init_factors(arr, cfg)
+    history = [_relative_norm(arr - reconstruct(f).array, gnorm)]
+    # a mode longer than the rank whose initial factor is its R leading singular vectors is
+    # compressed onto them, so the initial model lies in the core's subspace
+    to_core = [u.T if u.shape[0] > u.shape[1] == cfg.rank else np.eye(u.shape[0]) for u in bases]
+    if any(m.shape[0] < m.shape[1] for m in to_core):
+        core = tucker_transform(arr, to_core).array
+        back = [m.T for m in to_core]
+        outside = _relative_norm(arr - tucker_transform(core, back).array, gnorm)
+        f = KruskalFactors(*(m @ x for m, x in zip(to_core, (f.A, f.B, f.C))))
+        fit = _relative_norm(core - reconstruct(f).array, gnorm)
+        f = _iterate(core, f, fit, history, gnorm, outside, cfg.max_iters, cfg.rel_tol)
+        f = KruskalFactors(*(m @ x for m, x in zip(back, (f.A, f.B, f.C))))
+    iters = cfg.max_iters + 1 - len(history)
+    f = _iterate(arr, f, history[-1], history, gnorm, 0.0, iters, cfg.rel_tol)
     f = normalized(f)
     with np.errstate(over="ignore"):
         weights = np.ldexp(f.weights, exponent)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_array, lead_signs, rank1_sym
+from .core import _as_array, lead_signs, leading_left_vectors, rank1_sym
 
 
 @dataclass
@@ -154,10 +154,10 @@ def rayleigh_iterate(
 
 
 def hosvd_init(c) -> np.ndarray:
-    """Dominant left singular vector of the first unfolding."""
+    """Dominant left singular vector of the first unfolding; the first unit vector for zero."""
     arr = _as_array(c)
-    u, _, _ = np.linalg.svd(arr.reshape(arr.shape[0], -1), full_matrices=False)
-    return u[:, 0]
+    u = leading_left_vectors(arr.reshape(arr.shape[0], -1), 1)
+    return u[:, 0] if u.shape[1] else np.eye(arr.shape[0])[0]
 
 
 def best_rank1(

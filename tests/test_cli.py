@@ -708,6 +708,18 @@ class TestCliRoundTrips:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
 
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        import tensorbss.cli as cli
+
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 3.01 GiB")
+
+        monkeypatch.setitem(cli._COMMANDS, "tables", exhausted)
+        assert self.run("tables", "--orbits") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 3.01 GiB"}
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert self.run("cumulants", "--order", "2", "--in", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "c.json")) == 1

@@ -13,6 +13,7 @@ from tensorbss.core import (
     contract,
     frobenius_inner,
     greedy_match,
+    leading_left_vectors,
     mode_n_rank,
     mode_n_unfold,
     outer_product,
@@ -186,6 +187,30 @@ class TestModeRank:
 
     def test_zero(self):
         assert mode_n_rank(np.zeros((3, 3, 3)), 2) == 0
+
+
+class TestLeadingLeftVectors:
+    @pytest.mark.parametrize("rows, cols", [(6, 40), (6, 4), (1, 9), (5, 1)])
+    def test_matches_full_svd(self, rows, cols):
+        r = np.random.default_rng(rows * 100 + cols)
+        # singular values 1, 1/2, ..., and one below the usable rule when there is room
+        s = 0.5 ** np.arange(min(rows, cols))
+        s[3:] = 1e-13
+        q1 = np.linalg.qr(r.standard_normal((rows, s.size)))[0]
+        q2 = np.linalg.qr(r.standard_normal((cols, s.size)))[0]
+        mat = (q1 * s) @ q2.T
+        usable = int(np.sum(s > 1e-12))
+        for k in range(1, 6):
+            u = leading_left_vectors(mat, k)
+            ref = np.linalg.svd(mat, full_matrices=False)[0][:, : min(k, usable)]
+            assert u.shape == ref.shape
+            np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+            for j in range(u.shape[1]):  # distinct singular values: one vector each, up to sign
+                np.testing.assert_allclose(np.outer(u[:, j], u[:, j]),
+                                           np.outer(ref[:, j], ref[:, j]), rtol=0, atol=1e-12)
+
+    def test_zero_matrix_has_none(self):
+        assert leading_left_vectors(np.zeros((3, 8)), 2).shape == (3, 0)
 
 
 class TestFrobenius:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensorbss import parafac
-from tensorbss.core import mode_n_unfold
+from tensorbss.core import mode_n_unfold, tucker_transform
 from tensorbss.parafac import (
     GRAM_COND_LIMIT,
     ALSConfig,
@@ -101,7 +101,7 @@ def lstsq_als_step(arr, a, b, c):
 def lstsq_als(arr, cfg):
     """Plain ALS with lstsq updates and an einsum fit: the oracle for ``als``."""
     gnorm = np.linalg.norm(arr)
-    f = _init_factors(arr, cfg)
+    f, _ = _init_factors(arr, cfg)
     mats = (f.A, f.B, f.C)
 
     def fit(a, b, c):
@@ -117,27 +117,99 @@ def lstsq_als(arr, cfg):
 
 
 def direct_als(arr, cfg):
-    """``als`` with every fit taken from the residual through ``reconstruct``: its oracle."""
-    gnorm = float(np.linalg.norm(arr))
-    f = parafac._init_factors(arr, cfg)
+    """``als`` with every fit taken from the full tensor's residual through ``reconstruct``.
 
-    def fit(fac):
+    Its oracle: like ``als``, it iterates on the core of the modes whose initial factor
+    is R singular vectors of a longer mode, then on the full tensor; each phase stops on
+    the change of its own tensor's residual.
+    """
+    gnorm = float(np.linalg.norm(arr))
+    f, bases = parafac._init_factors(arr, cfg)
+    basis = [u if u.shape[0] > u.shape[1] == cfg.rank else np.eye(u.shape[0]) for u in bases]
+    # projected as als projects: in a degenerate run a rounding-level change to the core
+    # moves the factors along a flat valley of the core's fit, and the full phase, which
+    # leaves the core's subspace, turns that into fits 1e-9 apart
+    core = tucker_transform(arr, [m.T for m in basis]).array
+
+    def fit(t, fac):
+        if gnorm == 0.0:
+            return 0.0
+        return float(np.linalg.norm(t - reconstruct(fac).array)) / gnorm
+
+    def expand(fac, mats):
+        return KruskalFactors(*(m @ x for m, x in zip(mats, (fac.A, fac.B, fac.C))))
+
+    history = [fit(arr, f)]
+    eyes = [np.eye(n) for n in arr.shape]
+    phases = [(arr, eyes)]
+    if core.shape != arr.shape:
+        phases.insert(0, (core, basis))
+        f = expand(f, [m.T for m in basis])
+    for t, mats in phases:
+        prev, own = None, fit(t, f)
+        for _ in range(cfg.max_iters + 1 - len(history)):
+            step = parafac._line_search(t, f, prev) if prev is not None else None
+            if step is not None and fit(t, step) < own:
+                f = step
+            prev = f
+            f, _ = als_step(t, f)
+            last, own = own, fit(t, f)
+            history.append(fit(arr, expand(f, mats)))
+            if abs(last - own) < cfg.rel_tol:
+                break
+        f = expand(f, mats)
+    return normalized(f), history
+
+
+def uncompressed_als(g, cfg):
+    """``als`` as it was before the core phase, one loop on the full tensor: a frozen copy."""
+    arr = np.asarray(g, dtype=float)
+    peak = np.max(np.abs(arr), initial=0.0)
+    limit = parafac.SAFE_EXPONENT
+    exponent = 0 if 2.0**-limit <= peak <= 2.0**limit else int(np.frexp(peak)[1])
+    if exponent:
+        arr = np.ldexp(arr, -exponent)
+    gnorm = float(np.linalg.norm(arr))
+    gsq = gnorm * gnorm
+    unfoldings = tuple(mode_n_unfold(arr, mode) for mode in (1, 2, 3))
+    f, _ = _init_factors(arr, cfg)
+
+    def direct_fit(fac):
         if gnorm == 0.0:
             return 0.0
         return float(np.linalg.norm(arr - reconstruct(fac).array)) / gnorm
 
-    history = [fit(f)]
-    prev = None
+    def squared_error(grams, inner):
+        prod = grams[0] * grams[1] * grams[2]
+        return gsq - 2.0 * inner + float(np.sum(prod)), max(gsq, float(np.sum(np.abs(prod))))
+
+    history = [direct_fit(f)]
+    prev = sq = scale = guarded = grams = None
     for _ in range(cfg.max_iters):
-        step = parafac._line_search(arr, f, prev) if prev is not None else None
-        if step is not None and fit(step) < history[-1]:
-            f = step
+        mttkrp = unfoldings[0] @ khatri_rao(f.B, f.C)
+        step = None
+        if prev:
+            step = parafac._line_search(arr, f, prev, _unfolded=unfoldings, _mttkrp=mttkrp)
+        if step is not None:
+            step_mttkrp = unfoldings[0] @ khatri_rao(step.B, step.C)
+            step_grams = tuple(m.T @ m for m in (step.A, step.B, step.C))
+            step_sq, step_scale = squared_error(step_grams, np.sum(step.A * step_mttkrp))
+            if abs(step_sq - sq) > parafac.GRAM_ROUNDING * (step_scale + scale):
+                keep = step_sq < sq
+            else:
+                keep = direct_fit(step) < (history[-1] if guarded else direct_fit(f))
+            if keep:
+                f, mttkrp, grams = step, step_mttkrp, step_grams
         prev = f
-        f, _ = als_step(arr, f)
-        history.append(fit(f))
+        f, report = als_step(arr, f, _unfolded=unfoldings, _mttkrp=mttkrp, _grams=grams)
+        grams = report["grams"]
+        sq, scale = squared_error(grams, report["inner"])
+        guarded = sq * gsq <= parafac.GRAM_FIT_FLOOR * scale * scale
+        history.append(direct_fit(f) if guarded else float(np.sqrt(sq)) / gnorm)
         if abs(history[-2] - history[-1]) < cfg.rel_tol:
             break
-    return normalized(f), history
+    f = normalized(f)
+    return KruskalFactors(f.A, f.B, f.C, np.ldexp(f.weights, exponent)), history
 
 
 def swamp_tensor(seed, n=20, rank=3, cosine=0.8, noise=0.01):
@@ -288,8 +360,9 @@ class TestInit:
     def test_matches_full_svd_oracle(self):
         for arr, rank in self._cases():
             cfg = ALSConfig(rank=rank)
-            f = _init_factors(arr, cfg)
-            for m, (ref, usable) in zip((f.A, f.B, f.C), full_svd_init(arr, cfg)):
+            f, bases = _init_factors(arr, cfg)
+            for m, u, (ref, usable) in zip((f.A, f.B, f.C), bases, full_svd_init(arr, cfg)):
+                assert u.tobytes() == m[:, :usable].tobytes()
                 # equal usable counts draw the same random fill
                 assert m[:, usable:].tobytes() == ref[:, usable:].tobytes()
                 u, u_ref = m[:, :usable], ref[:, :usable]
@@ -310,7 +383,10 @@ class TestInit:
         _, history = als(g, cfg)
         monkeypatch.setattr(
             parafac, "_init_factors",
-            lambda arr, cfg: KruskalFactors(*(m for m, _ in full_svd_init(arr, cfg))),
+            lambda arr, cfg: (
+                KruskalFactors(*(m for m, _ in full_svd_init(arr, cfg))),
+                [m[:, :usable] for m, usable in full_svd_init(arr, cfg)],
+            ),
         )
         _, ref = als(g, cfg)
         assert len(history) == len(ref)
@@ -409,7 +485,8 @@ class TestAls:
             calls.clear()
             als(swamp_tensor(0), ALSConfig(rank=3, max_iters=iters, rel_tol=0.0))
             counts.append(len(calls))
-        assert counts == [6, 6]  # three for the initial guess, three for the loop
+        # three each for the initial guess, the loop on the core and the loop on the full tensor
+        assert counts == [9, 9]
 
     def test_line_search_finds_the_line_minimum(self):
         # along this line the model is [mu^2, mu] and G is [1, 0.1]: the squared
@@ -455,14 +532,76 @@ class TestAls:
         assert len(history) == len(ref)
         np.testing.assert_allclose(history, ref, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _phases(g, cfg, monkeypatch):
+        """``als``'s history and the factors of each als_step, with the tensor it ran on."""
+        steps = []
+        step = parafac.als_step
+
+        def spy(arr, *args, **kwargs):
+            out, report = step(arr, *args, **kwargs)
+            steps.append((arr.shape, out))
+            return out, report
+
+        monkeypatch.setattr(parafac, "als_step", spy)
+        return als(g, cfg)[1], steps
+
+    @pytest.mark.parametrize(
+        "seed, n, rank, noise",
+        [(0, 20, 3, 0.01), (1, 20, 3, 0.01), (2, 20, 3, 0.01), (0, 30, 5, 0.01), (3, 20, 3, 1e-9)],
+    )
+    def test_core_phase_fits_are_full_tensor_residuals(self, seed, n, rank, noise, monkeypatch):
+        # at noise 1e-9, norm(G)^2 - norm(core)^2 would cancel to rounding
+        g = swamp_tensor(seed, n, rank, noise=noise)
+        cfg = ALSConfig(rank, max_iters=1000, rel_tol=1e-10)
+        history, steps = self._phases(g, cfg, monkeypatch)
+        _, bases = _init_factors(g, cfg)
+        gnorm = np.linalg.norm(g)
+        core = [k for k, (shape, _) in enumerate(steps) if shape == (rank,) * 3]
+        assert core == list(range(len(core))) and 0 < len(core) < len(steps)
+        for k in core:
+            out = steps[k][1]
+            full = KruskalFactors(*(u @ m for u, m in zip(bases, (out.A, out.B, out.C))))
+            direct = np.linalg.norm(g - reconstruct(full).array) / gnorm
+            assert abs(history[k + 1] - direct) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_history_non_increasing_across_the_junction(self, seed, monkeypatch):
+        g = swamp_tensor(seed, n=30, rank=5)
+        cfg = ALSConfig(rank=5, max_iters=1000, rel_tol=1e-10)
+        history, steps = self._phases(g, cfg, monkeypatch)
+        junction = next(k for k, (shape, _) in enumerate(steps) if shape == g.shape)
+        assert junction > 0
+        # entry junction is the last core fit, entry junction + 1 the first full one
+        assert history[junction + 1] <= history[junction]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize(
+        "dims, cfg",
+        [((20, 20, 20), ALSConfig(rank=3, max_iters=300, rel_tol=1e-10, init="random", seed=4)),
+         ((6, 5, 4), ALSConfig(rank=3, init="random", seed=1)),
+         ((4, 4, 4), ALSConfig(rank=4, max_iters=300)),
+         ((3, 4, 2), ALSConfig(rank=4, max_iters=300)),
+         ((4, 4, 4), ALSConfig(rank=2, init="random", seed=2))],
+    )
+    def test_uncompressed_runs_match_the_frozen_loop(self, dims, cfg):
+        g = swamp_tensor(9, n=max(dims), rank=2)[: dims[0], : dims[1], : dims[2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ranks beyond the uniqueness guarantee warn
+            f, history = als(g, cfg)
+        ref, ref_history = uncompressed_als(g, cfg)
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        for m, m_ref in zip((f.A, f.B, f.C, f.weights), (ref.A, ref.B, ref.C, ref.weights)):
+            assert m.tobytes() == m_ref.tobytes()
+
     def test_gram_fit_after_lstsq_fallback(self, monkeypatch):
         init = parafac._init_factors
 
         def duplicated(arr, cfg):
-            f = init(arr, cfg)
+            f, bases = init(arr, cfg)
             b, c = f.B.copy(), f.C.copy()
             b[:, 1], c[:, 1] = b[:, 0], c[:, 0]
-            return KruskalFactors(f.A, b, c)
+            return KruskalFactors(f.A, b, c), bases
 
         monkeypatch.setattr(parafac, "_init_factors", duplicated)
         g = np.random.default_rng(0).standard_normal((5, 4, 6))

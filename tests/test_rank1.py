@@ -240,6 +240,31 @@ class TestHosvdInit:
         w = hosvd_init(a)
         assert abs(abs(w[0]) - 1.0) <= 1e-12
 
+    def test_matches_full_svd_oracle(self):
+        r = np.random.default_rng(557)
+        cases = [symmetrize(r.standard_normal((n,) * d)).expand().array
+                 for n, d in ((8, 4), (5, 3), (3, 5), (6, 2))]
+        cases += [rank1_sym(unit(r.standard_normal(4)), 4, 2.0).array, r.standard_normal(7)]
+        for c in cases:
+            u = np.linalg.svd(c.reshape(c.shape[0], -1), full_matrices=False)[0][:, :1]
+            w = hosvd_init(c)[:, None]
+            np.testing.assert_allclose(w @ w.T, u @ u.T, rtol=0, atol=1e-12)
+
+    def test_zero_tensor_starts_at_the_first_unit_vector(self):
+        assert hosvd_init(np.zeros((3, 3, 3))).tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_best_rank1_stationary_on_symmetric_8x4(self, seed):
+        c = symmetrize(np.random.default_rng(seed).standard_normal((8,) * 4)).expand().array
+        res = best_rank1(c)
+        norm = np.linalg.norm(c)
+        v = contract_to_vector(c, res.w)
+        lam = float(v @ res.w)
+        err = np.linalg.norm(c - rank1_sym(res.w, 4, lam).array)
+        assert np.linalg.norm(v - lam * res.w) <= 1e-8 * norm
+        assert abs(err**2 + lam**2 - norm**2) <= 1e-10 * norm**2
+        assert abs(res.sigma - lam) <= 1e-10 * norm
+
 
 class TestEquivalenceQuotient:
     def test_sign_quotient_even_order(self):
