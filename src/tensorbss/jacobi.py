@@ -524,11 +524,15 @@ def ica(
     cumulant estimate under the Gaussian null (marginal cumulant variances
     2, 6, 24 over the sample count, for orders 2, 3, 4), as happens for
     Gaussian data.  ``max_sweeps`` must be ``>= 0``; ``0`` returns the
-    whitened problem unrotated.
+    whitened problem unrotated.  ``N <= n`` samples of ``n`` columns raise
+    ``ValueError`` before the (singular) covariance is formed.
     """
     z = as_samples(samples)
     if strategy not in ("cyclic", "greedy"):
         raise ValueError("strategy must be 'cyclic' or 'greedy'")
+    if z.shape[0] <= z.shape[1]:
+        raise ValueError(f"ica needs more samples than columns: N = {z.shape[0]} samples "
+                         f"of n = {z.shape[1]} columns")
 
     zc = z - z.mean(axis=0)
     r_y = zc.T @ zc / z.shape[0]

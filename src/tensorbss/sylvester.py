@@ -1,22 +1,21 @@
 """Exact decomposition of binary forms into sums of d-th powers of linear forms.
 
-A binary quantic ``p(x, y) = sum_i gamma_i c(i) x^i y^(d-i)`` admits a
-decomposition into ``w`` distinct d-th powers exactly when the sliding-window
-Hankel matrix of its coefficients has a kernel vector ``g`` whose associated
-polynomial ``q(x, y) = sum_l g_l x^l y^(w-l)`` has ``w`` distinct projective
-roots; the roots are the linear forms and the weights follow from a
-generalized Vandermonde solve.  The driver ascends ``w`` from 1 and returns
-the first admissible decomposition, so the reported rank is minimal under the
-kernel-search policy documented in :func:`cand_binary`.
+A binary quantic ``p(x, y) = sum_i gamma_i c(i) x^i y^(d-i)`` is a sum of ``w``
+distinct d-th powers exactly when the sliding-window Hankel matrix of its
+coefficients has a kernel vector ``g`` whose polynomial ``q(x, y) = sum_l g_l
+x^l y^(w-l)`` has ``w`` distinct projective roots: the linear forms, whose
+weights a generalized Vandermonde solve gives.  By the theorem of Sylvester and
+of Comas & Seiguer, the border rank ``r`` is the rank of the middle
+catalecticant and the rank is ``r`` or ``d - r + 2``, so :func:`cand_binary`
+computes at most two kernels.
 
-``w`` linear forms are one ``(w, 2)`` complex array of rows ``(a, b)``, taken
-over the complex numbers (conjugate pairs keep the reconstruction real) in a
-fixed order: the roots ``x = 0``, then ``y = 0``, then the sorted finite ones.
-One power matrix (:func:`_powers`), one rank rule (:func:`_rank`: singular
-values above ``KERNEL_TOL`` times the Hankel matrix's largest), one chordal
-distinctness test (:func:`_distinct`) and one realness rule
-(:func:`tensorbss.core.is_real`) serve the whole module.  The weight solve
-divides the coefficients by a power of two, so they may reach the float range.
+``w`` linear forms are one ``(w, 2)`` complex array of rows ``(a, b)`` (conjugate
+pairs keep the reconstruction real) in a fixed order: ``x = 0``, then ``y = 0``,
+then the sorted finite roots.  One power matrix (:func:`_powers`), one rank rule
+(:func:`_rank`), one chordal distinctness test (:func:`_distinct`) and one
+realness rule (:func:`tensorbss.core.is_real`) serve the whole module.  The
+weight solve divides the coefficients by a power of two, so they may reach the
+float range.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import is_real, lead_signs, poly_roots
 KERNEL_TOL = 1e-10
 DISTINCT_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
+CANCELLATION_LIMIT = 1e4
 PENCIL_ANGLES = 181
 _ANGLES = np.linspace(0.0, np.pi, PENCIL_ANGLES)[:, None]
 _COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
@@ -208,20 +208,19 @@ def solve_weights(p: BinaryQuantic, forms) -> tuple[np.ndarray, float]:
 def _kernel_candidates(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Deterministic sequence of kernel vectors to try for distinct roots, one per row.
 
-    Dimension 1: the vector itself.  Dimension 2: a 1-parameter pencil over a
+    Dimension 0 or 1: the basis itself.  Dimension 2: a 1-parameter pencil over a
     fixed grid of angles (any admissible member is a valid decomposition, the
     grid pins the choice).  Dimension 3+: the sparse canonical basis first,
     then its pairwise sums and differences, then pencil grids over each pair,
     then seeded random combinations.
     """
     dim = basis.shape[1]
-    if dim == 1:
+    if dim <= 1:
         return basis.T
     sparse = _sparse_kernel(h, dim) if dim >= 3 else None
     cols = basis.T if sparse is None else sparse.T
     i, j = np.nonzero(np.arange(dim)[:, None] < np.arange(dim))  # the pairs i < j in order
-    pencils = _COS * cols[i][:, None] + _SIN * cols[j][:, None]
-    pencils = pencils.reshape(-1, cols.shape[1])
+    pencils = (_COS * cols[i][:, None] + _SIN * cols[j][:, None]).reshape(-1, cols.shape[1])
     if dim == 2:
         return pencils
     sums = np.stack([cols[i] + cols[j], cols[i] - cols[j]], axis=1).reshape(-1, cols.shape[1])
@@ -230,39 +229,44 @@ def _kernel_candidates(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 class NoDecompositionError(ValueError):
-    """No admissible kernel vector found at any candidate rank up to the degree."""
+    """No admissible kernel vector found at the border rank ``r`` nor at ``d - r + 2``."""
 
 
 def cand_binary(p: BinaryQuantic) -> WaringDecomposition:
     """Minimal-rank decomposition of ``p`` into distinct d-th powers.
 
-    Ranks are tried in increasing order; at each rank the kernel candidates of
-    :func:`_kernel_candidates` are scanned.  For kernels of dimension 3 and
-    above, candidates whose roots are all real take precedence over complex
-    ones; the 1- and 2-dimensional cases accept the first candidate with
-    distinct roots.  The returned decomposition reproduces the coefficients
-    to a relative residual of 1e-8 or better.  Weights beyond the float range
-    raise ``ValueError``.
+    Scans the candidates of :func:`_kernel_candidates` at the border rank ``r``
+    (the middle catalecticant's rank, on ``gamma`` over a power of two), then at
+    ``min(d, d - r + 2)``.  At rank ``r < d - r + 2``, a candidate whose ``sum_k
+    |w_k| / max |gamma|`` exceeds ``CANCELLATION_LIMIT`` is a multiple root split
+    by rounding (measured: 1.7e5 and up where such a split lowered the rank of a
+    sheared integer form, 1.1e2 at most on Gaussian quantics of degrees 3 to 16).
+    Kernels of dimension 3 and above prefer all-real candidates.  Residuals are
+    at most 1e-8; weights beyond the float range raise ``ValueError``.
     """
-    if not np.abs(p.gamma).max(initial=0.0):
+    top = np.abs(p.gamma).max(initial=0.0)
+    if not top:
         raise ValueError("the zero form has no decomposition")
-    for omega in range(1, p.degree + 1):
+    d = p.degree
+    middle = np.ldexp(hankel_matrix(p, (d + 1) // 2), -int(np.frexp(top)[1]))
+    r = _rank(s := np.linalg.svd(middle, compute_uv=False), s[0])
+    for omega in dict.fromkeys((r, min(d, d - r + 2))):
         h = hankel_matrix(p, omega)
         basis = kernel_vectors(h)
-        if basis.shape[1] == 0:
-            continue
         prefer_real = basis.shape[1] >= 3
+        limit = CANCELLATION_LIMIT if omega == r < d - r + 2 else np.inf
         fallback = None
         for g in _kernel_candidates(h, basis):
             roots, distinct = roots_of_q(g)
             candidate = _assemble(p, roots) if distinct else None
+            if candidate and sum(abs(w / top) for w, _, _ in candidate.terms) > limit:
+                candidate = None
             if candidate is not None and (not prefer_real or candidate.field == "real"):
                 return candidate
             fallback = fallback or candidate
         if fallback is not None:
             return fallback
-    raise NoDecompositionError(f"no decomposition with distinct forms found for degree "
-                               f"{p.degree} within the degree bound")
+    raise NoDecompositionError(f"degree {d}: no decomposition at rank {r} or {min(d, d - r + 2)}")
 
 
 def _assemble(p: BinaryQuantic, forms: np.ndarray) -> WaringDecomposition | None:
@@ -281,13 +285,9 @@ def _assemble(p: BinaryQuantic, forms: np.ndarray) -> WaringDecomposition | None
         terms = np.column_stack([weights / u**p.degree, forms * u[:, None]])
     if not np.isfinite(terms).all():
         raise ValueError("the weights overflow the float range")
-    real = bool(is_real(terms).all())
-    return WaringDecomposition(
-        degree=p.degree,
-        terms=tuple(map(tuple, (terms.real.astype(complex) if real else terms).tolist())),
-        field="real" if real else "complex",
-        residual=residual,
-    )
+    field = "real" if is_real(terms).all() else "complex"
+    terms = terms.real.astype(complex) if field == "real" else terms
+    return WaringDecomposition(p.degree, tuple(map(tuple, terms.tolist())), field, residual)
 
 
 def generic_rank_binary(d: int) -> tuple[int, int]:

@@ -700,6 +700,16 @@ class TestCliRoundTrips:
         assert "source-count detection" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_wide_samples_exit_2_with_one_line(self, tmp_path, capsys):
+        samples = tmp_path / "wide.csv"
+        save_samples(samples, rng.standard_normal((5, 20_000)))
+        out = tmp_path / "r.json"
+        assert self.run("ica", "--in", str(samples), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["message"].endswith("N = 5 samples of n = 20000 columns")
+        assert not out.exists()
+
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         qpath = tmp_path / "q.json"
         save_json({"degree": 2, "gamma": [0.0, 0.0, 0.0]}, qpath)

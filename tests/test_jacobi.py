@@ -919,6 +919,22 @@ class TestIcaPipeline:
         with pytest.raises(ValueError, match="at least one column"):
             ica(np.zeros((10, 0)))
 
+    def test_fewer_samples_than_columns_refused_before_the_covariance(self):
+        # the covariance of 20000 columns alone would take 3.2 GB
+        z = np.random.default_rng(5).standard_normal((5, 20_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="N = 5 samples of n = 20000 columns"):
+                ica(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_as_many_samples_as_columns_refused(self):
+        with pytest.raises(ValueError, match="more samples than columns"):
+            ica(np.random.default_rng(6).standard_normal((3, 3)))
+
     @pytest.mark.parametrize("strategy", ["cyclic", "greedy"])
     def test_second_order_contrast_makes_no_rounding_swaps(self, strategy):
         # whitened data is diagonal at order 2 up to rounding, so every pair's

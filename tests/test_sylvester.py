@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from tensorbss import sylvester
 from tensorbss.sylvester import (
     DISTINCT_TOL,
     KERNEL_TOL,
@@ -289,6 +292,72 @@ class TestCandBinary:
             solve_weights(p, forms)
         with pytest.raises(ValueError, match="overflow the float range"):
             cand_binary(p)
+
+
+def shear(gamma):
+    """Coefficients of ``p(x + y, y)``, through the monomial coefficients ``gamma_i C(d, i)``."""
+    d = len(gamma) - 1
+    binom = np.array([comb(d, i) for i in range(d + 1)], dtype=float)
+    c = np.asarray(gamma, dtype=float) * binom
+    return np.array([sum(comb(i, j) * c[i] for i in range(j, d + 1)) for j in range(d + 1)]) / binom
+
+
+CHANGES_OF_VARIABLES = {
+    "x <-> y": lambda g: g[::-1].copy(),
+    "y -> -y": lambda g: g * (-1.0) ** np.arange(len(g) - 1, -1, -1),
+    "x -> x + y": shear,
+}
+
+
+class TestCatalecticantRank:
+    def test_rank_invariant_under_exact_changes_of_variables(self):
+        # a split double root of the generator gave a lower, border-rank answer
+        r = np.random.default_rng(2009)
+        moved = []
+        for d in range(2, 10):
+            for _ in range(20):
+                g = r.integers(-1, 2, size=d + 1).astype(float)
+                if not g.any():
+                    continue
+                rank = cand_binary(BinaryQuantic(d, g)).rank
+                for name, change in CHANGES_OF_VARIABLES.items():
+                    if cand_binary(BinaryQuantic(d, change(g))).rank != rank:
+                        moved.append((name, g.tolist()))
+        assert moved == []
+
+    def test_monomial_ranks_in_own_and_sheared_coordinates(self):
+        wrong = []
+        for d in range(2, 10):
+            for a in range(1, d):
+                g = np.zeros(d + 1)
+                g[a] = 1.0 / comb(d, a)  # x^a y^(d-a)
+                for coords, gamma in (("own", g), ("sheared", shear(g))):
+                    if cand_binary(BinaryQuantic(d, gamma)).rank != max(a, d - a) + 1:
+                        wrong.append((d, a, coords))
+        assert wrong == []
+
+    def test_sheared_x2y_is_real_rank_3(self):
+        dec = cand_binary(BinaryQuantic(3, [-3.0, -2.0, -1.0, 0.0]))  # -3 (x + y)^2 y
+        assert dec.rank == 3 and dec.field == "real"
+        assert max(abs(w) for w, _, _ in dec.terms) <= 10.0
+        assert dec.residual <= 1e-8
+
+    @pytest.fixture
+    def kernel_shapes(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(sylvester, "kernel_vectors",
+                            lambda h: shapes.append(h.shape) or kernel_vectors(h))
+        return shapes
+
+    def test_at_most_two_kernels(self, kernel_shapes):
+        dec = cand_binary(BinaryQuantic(12, np.random.default_rng(12).standard_normal(13)))
+        assert dec.rank == generic_rank_binary(12)[0]
+        assert len(kernel_shapes) <= 2
+
+    def test_second_rank_when_the_generator_is_not_squarefree(self, kernel_shapes):
+        # x^2 y: border rank 2, generator y^2; the rank is d - r + 2 = 3
+        assert cand_binary(X2Y).rank == 3
+        assert kernel_shapes == [(2, 3), (1, 4)]
 
 
 def rref_nullspace(h):
