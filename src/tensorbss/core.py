@@ -293,20 +293,23 @@ def poly_roots(rows) -> np.ndarray:
     """
     c = np.asarray(rows, dtype=float)
     m, deg = c.shape[0], c.shape[1] - 1
-    if deg < 1:
-        return np.empty((m, 0), dtype=complex)
-    mag = np.abs(c)
-    trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
-    if trimmed.all():
-        return np.c_[poly_roots(c[:, :-1]), np.full(m, np.nan)]
-    comp = np.zeros((m, deg, deg))
-    comp.reshape(m, -1)[:, deg :: deg + 1] = 1.0
-    comp[:, :, -1] = c[:, :-1] / -np.where(trimmed, 1.0, c[:, -1])[:, None]
-    roots = np.sort(np.linalg.eigvals(comp), axis=1).astype(complex, copy=False)
-    if trimmed.any():
-        roots[trimmed, -1] = np.nan
-        roots[trimmed, :-1] = poly_roots(c[trimmed, :-1])
-    return roots
+    width, roots, left = max(deg, 0), None, None  # made once a row trims: roots, unsolved rows
+    while deg >= 1 and len(c):
+        mag = np.abs(c)
+        trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
+        if not trimmed.all():
+            comp = np.zeros((len(c), deg, deg))
+            comp.reshape(len(c), -1)[:, deg :: deg + 1] = 1.0
+            comp[:, :, -1] = c[:, :-1] / -np.where(trimmed, 1.0, c[:, -1])[:, None]
+            solved = np.sort(np.linalg.eigvals(comp), axis=1).astype(complex, copy=False)
+            if deg == width and not trimmed.any():
+                return solved  # no row trimmed: no nan to fill
+            if roots is None:
+                roots, left = np.full((m, width), np.nan, dtype=complex), np.arange(m)
+            roots[left[~trimmed], :deg] = solved[~trimmed]
+            left, c = left[trimmed], c[trimmed]
+        c, deg = c[:, :-1], deg - 1
+    return np.full((m, width), np.nan, dtype=complex) if roots is None else roots
 
 
 def is_real(roots) -> np.ndarray:

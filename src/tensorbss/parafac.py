@@ -33,11 +33,11 @@ Before every cycle after the first, the iteration tries an enhanced line
 search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008), the
 remedy for the slow "swamps" of nearly collinear factors: it steps from the
 current factors along their change over the previous cycle.  The squared
-error along that line is a degree-6 polynomial in the step, assembled from
-three MTTKRPs and one Gram of ``[m, dm]`` per factor ``m`` without forming a
-model tensor; the step goes to the best real root of its derivative.  The
-step is kept only when its fit is strictly lower, and each block update is
-exact least squares, so the relative fit error never increases.
+error along that line is a degree-6 polynomial in the step, built without a
+model tensor from ``h = [m, dm]`` per factor ``m``: one MTTKRP over the
+Khatri-Rao products of B's and C's pieces, a Gram per ``h``, a degree table.
+Its step, the best real root of the derivative, is kept only when its fit is
+strictly lower; block updates are exact least squares, so the fit never rises.
 
 No fit forms a model tensor either: ``norm(G - M)^2 = norm(G)^2 - 2 <G, M> +
 sum(A'A * B'B * C'C)``, with ``<G, M>`` read off the C update's MTTKRP, or off
@@ -77,6 +77,7 @@ GRAM_COND_LIMIT = 1e8
 GRAM_ROUNDING = 1e-14  # its rounding error was measured at most 1.4e-15
 GRAM_FIT_FLOOR = 1e-6
 SAFE_EXPONENT = 256
+_DEGREE_3, _DEGREE_6 = (np.indices((2,) * k).sum(0).ravel() for k in (3, 6))  # see _line_search
 
 
 @dataclass(frozen=True)
@@ -197,49 +198,35 @@ def als_step(
     return KruskalFactors(a, b, c), report
 
 
-def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product of polynomials whose ascending coefficients are arrays, taken entrywise."""
-    out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:])
-    for i, coef in enumerate(p):
-        out[i : i + len(q)] += coef * q
-    return out
-
-
 def _line_search(
     arr: np.ndarray, f: KruskalFactors, prev: KruskalFactors, *, _unfolded=None, _mttkrp=None
 ) -> KruskalFactors | None:
     """The factors ``f + mu (f - prev)`` whose model is closest to ``arr``.
 
-    Enhanced line search for unweighted factors; ``None`` when the squared
-    error has no stationary point along the line.  ``als`` passes the unfoldings of
-    ``arr`` and the mode-1 MTTKRP ``unfolding_1 @ khatri_rao(f.B, f.C)``, which it has.
+    Enhanced line search for unweighted factors; ``None`` when the squared error has no
+    stationary point along the line.  ``als`` passes the unfoldings of ``arr`` and the mode-1
+    MTTKRP ``unfolding_1 @ khatri_rao(f.B, f.C)``, which it has.  Each factor ``m`` enters
+    as ``h = [m, m - prev]``; a product of one piece of ``h`` per factor, 3 or 6 pieces,
+    has the degree in ``mu`` of its ``m - prev`` pieces, ``_DEGREE_3`` or ``_DEGREE_6``.
     """
-    a, b, c = f.A, f.B, f.C
-    da, db, dc = a - prev.A, b - prev.B, c - prev.C
+    ha, hb, hc = (np.array((m, m - p)) for m, p in zip((f.A, f.B, f.C), (prev.A, prev.B, prev.C)))
     unfolding = mode_n_unfold(arr, 1) if _unfolded is None else _unfolded[0]
-    # <G, model(mu)> = sum((A + mu dA) * (P0 + mu P1 + mu^2 P2)), P the mode-1 MTTKRPs
-    mttkrp = [
-        unfolding @ khatri_rao(b, c) if _mttkrp is None else _mttkrp,
-        unfolding @ (khatri_rao(db, c) + khatri_rao(b, dc)),
-        unfolding @ khatri_rao(db, dc),
-    ]
-    cross = np.zeros(4)
-    for k, p in enumerate(mttkrp):
-        cross[k] += np.sum(a * p)
-        cross[k + 1] += np.sum(da * p)
-    # norm(model(mu))^2 = sum(GA(mu) * GB(mu) * GC(mu)), each Gram quadratic in mu
-    grams = []
-    for h in (np.hstack([m, d]) for m, d in ((a, da), (b, db), (c, dc))):
-        h = (h.T @ h).reshape(2, a.shape[1], 2, a.shape[1])  # [[m'm, m'd], [d'm, d'd]]
-        grams.append(np.stack([h[0, :, 0], h[0, :, 1] + h[1, :, 0], h[1, :, 1]]))
+    known = unfolding @ khatri_rao(f.B, f.C) if _mttkrp is None else _mttkrp
+    rank = ha.shape[2]
+    # the mode-1 MTTKRPs against khatri_rao(hb[j], hc[k]), columns ordered (j, k, r)
+    kr = np.einsum("jbr,kcr->bcjkr", hb, hc).reshape(-1, 4 * rank)[:, rank:]
+    mttkrp = np.hstack((known, unfolding @ kr))
+    # <G, model(mu)> term by term, and norm(model(mu))^2 = sum(GA(mu) * GB(mu) * GC(mu))
+    cross = np.einsum("iar,ajkr->ijk", ha, mttkrp.reshape(-1, 2, 2, rank))
+    ga, gb, gc = (np.einsum("iar,jas->ijrs", h, h).reshape(4, -1) for h in (ha, hb, hc))
     # the squared error along the line, less its constant norm(G)^2
-    err = _poly_product(_poly_product(grams[0], grams[1]), grams[2]).sum(axis=(1, 2))
-    err[:4] -= 2.0 * cross
+    err = np.bincount(_DEGREE_6, np.einsum("ax,bx,cx->abc", ga, gb, gc).ravel())
+    err[:4] -= 2.0 * np.bincount(_DEGREE_3, cross.ravel())
     roots = real_roots(err[1:] * np.arange(1, err.size))
     if roots.size == 0:
         return None
     mu = roots[np.argmin(np.vander(roots, err.size, increasing=True) @ err)]
-    return KruskalFactors(a + mu * da, b + mu * db, c + mu * dc)
+    return KruskalFactors(*(h[0] + mu * h[1] for h in (ha, hb, hc)))
 
 
 def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> tuple[KruskalFactors, list[np.ndarray]]:

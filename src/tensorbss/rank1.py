@@ -12,6 +12,7 @@ read as an ``(n^(d-1), n)`` matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,8 @@ def rayleigh_iterate(
         v = _contract(flat, w, d - 1)
         vw = float(v @ w)
         s = 1.0 if vw >= 0 else -1.0
-        x = v + s * alpha * w  # at alpha = 0 exactly v: the plain steps keep v's sign
-        nx = np.sqrt(x @ x)  # np.linalg.norm of a real vector, without its dispatch
+        x = v + s * alpha * w if alpha else v  # the plain steps keep v's sign
+        nx = math.sqrt(x @ x)  # np.linalg.norm of a real vector, without its dispatch
         if nx <= tiny:
             w = w + 0.1 * rng.standard_normal(w.size)
             w /= np.sqrt(w @ w)
@@ -140,9 +141,9 @@ def rayleigh_iterate(
         if alpha == 0.0:
             history.append(abs(vw))
         w_new = x / nx
-        delta = w_new - s * w
+        delta = w_new - w if s > 0 else w_new + w  # w_new - s w, as s w is exact
         w = w_new
-        if np.sqrt(delta @ delta) < tol:
+        if math.sqrt(delta @ delta) < tol:
             converged = True
             break
     sign = float(lead_signs(w))

@@ -185,12 +185,22 @@ def solve_weights(p: BinaryQuantic, forms) -> tuple[np.ndarray, float]:
     coefficients divided by a power of two, which is exact; the weights absorb
     both scales, and weights beyond the float range raise ``ValueError``.
     """
-    d = p.degree
+    weights, exponent, residual, _ = _relative_weights(p, forms)
+    with np.errstate(over="ignore"):
+        weights = np.ldexp(weights.view(float), exponent).view(complex)
+    if not np.isfinite(weights).all():
+        raise ValueError("the weights overflow the float range")
+    return weights, residual
+
+
+def _relative_weights(p: BinaryQuantic, forms) -> tuple[np.ndarray, int, float, float]:
+    """:func:`solve_weights` before it multiplies by ``2**e``, ``e`` the exponent of max|gamma|;
+    with ``e``, the residual and the cancellation ratio ``sum |w_k| / max|gamma|``."""
     forms = np.asarray(forms, dtype=complex).reshape(-1, 2)
     if not _distinct(forms):
         raise ValueError("forms must be pairwise non-proportional")
     scales = np.abs(forms).max(axis=1)
-    v = _powers(forms / scales[:, None], d)
+    v = _powers(forms / scales[:, None], p.degree)
     exponent = int(np.frexp(np.abs(p.gamma).max())[1])
     gamma = np.ldexp(p.gamma, -exponent)
     weights, _, rank, _ = np.linalg.lstsq(v, gamma.astype(complex), rcond=None)
@@ -198,11 +208,9 @@ def solve_weights(p: BinaryQuantic, forms) -> tuple[np.ndarray, float]:
         raise np.linalg.LinAlgError("singular weight system: forms too close to proportional")
     scale = float(np.linalg.norm(gamma))
     residual = float(np.linalg.norm(v @ weights - gamma)) / (scale if scale > 0 else 1.0)
-    with np.errstate(over="ignore"):
-        weights = np.ldexp((weights / scales**d).view(float), exponent).view(complex)
-    if not np.isfinite(weights).all():
-        raise ValueError("the weights overflow the float range")
-    return weights, residual
+    cancellation = np.abs(weights).sum() / (np.abs(gamma).max() or 1.0)  # |w_k| = 2**e |weights[k]|
+    with np.errstate(over="ignore"):  # beyond the float range only for forms far below 1
+        return weights / scales**p.degree, exponent, residual, cancellation
 
 
 def _kernel_candidates(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -255,36 +263,37 @@ def cand_binary(p: BinaryQuantic) -> WaringDecomposition:
         basis = kernel_vectors(h)
         prefer_real = basis.shape[1] >= 3
         limit = CANCELLATION_LIMIT if omega == r < d - r + 2 else np.inf
-        fallback = None
+        found = None
         for g in _kernel_candidates(h, basis):
             roots, distinct = roots_of_q(g)
-            candidate = _assemble(p, roots) if distinct else None
-            if candidate and sum(abs(w / top) for w, _, _ in candidate.terms) > limit:
-                candidate = None
+            candidate = _assemble(p, roots, limit) if distinct else None
             if candidate is not None and (not prefer_real or candidate.field == "real"):
-                return candidate
-            fallback = fallback or candidate
-        if fallback is not None:
-            return fallback
+                found = candidate
+                break
+            found = found or candidate
+        if found is not None:
+            if not np.isfinite(np.array(found.terms)).all():
+                raise ValueError("the weights overflow the float range")
+            return found
     raise NoDecompositionError(f"degree {d}: no decomposition at rank {r} or {min(d, d - r + 2)}")
 
 
-def _assemble(p: BinaryQuantic, forms: np.ndarray) -> WaringDecomposition | None:
-    """The decomposition over ``forms``, or ``None`` if their weights miss ``p``; each form
-    scaled to max(|a|, |b|) = 1 with a positive real leading entry, the weight absorbing it."""
+def _assemble(p: BinaryQuantic, forms: np.ndarray, limit: float) -> WaringDecomposition | None:
+    """The decomposition over ``forms``, or ``None`` if their weights miss ``p`` or cancel,
+    ``sum |w_k| / max|gamma|`` above ``limit``; each form scaled to max(|a|, |b|) = 1 with a
+    positive real leading entry, the weight absorbing it, infinite beyond the float range."""
     try:
-        weights, residual = solve_weights(p, forms)
+        weights, exponent, residual, cancellation = _relative_weights(p, forms)
     except np.linalg.LinAlgError:
         return None
-    if not residual <= RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL or cancellation > limit:
         return None
     m = np.abs(forms).max(axis=1)
     lead = np.where(np.abs(forms[:, 0]) > 1e-10 * m, forms[:, 0], forms[:, 1])
     u = np.conj(lead / np.abs(lead)) / m
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.ldexp(weights.view(float), exponent).view(complex)
         terms = np.column_stack([weights / u**p.degree, forms * u[:, None]])
-    if not np.isfinite(terms).all():
-        raise ValueError("the weights overflow the float range")
     field = "real" if is_real(terms).all() else "complex"
     terms = terms.real.astype(complex) if field == "real" else terms
     return WaringDecomposition(p.degree, tuple(map(tuple, terms.tolist())), field, residual)

@@ -432,6 +432,26 @@ def mixed_trim_rows(seed):
     return rows, [0] * 6 + [1] * 4 + [2] * 4 + [1] * 2 + [5] * 2
 
 
+def poly_roots_oracle(rows):
+    """``core.poly_roots`` as a recursion on the rows whose top coefficient trims: a frozen copy."""
+    c = np.asarray(rows, dtype=float)
+    m, deg = c.shape[0], c.shape[1] - 1
+    if deg < 1:
+        return np.empty((m, 0), dtype=complex)
+    mag = np.abs(c)
+    trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
+    if trimmed.all():
+        return np.c_[poly_roots_oracle(c[:, :-1]), np.full(m, np.nan)]
+    comp = np.zeros((m, deg, deg))
+    comp.reshape(m, -1)[:, deg :: deg + 1] = 1.0
+    comp[:, :, -1] = c[:, :-1] / -np.where(trimmed, 1.0, c[:, -1])[:, None]
+    roots = np.sort(np.linalg.eigvals(comp), axis=1).astype(complex, copy=False)
+    if trimmed.any():
+        roots[trimmed, -1] = np.nan
+        roots[trimmed, :-1] = poly_roots_oracle(c[trimmed, :-1])
+    return roots
+
+
 class TestPolyRoots:
     def test_rows_independent_of_batch(self):
         rows, trims = mixed_trim_rows(31)
@@ -441,6 +461,20 @@ class TestPolyRoots:
         for row, roots, trim in zip(rows[order], batch, np.array(trims)[order]):
             assert roots.tobytes() == core.poly_roots(row[None])[0].tobytes()
             assert np.isnan(roots).tolist() == [False] * (5 - trim) + [True] * trim
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_byte_identical_to_the_recursive_oracle(self, seed):
+        rows, _ = mixed_trim_rows(seed)  # none, 1 and 2 trimmed, a 1e-20 top, all zero
+        constant = np.zeros((2, 6))
+        constant[:, 0] = [2.5, -1.0]  # every top coefficient trims, down to the constant
+        r = np.random.default_rng(seed)
+        cases = [rows, rows[:6], rows[6:10], rows[10:14], rows[14:16], rows[16:], constant,
+                 np.vstack([rows, constant]), rows[:, :1], rows[:, :2]]
+        cases += [rows[r.choice(len(rows), size=int(r.integers(1, 8)))] for _ in range(20)]
+        for c in cases:
+            roots, ref = core.poly_roots(c), poly_roots_oracle(c)
+            assert roots.shape == ref.shape and roots.dtype == ref.dtype
+            assert roots.tobytes() == ref.tobytes()
 
     def test_roots_rebuild_the_polynomial(self):
         rows, trims = mixed_trim_rows(33)

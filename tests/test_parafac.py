@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensorbss import parafac
-from tensorbss.core import mode_n_unfold, tucker_transform
+from tensorbss.core import mode_n_unfold, real_roots, tucker_transform
 from tensorbss.parafac import (
     GRAM_COND_LIMIT,
     ALSConfig,
@@ -220,6 +220,40 @@ def swamp_tensor(seed, n=20, rank=3, cosine=0.8, noise=0.01):
     clean = np.einsum("ip,jp,kp->ijk", *mats)
     e = r.standard_normal(clean.shape)
     return clean + noise * np.linalg.norm(clean) / np.linalg.norm(e) * e
+
+
+def line_search_oracle(arr, f, prev, *, _unfolded=None, _mttkrp=None):
+    """``parafac._line_search`` as three MTTKRPs and a product of Gram polynomials: a frozen copy."""
+
+    def poly_product(p, q):  # ascending coefficients that are arrays, multiplied entrywise
+        out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:])
+        for i, coef in enumerate(p):
+            out[i : i + len(q)] += coef * q
+        return out
+
+    a, b, c = f.A, f.B, f.C
+    da, db, dc = a - prev.A, b - prev.B, c - prev.C
+    unfolding = mode_n_unfold(arr, 1) if _unfolded is None else _unfolded[0]
+    mttkrp = [
+        unfolding @ khatri_rao(b, c) if _mttkrp is None else _mttkrp,
+        unfolding @ (khatri_rao(db, c) + khatri_rao(b, dc)),
+        unfolding @ khatri_rao(db, dc),
+    ]
+    cross = np.zeros(4)
+    for k, p in enumerate(mttkrp):
+        cross[k] += np.sum(a * p)
+        cross[k + 1] += np.sum(da * p)
+    grams = []
+    for h in (np.hstack([m, d]) for m, d in ((a, da), (b, db), (c, dc))):
+        h = (h.T @ h).reshape(2, a.shape[1], 2, a.shape[1])
+        grams.append(np.stack([h[0, :, 0], h[0, :, 1] + h[1, :, 0], h[1, :, 1]]))
+    err = poly_product(poly_product(grams[0], grams[1]), grams[2]).sum(axis=(1, 2))
+    err[:4] -= 2.0 * cross
+    roots = real_roots(err[1:] * np.arange(1, err.size))
+    if roots.size == 0:
+        return None
+    mu = roots[np.argmin(np.vander(roots, err.size, increasing=True) @ err)]
+    return KruskalFactors(a + mu * da, b + mu * db, c + mu * dc)
 
 
 class TestBlockSolve:
@@ -507,6 +541,28 @@ class TestAls:
             grid = np.linspace(mu - 5.0, mu + 5.0, 2001)
             best = min(self._line_error(g, f, prev, t) for t in grid)
             assert self._line_error(g, f, prev, mu) <= best * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n, rank", [(30, 5), (20, 3)])
+    def test_line_search_matches_the_three_mttkrp_oracle(self, n, rank, monkeypatch):
+        # every search of three runs, on the core and on the full tensor, then a zero direction
+        calls = []
+        search = parafac._line_search
+
+        def spy(arr, f, prev, **cached):
+            calls.append((arr, f, prev, cached))
+            return search(arr, f, prev, **cached)
+
+        monkeypatch.setattr(parafac, "_line_search", spy)
+        for seed in range(3):
+            als(swamp_tensor(seed, n, rank), ALSConfig(rank, max_iters=1000, rel_tol=1e-10))
+        assert {arr.shape for arr, *_ in calls} == {(rank,) * 3, (n,) * 3}
+        arr, f, _, cached = calls[-1]
+        assert search(arr, f, f, **cached) is line_search_oracle(arr, f, f, **cached) is None
+        for arr, f, prev, cached in calls:
+            step, ref = search(arr, f, prev, **cached), line_search_oracle(arr, f, prev, **cached)
+            assert (step is None) == (ref is None)
+            for m, m_ref in zip((step.A, step.B, step.C), (ref.A, ref.B, ref.C)) if ref else ():
+                assert np.abs(m - m_ref).max() <= 1e-12 * np.abs(m_ref).max()
 
     def test_rejected_line_step_changes_nothing(self, monkeypatch):
         g = swamp_tensor(2, n=8)

@@ -174,6 +174,11 @@ class TestWeights:
         with pytest.raises(ValueError, match="proportional"):
             solve_weights(SUM_CUBES, [(1.0, 1.0), (2.0, 2.0)])
 
+    def test_zero_form_has_zero_weights(self):
+        # no coefficient to divide by: the weights are zero, with no warning
+        weights, res = solve_weights(BinaryQuantic(3, np.zeros(4)), [(1.0, 0.0), (0.0, 1.0)])
+        assert weights.tolist() == [0.0, 0.0] and res == 0.0
+
 
 class TestCandBinary:
     def test_pure_power(self):
@@ -282,6 +287,15 @@ class TestCandBinary:
         for (w, a, b), (w0, a0, b0) in zip(dec.terms, ref.terms):
             assert abs(a - a0) <= 1e-15 and abs(b - b0) <= 1e-15
             assert abs(w - w0 * 2.0**k) <= 1e-14 * abs(w0 * 2.0**k)
+
+    @pytest.mark.parametrize("k", [1000, 1010])
+    def test_split_root_candidate_near_the_float_range_is_refused(self, k):
+        # the rank-2 candidate of -3 (x + y)^2 y has weights about 1.9e7 max|gamma|, which
+        # overflow here; the cancellation ratio, not the overflow, must reject it
+        gamma = np.ldexp(np.array([-3.0, -2.0, -1.0, 0.0]), k)
+        dec = cand_binary(BinaryQuantic(3, gamma))
+        assert (dec.rank, dec.field) == (3, "real") and dec.residual <= 1e-8
+        assert max(abs(w) for w, _, _ in dec.terms) <= 1.1 * np.abs(gamma).max()
 
     def test_weights_beyond_the_float_range_refused(self):
         # nearly proportional forms: the weights are about 3e310
