@@ -288,25 +288,26 @@ def poly_roots(rows) -> np.ndarray:
     A top coefficient at most ``1e-14`` times its row's largest magnitude is
     trimmed, and its root slot, after the row's sorted roots, is ``nan``.  The
     roots are the eigenvalues of numpy's ``polycompanion``, one stacked
-    ``eigvals`` call for each degree the rows have after trimming, so each
-    row's result depends on that row alone.
+    ``eigvals`` call for each degree the rows have after trimming, on the rows
+    of that degree alone, so each row's result depends on that row alone.
     """
     c = np.asarray(rows, dtype=float)
     m, deg = c.shape[0], c.shape[1] - 1
-    width, roots, left = max(deg, 0), None, None  # made once a row trims: roots, unsolved rows
+    width, roots, left = max(deg, 0), None, np.arange(m)  # roots made once a row trims
     while deg >= 1 and len(c):
         mag = np.abs(c)
         trimmed = mag[:, -1] <= 1e-14 * mag.max(axis=1)
         if not trimmed.all():
-            comp = np.zeros((len(c), deg, deg))
-            comp.reshape(len(c), -1)[:, deg :: deg + 1] = 1.0
-            comp[:, :, -1] = c[:, :-1] / -np.where(trimmed, 1.0, c[:, -1])[:, None]
+            top = c[~trimmed] if trimmed.any() else c  # only the rows of this degree
+            comp = np.zeros((len(top), deg, deg))
+            comp.reshape(len(top), -1)[:, deg :: deg + 1] = 1.0
+            comp[:, :, -1] = top[:, :-1] / -top[:, -1:]
             solved = np.sort(np.linalg.eigvals(comp), axis=1).astype(complex, copy=False)
-            if deg == width and not trimmed.any():
+            if deg == width and top is c:
                 return solved  # no row trimmed: no nan to fill
             if roots is None:
-                roots, left = np.full((m, width), np.nan, dtype=complex), np.arange(m)
-            roots[left[~trimmed], :deg] = solved[~trimmed]
+                roots = np.full((m, width), np.nan, dtype=complex)
+            roots[left[~trimmed], :deg] = solved
             left, c = left[trimmed], c[trimmed]
         c, deg = c[:, :-1], deg - 1
     return np.full((m, width), np.nan, dtype=complex) if roots is None else roots

@@ -44,15 +44,29 @@ of Brent & Luk (*SIAM J. Sci. Stat. Comput.*, 1985): each sweep is ``n - 1``
 rounds (``n`` for odd ``n``, with one index idle per round) of ``n // 2``
 disjoint pairs, and every pair comes once per sweep.  A round is solved in
 one call, and its accepted pairs (positive gain, nonzero angle) are then
-rotated together: Givens rotations of disjoint pairs commute and compose to
-one block-diagonal orthogonal matrix, which :func:`_rotate_round` applies by
-one matrix product per tensor axis.  No rotation of the round touches
-another pair's entries, so each angle is the one a solve made just before
-its own rotation would return, and the result is that of one rotation at a
-time up to rounding.  A round with no accepted pair is skipped, so it leaves
-every bit as it was.  Greedy sweeps rotate one pair per step, and there the
-slice update of :func:`_apply_rotation`, ``O(n^(d-1))``, beats a pass of a
-whole ``n x n`` matrix, ``O(n^(d+1))``; so they keep it.
+rotated together: Givens rotations of disjoint pairs commute, and no
+rotation of the round touches another pair's entries, so each angle is the
+one a solve made just before its own rotation would return, and the result
+is that of one rotation at a time up to rounding.
+
+Cyclic sweeps rotate the basis, not the tensor.  They keep the input tensor
+``t`` fixed and accumulate the rotation ``v``, whose row ``v_p`` is the
+``p``-th rotated basis vector, so the rotated tensor's entry
+``z[p^(d-j) q^j]`` is ``t(v_p^(d-j), v_q^j)``.  :func:`_round_reader` reads
+a whole round's pair rows off ``t`` with one matrix product between
+half-powers (at order 4, ``t`` as a quadratic form on pair products: the
+cumulant matrices of Cardoso & Souloumiac's JADE, 1993); an accepted round
+rotates only its pairs' rows of ``v``, and a round with no accepted pair
+changes nothing.  After the last sweep ``t`` is rotated once by ``v``, one
+matrix product per axis, and symmetrized; with no accepted pair this is
+skipped, so a diagonal input keeps its bytes.  The cost rule: a cyclic
+round touches all ``n`` indices, and reading its rows off ``t`` takes about
+``n^5 / 4`` multiply-adds at order 4, against ``4 n^5`` for rotating the
+tensor along its four axes.  A greedy step touches two indices, and its
+slice update of :func:`_apply_rotation`, ``O(n^(d-1))``, costs far less
+than reading the ``2n - 4`` pairs it affects off ``t``, which spans all
+``n`` indices and so costs a round's product, so greedy sweeps keep
+rotating the tensor.
 
 Greedy sweeps solve every pair in one call and then, after each rotation of
 ``(p, q)``, re-solve in one call the ``2n - 4`` pairs sharing exactly one
@@ -66,10 +80,11 @@ with the rest: ``(1, 3)`` searches only half its period, and the quadratic
 forms return ``(0, 0)`` only when the rotation's own rounding leaves the
 pair's off-diagonal coefficient within its rounding floor.
 
-A round's matrix products sum through BLAS, so cyclic sweeps reproduce as
-far as BLAS does: the same input, in the same process and with the same BLAS
-build and thread count, gives identical bytes; nothing is promised across
-machines, BLAS builds or thread counts, which may sum in another order.
+A round's reading product and the final rotation sum through BLAS, so
+cyclic sweeps reproduce as far as BLAS does: the same input, in the same
+process and with the same BLAS build and thread count, gives identical
+bytes; nothing is promised across machines, BLAS builds or thread counts,
+which may sum in another order.
 
 The diagnostics (``contrast_value``, ``stationarity_residual``,
 ``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries: the
@@ -266,6 +281,10 @@ def _sample_table(d: int) -> np.ndarray:
 
 
 _SAMPLE_TABLES = {d: _sample_table(d) for d in (2, 3, 4)}
+# entry j of a pair row, z[p^(d-j) q^j], in :func:`_round_reader`: the left
+# half it reads (0: v_p's, 1: v_q's) and its right half (that many v_q's)
+_HALVES = {2: ([0, 0, 1], [0, 1, 1]), 3: ([0, 0, 1, 1], [0, 1, 0, 1]),
+           4: ([0, 0, 0, 1, 1], [0, 1, 2, 1, 2])}
 
 
 def _forms(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -360,59 +379,85 @@ def _apply_rotation(zd: np.ndarray, p: int, q: int, phi: float) -> None:
         zd[tuple(idx_q)] = -s * zp + c * zq
 
 
-def _rotate_rows(v: np.ndarray, p: int, q: int, phi: float) -> None:
-    c, s = cos(phi), sin(phi)
-    vp, vq = v[p].copy(), v[q].copy()
-    v[p] = c * vp + s * vq
-    v[q] = -s * vp + c * vq
+def _rotate_rows(v: np.ndarray, p, q, phi) -> None:
+    """Rotate rows ``p`` and ``q`` of ``v`` by ``phi``, in place; index arrays of
+    disjoint pairs rotate each pair by its own angle."""
+    c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    vp, vq = v[p], v[q]
+    v[p], v[q] = c * vp + s * vq, c * vq - s * vp
 
 
-def _rotate_round(zd: np.ndarray, v: np.ndarray, p, q, phi) -> None:
-    """Rotate the disjoint pairs ``(p[i], q[i])`` by ``phi[i]`` at once, in place.
+def _round_reader(t: np.ndarray):
+    """Reader of a round's pair rows off the fixed symmetric tensor ``t``.
 
-    The round's Givens matrices compose to one block-diagonal ``g``, applied
-    along each axis by a matrix product over plain reshapes; the result is
-    written back into ``zd``'s own buffer, so views of it stay valid.
+    ``read(v, p, q)`` returns the pair rows of ``t`` rotated by ``v`` along
+    every axis, for the disjoint pairs ``(p[i], q[i])``: entry ``j`` of row
+    ``i`` is ``t(v_p^(d-j), v_q^j)``, with ``v_p`` row ``p[i]`` of ``v``.
+    ``t`` is read once as a matrix ``m`` between half-powers: its first
+    ``d - d // 2`` axes against the rest, a side of two axes taken on
+    ``i <= j`` with weight 1 on the diagonal and 2 off it (order 4: the
+    ``P x P`` pair-product form, ``P = n (n + 1) / 2``; order 3: ``P x n``;
+    order 2: ``t`` itself).  Then ``t(x^2, y^2) = (x x) @ m @ (y y)`` with
+    ``(x y)[i, j] = (x_i y_j + x_j y_i) / 2`` on ``i <= j``, and likewise for
+    a side of one axis, so one product takes the round's stacked ``v_p`` and
+    ``v_q`` halves through ``m``, and row dot products finish the rows.
     """
-    n, d = zd.shape[0], zd.ndim
-    c, s = np.cos(phi), np.sin(phi)
-    g = np.eye(n)
-    g[p, p], g[q, q], g[p, q], g[q, p] = c, c, s, -s
-    x = zd
-    for k in range(d - 1):
-        x = np.matmul(g, x.reshape(n**k, n, -1))
-    np.matmul(x.reshape(-1, n), g.T, out=zd.reshape(-1, n))
-    v[...] = g @ v
+    n, d = t.shape[0], t.ndim
+    i, j = np.triu_indices(n)
+    ij, w = i * n + j, np.where(i == j, 1.0, 2.0)
+    if d == 2:
+        m = t
+    elif d == 3:
+        m = t.reshape(n * n, n)[ij] * w[:, None]
+    else:
+        m = t.reshape(n * n, n * n)[np.ix_(ij, ij)] * np.outer(w, w)
+    left, right = _HALVES[d]
+
+    def read(v, p, q):
+        k = len(p)
+        x = v[np.concatenate([p, q])]  # the rows v_p, then v_q
+        xi, xj = x[:, i], x[:, j]
+        sq = xi * xj  # their squares on i <= j
+        y = ((sq if d > 2 else x) @ m).reshape(2, k, -1)
+        if d == 4:  # right halves v_p v_p, v_p v_q, v_q v_q
+            r = np.stack([sq[:k], 0.5 * (xi[:k] * xj[k:] + xj[:k] * xi[k:]), sq[k:]])
+        else:  # right halves v_p, v_q
+            r = x.reshape(2, k, -1)
+        return np.einsum("jkc,jkc->kj", y[left], r[right])
+
+    return read
 
 
 def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
-    zd = _as_array(g).copy()
-    if zd.ndim != spec.order:
+    t = _as_array(g)
+    if t.ndim != spec.order:
         raise ValueError("tensor order does not match the contrast order")
-    n = zd.shape[0]
+    n, d = t.shape[0], t.ndim
     v = np.eye(n)
-    trace = [contrast_value(zd, spec)]
+    trace = [contrast_value(t, spec)]
     if n < 2:
-        return ICAResult(Q=np.eye(n), Z=symmetrize(zd), trace=trace)
+        return ICAResult(Q=np.eye(n), Z=symmetrize(t), trace=trace)
 
-    first, second, positions = _pairs(n, spec.order)
-    flat = zd.reshape(-1)
+    first, second, positions = _pairs(n, d)
     npairs = len(first)
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
-
-    def solve(rows):
-        return _best_angles(flat[positions[rows]], spec.order, spec.alpha)
 
     stop_reason, largest = "max_sweeps", []
     if greedy:
         # pair_index[i, j] is the index of pair {i, j}, -1 where i == j; a
         # rotated (2, 4) pair is cached as (0, 0), see the module docstring
+        z = t.copy()
+        flat = z.reshape(-1)
+
+        def solve(rows):
+            return _best_angles(flat[positions[rows]], d, spec.alpha)
+
         pair_index = np.full((n, n), -1, dtype=np.intp)
         pair_index[first, second] = pair_index[second, first] = np.arange(npairs)
-        skip_rotated = (spec.alpha, spec.order) == (2, 4)
+        skip_rotated = (spec.alpha, d) == (2, 4)
         phis, gains = solve(slice(None))
         angles = []
         while len(angles) < npairs * max_sweeps:
@@ -422,7 +467,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
                 break
             p, q = int(first[k]), int(second[k])
-            _apply_rotation(zd, p, q, phi)
+            _apply_rotation(z, p, q, phi)
             _rotate_rows(v, p, q, phi)
             trace.append(trace[-1] + gain)
             angles.append(abs(phi))
@@ -436,14 +481,16 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 phis[touched], gains[touched] = solve(touched)
         largest = [max(angles[i : i + npairs]) for i in range(0, len(angles), npairs)]
     else:
+        read = _round_reader(t)
         for _ in range(max_sweeps):
             largest_phi = 0.0
             for rows in _rounds(n):
-                phis, gains = solve(rows)
+                p, q = first[rows], second[rows]
+                phis, gains = _best_angles(read(v, p, q), d, spec.alpha)
                 ok = (gains > 0.0) & (phis != 0.0)
                 if not ok.any():
                     continue
-                _rotate_round(zd, v, first[rows[ok]], second[rows[ok]], phis[ok])
+                _rotate_rows(v, p[ok], q[ok], phis[ok])
                 for gain in gains[ok].tolist():
                     trace.append(trace[-1] + gain)
                 largest_phi = max(largest_phi, float(np.abs(phis[ok]).max()))
@@ -451,9 +498,18 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
             if largest_phi < ANGLE_TOL:
                 stop_reason = "angle_tol"
                 break
+        # rotate t once by v, unless no pair was accepted: each product takes
+        # the leading axis through v and moves it last, into the buffer of the
+        # product before last; t is dropped after the first product, and the
+        # spare buffer before the symmetrization
+        z, spare = t, None
+        del read, t
+        for step in range(d if len(trace) > 1 else 0):
+            z, spare = np.matmul(z.reshape(n, -1).T, v.T, out=spare), (z if step else None)
+        z, spare = z.reshape((n,) * d), None
 
     return ICAResult(
-        Q=v.T.copy(), Z=symmetrize(zd), trace=trace, stop_reason=stop_reason,
+        Q=v.T.copy(), Z=symmetrize(z), trace=trace, stop_reason=stop_reason,
         largest_angles=largest,
     )
 

@@ -499,7 +499,7 @@ class TestPolyRoots:
         assert calls == [(6, 5, 5)]
         calls.clear()
         core.poly_roots(rows[:16])
-        assert calls == [(16, 5, 5), (10, 4, 4), (4, 3, 3)]
+        assert calls == [(6, 5, 5), (6, 4, 4), (4, 3, 3)]  # only the rows of each degree
         calls.clear()
         core.poly_roots(rows[10:11])  # a degree where every row trims makes no call
         core.poly_roots(rows[16:])

@@ -14,8 +14,8 @@ from tensorbss.jacobi import (
     ContrastSpec,
     _apply_rotation,
     _best_angles,
-    _rotate_round,
     _rotate_rows,
+    _round_reader,
     _rotated_diag,
     contrast_value,
     convexity_margin,
@@ -488,6 +488,26 @@ def sweep_cyclic_one_pair(g, spec, max_sweeps=None):
     return v.T, trace, len(trace) - 1, len(largest), stop_reason, largest
 
 
+def rotate_round(zd, v, p, q, phi):
+    """Rotate the disjoint pairs ``(p[i], q[i])`` by ``phi[i]`` at once, in place.
+
+    The round's Givens matrices compose to one block-diagonal ``g``, applied
+    along each axis by a matrix product over plain reshapes; the result is
+    written back into ``zd``'s own buffer.  This is how cyclic sweeps rotated
+    the whole tensor every round, before they read the rounds off the fixed
+    tensor.
+    """
+    n, d = zd.shape[0], zd.ndim
+    c, s = np.cos(phi), np.sin(phi)
+    g = np.eye(n)
+    g[p, p], g[q, q], g[p, q], g[q, p] = c, c, s, -s
+    x = zd
+    for k in range(d - 1):
+        x = np.matmul(g, x.reshape(n**k, n, -1))
+    np.matmul(x.reshape(-1, n), g.T, out=zd.reshape(-1, n))
+    v[...] = g @ v
+
+
 ALL_SPECS = [(2, 2), (2, 3), (2, 4), (1, 3), (1, 4)]
 PAIR_SIZE = {2: 3, 3: 4, 4: 5}
 
@@ -719,7 +739,7 @@ class TestRotateRound:
                 _apply_rotation(z_seq, int(first[k]), int(second[k]), phi)
                 _rotate_rows(v_seq, int(first[k]), int(second[k]), phi)
             norm = np.linalg.norm(zd)
-            _rotate_round(zd, v, first[rows], second[rows], phis)
+            rotate_round(zd, v, first[rows], second[rows], phis)
             assert np.abs(zd - z_seq).max() <= 1e-13 * norm
             assert np.abs(v - v_seq).max() <= 1e-13
             assert abs(np.linalg.norm(zd) - norm) <= 1e-13 * norm
@@ -727,7 +747,7 @@ class TestRotateRound:
     def test_rounds_without_accepted_pair_change_nothing(self, monkeypatch):
         # (2, 4) solves a diagonal pair to exactly (0, 0), so no pair is accepted
         calls = []
-        monkeypatch.setattr(jacobi, "_rotate_round", lambda *args: calls.append(args))
+        monkeypatch.setattr(jacobi, "_rotate_rows", lambda *args: calls.append(args))
         g = diag_tensor([2.0, -1.5, 0.5, 3.0, 0.0], 4)
         res = sweep_cyclic(g, ContrastSpec(2, 4))
         assert calls == []
@@ -744,19 +764,61 @@ class TestRotateRound:
         assert (res.rotations, res.largest_angles) == (0, [0.0])
 
     def test_only_rounds_with_accepted_pairs_rotate(self, monkeypatch):
-        # only the pair (0, 1) is coupled, and rotating it keeps it so
+        # only the pair (0, 1) is coupled, and rotating it keeps it so: each
+        # update of the basis rotates that one accepted pair
         sizes = []
 
-        def counted(zd, v, p, q, phi):
-            sizes.append(len(phi))
-            _rotate_round(zd, v, p, q, phi)
+        def counted(v, p, q, phi):
+            sizes.append((p.tolist(), q.tolist(), len(phi)))
+            _rotate_rows(v, p, q, phi)
 
-        monkeypatch.setattr(jacobi, "_rotate_round", counted)
+        monkeypatch.setattr(jacobi, "_rotate_rows", counted)
         g = diag_tensor([0.0, 0.0, 0.5, 3.0, -1.0], 4)
         g[:2, :2, :2, :2] = rotated_diag([2.0, -1.0], 4, 1320)[0].expand().array
         res = sweep_cyclic(g, ContrastSpec(2, 4))
         assert res.rotations > 0
-        assert sizes == [1] * res.rotations
+        assert sizes == [([0], [1], 1)] * res.rotations
+
+
+class TestRoundReader:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rows_match_the_rotated_tensor(self, d, n):
+        # odd n leave one index idle in every round
+        r = np.random.default_rng(1400 + 10 * n + d)
+        t = symmetrize(r.standard_normal((n,) * d)).expand().array
+        v = np.linalg.qr(r.standard_normal((n, n)))[0]
+        z = tucker_transform(t, [v] * d).array
+        read = _round_reader(t)
+        first, second = np.triu_indices(n, 1)
+        for rows in jacobi._rounds(n):
+            p, q = first[rows], second[rows]
+            expected = z[tuple(np.moveaxis(jacobi._pair_layout(p, q, d), -1, 0))]
+            assert np.abs(read(v, p, q) - expected).max() <= 1e-13 * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_result_is_the_input_rotated_by_q(self, alpha, d):
+        r = np.random.default_rng(1450 + 10 * d + alpha)
+        for n in range(2, 8):
+            t = symmetrize(r.standard_normal((n,) * d)).expand().array
+            res = sweep_cyclic(t, ContrastSpec(alpha, d))
+            assert res.rotations > 0
+            expected = tucker_transform(t, [res.Q.T] * d).array
+            assert np.abs(res.Z.expand().array - expected).max() <= 1e-13 * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_peak_memory_within_three_dense_tensors(self, n):
+        # the input is expanded once and not copied; the final rotation
+        # drops it after its first product and reuses its two buffers
+        g = symmetrize(np.random.default_rng(1500 + n).standard_normal((n,) * 4))
+        tracemalloc.start()
+        try:
+            res = jacobi._run_sweeps(g, ContrastSpec(2, 4), greedy=False, max_sweeps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rotations > 0
+        assert peak <= 3 * n**4 * 8
 
 
 def stationarity_oracle(zd, d):
