@@ -242,11 +242,9 @@ def symmetrize(t) -> SymTensor:
     if len(set(arr.shape)) > 1:
         raise ValueError("symmetrize needs equal dimensions on every mode")
     n, d = arr.shape[0], arr.ndim
-    pos = packing_positions(n, d)
-    flat = arr.reshape(-1)
-    sums = np.bincount(pos, weights=flat, minlength=packed_length(n, d))
-    counts = np.bincount(pos, minlength=packed_length(n, d))
-    return SymTensor(n, d, sums / counts)
+    # a packed slot has as many index tuples as its multiplicity
+    pos, size = packing_positions(n, d), packed_length(n, d)
+    return SymTensor(n, d, np.bincount(pos, arr.reshape(-1), size) / multiplicities(n, d))
 
 
 def rank1_sym(w, d: int, weight: float = 1.0) -> DenseTensor:

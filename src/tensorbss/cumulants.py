@@ -9,8 +9,10 @@ This choice keeps the estimators exactly multilinear, so transforming the
 samples by any matrix M and transforming the tensor by the Tucker product
 with M on every mode give identical results up to rounding.
 
-The sums run as matrix products over blocks of ``BLOCK_ROWS`` rows: with the
-pair products ``p = [x_i x_j]``, ``i <= j``, of a centered row ``x``, order 4
+The sums run as matrix products over blocks of ``BLOCK_ROWS`` samples.  A
+block is centered and transposed once, so ``x`` holds one sensor per row,
+and its pair products ``p = [x_i x_j]``, ``i <= j``, are built row by row
+(each row of ``p`` the product of two contiguous rows of ``x``): order 4
 accumulates ``p p^T``, order 3 ``p x^T`` and order 2 ``x x^T``.  Each distinct
 entry is then gathered once from those matrices and broadcast, so the
 returned tensors are symmetric by construction.  The same input, in the same
@@ -29,7 +31,7 @@ from .core import SymTensor
 from .indexing import packed_index, sorted_axes
 
 MAX_ORDER = 4
-# Rows per block: the pair products of a block stay small (512 x 136 at 16
+# Samples per block: the pair products of a block stay small (136 x 512 at 16
 # sensors) and never grow with the sample count.
 BLOCK_ROWS = 512
 
@@ -55,11 +57,12 @@ def _packed_moment(z: np.ndarray, shift: np.ndarray, d: int):
     m2 = np.zeros((n, n))
     high = np.zeros((iu.size, n if d == 3 else iu.size)) if d > 2 else None
     for start in range(0, z.shape[0], BLOCK_ROWS):
-        x = z[start : start + BLOCK_ROWS] - shift
-        m2 += x.T @ x
+        x = (z[start : start + BLOCK_ROWS] - shift).T.copy()
+        m2 += x @ x.T
         if d > 2:
-            p = x[:, iu] * x[:, ju]
-            high += p.T @ (x if d == 3 else p)
+            p = x[iu]
+            p *= x[ju]
+            high += p @ (x if d == 3 else p).T
     m2 /= z.shape[0]
     a = sorted_axes(n, d).T
     if d == 2:

@@ -55,7 +55,8 @@ Cyclic sweeps rotate the basis, not the tensor.  They keep the input tensor
 ``z[p^(d-j) q^j]`` is ``t(v_p^(d-j), v_q^j)``.  :func:`_round_reader` reads
 a whole round's pair rows off ``t`` with one matrix product between
 half-powers (at order 4, ``t`` as a quadratic form on pair products: the
-cumulant matrices of Cardoso & Souloumiac's JADE, 1993); an accepted round
+cumulant matrices of Cardoso & Souloumiac's JADE, 1993), and finishes them
+with one Gram product of its result and the other halves; an accepted round
 rotates only its pairs' rows of ``v``, and a round with no accepted pair
 changes nothing.  After the last sweep ``t`` is rotated once by ``v``, one
 matrix product per axis, and symmetrized; with no accepted pair this is
@@ -80,7 +81,7 @@ with the rest: ``(1, 3)`` searches only half its period, and the quadratic
 forms return ``(0, 0)`` only when the rotation's own rounding leaves the
 pair's off-diagonal coefficient within its rounding floor.
 
-A round's reading product and the final rotation sum through BLAS, so
+A round's reading products and the final rotation sum through BLAS, so
 cyclic sweeps reproduce as far as BLAS does: the same input, in the same
 process and with the same BLAS build and thread count, gives identical
 bytes; nothing is promised across machines, BLAS builds or thread counts,
@@ -282,7 +283,9 @@ def _sample_table(d: int) -> np.ndarray:
 
 _SAMPLE_TABLES = {d: _sample_table(d) for d in (2, 3, 4)}
 # entry j of a pair row, z[p^(d-j) q^j], in :func:`_round_reader`: the left
-# half it reads (0: v_p's, 1: v_q's) and its right half (that many v_q's)
+# half it reads (0: v_p's, 1: v_q's) and its right half (that many v_q's);
+# the entry is the dot product of the two, read off one Gram product of the
+# stacked left and right halves
 _HALVES = {2: ([0, 0, 1], [0, 1, 1]), 3: ([0, 0, 1, 1], [0, 1, 0, 1]),
            4: ([0, 0, 0, 1, 1], [0, 1, 2, 1, 2])}
 
@@ -387,6 +390,23 @@ def _rotate_rows(v: np.ndarray, p, q, phi) -> None:
     v[p], v[q] = c * vp + s * vq, c * vq - s * vp
 
 
+@cache
+def _gram_positions(k: int, d: int) -> np.ndarray:
+    """Positions of each pair's row entries in the flattened Gram product of
+    :func:`_round_reader`'s ``read`` on ``k`` pairs, row ``i`` for pair ``i``.
+
+    The product's rows are the left halves of the ``v_p``, then of the
+    ``v_q``; its columns the right halves in the same order, and at order 4
+    the mixed ``v_p v_q`` after them.  Read-only, since every caller shares it.
+    """
+    left, right = _HALVES[d]
+    block = np.array([0, 2, 1] if d == 4 else [0, 1])[right]
+    i, columns = np.arange(k)[:, None], (3 if d == 4 else 2) * k
+    out = (np.array(left) * k + i) * columns + block * k + i
+    out.flags.writeable = False
+    return out
+
+
 def _round_reader(t: np.ndarray):
     """Reader of a round's pair rows off the fixed symmetric tensor ``t``.
 
@@ -400,7 +420,9 @@ def _round_reader(t: np.ndarray):
     order 2: ``t`` itself).  Then ``t(x^2, y^2) = (x x) @ m @ (y y)`` with
     ``(x y)[i, j] = (x_i y_j + x_j y_i) / 2`` on ``i <= j``, and likewise for
     a side of one axis, so one product takes the round's stacked ``v_p`` and
-    ``v_q`` halves through ``m``, and row dot products finish the rows.
+    ``v_q`` left halves through ``m``, and one Gram product with the stacked
+    right halves finishes every row; each row's entries are gathered from it
+    at :func:`_gram_positions`.
     """
     n, d = t.shape[0], t.ndim
     i, j = np.triu_indices(n)
@@ -411,19 +433,22 @@ def _round_reader(t: np.ndarray):
         m = t.reshape(n * n, n)[ij] * w[:, None]
     else:
         m = t.reshape(n * n, n * n)[np.ix_(ij, ij)] * np.outer(w, w)
-    left, right = _HALVES[d]
 
     def read(v, p, q):
         k = len(p)
         x = v[np.concatenate([p, q])]  # the rows v_p, then v_q
-        xi, xj = x[:, i], x[:, j]
-        sq = xi * xj  # their squares on i <= j
-        y = ((sq if d > 2 else x) @ m).reshape(2, k, -1)
-        if d == 4:  # right halves v_p v_p, v_p v_q, v_q v_q
-            r = np.stack([sq[:k], 0.5 * (xi[:k] * xj[k:] + xj[:k] * xi[k:]), sq[k:]])
-        else:  # right halves v_p, v_q
-            r = x.reshape(2, k, -1)
-        return np.einsum("jkc,jkc->kj", y[left], r[right])
+        r = x
+        if d > 2:  # their squares on i <= j, then at order 4 the mixed v_p v_q
+            xi, xj = x.take(i, axis=1), x.take(j, axis=1)
+            r = np.empty(((3 if d == 4 else 2) * k, i.size))
+            np.multiply(xi, xj, out=r[: 2 * k])
+            if d == 4:
+                mixed = r[2 * k :]
+                np.multiply(xi[:k], xj[k:], out=mixed)
+                mixed += xj[:k] * xi[k:]
+                mixed *= 0.5
+        y = r[: 2 * k] @ m  # the left halves through m
+        return (y @ (r if d == 4 else x).T).take(_gram_positions(k, d))
 
     return read
 
@@ -590,11 +615,15 @@ def ica(
         raise ValueError(f"ica needs more samples than columns: N = {z.shape[0]} samples "
                          f"of n = {z.shape[1]} columns")
 
+    # the centred and the whitened samples are dropped once used, so the
+    # sweep holds neither
     zc = z - z.mean(axis=0)
     r_y = zc.T @ zc / z.shape[0]
     wh = standardize(r_y)
     y = wh.apply(zc)
+    del zc
     g = cumulant_tensor(y, spec.order)
+    del y
 
     res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
     null_var = {2: 2.0, 3: 6.0, 4: 24.0}[spec.order]

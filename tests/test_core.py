@@ -260,6 +260,17 @@ class TestSymmetrize:
         with pytest.raises(ValueError):
             symmetrize(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n,d", [(4, 3), (16, 4), (7, 2)])
+    def test_divides_by_the_counted_tuples(self, n, d):
+        # the multiplicities are exactly the tuple counts, so dividing by
+        # them gives the bytes of dividing by a count of the positions
+        t = np.random.default_rng(n + d).standard_normal((n,) * d)
+        pos, size = packing_positions(n, d), packed_length(n, d)
+        counts = np.bincount(pos, minlength=size)
+        np.testing.assert_array_equal(multiplicities(n, d), counts)
+        expected = np.bincount(pos, weights=t.reshape(-1), minlength=size) / counts
+        assert symmetrize(t).packed.tobytes() == expected.tobytes()
+
 
 class TestSymTensor:
     def test_packed_length_enforced(self):

@@ -1,4 +1,5 @@
 import itertools
+from math import ceil
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbss.core import tucker_transform
-from tensorbss.cumulants import BLOCK_ROWS, cumulant_tensor
+from tensorbss.cumulants import BLOCK_ROWS, _packed_moment, cumulant_tensor
+from tensorbss.indexing import packed_index, sorted_axes
 
 rng = np.random.default_rng(99)
 
@@ -62,6 +64,67 @@ def test_blocked_kernel_matches_einsum(n, nsamples):
     for d in range(1, 5):
         if d == 1 or nsamples >= 2:
             assert_close_to_oracle(cumulant_tensor(z, d).expand().array, einsum_cumulant(z, d))
+
+
+def column_gather_moment(z, shift, d):
+    """The packed order-d moment and the second moments, summed over the same
+    blocks with one sample per row: pair products gathered as columns,
+    ``p^T p`` at order 4, ``p^T x`` at order 3, ``x^T x``."""
+    n = z.shape[1]
+    iu, ju = np.triu_indices(n)
+    m2 = np.zeros((n, n))
+    high = np.zeros((iu.size, n if d == 3 else iu.size))
+    for start in range(0, len(z), BLOCK_ROWS):
+        x = z[start : start + BLOCK_ROWS] - shift
+        m2 += x.T @ x
+        if d > 2:
+            p = x[:, iu] * x[:, ju]
+            high += p.T @ (x if d == 3 else p)
+    m2 /= len(z)
+    high /= len(z)
+    a = sorted_axes(n, d).T
+    if d == 2:
+        return m2[a[0], a[1]], m2
+    rows = packed_index(a[:2].T, n)
+    return high[rows, a[2] if d == 3 else packed_index(a[2:].T, n)], m2
+
+
+MOMENT_SIZES = [(1, 7), (4, 100), (5, BLOCK_ROWS), (10, 2 * BLOCK_ROWS + 37), (16, 5000)]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n,nsamples", MOMENT_SIZES)
+def test_row_gathered_moment_has_the_column_gathered_bytes(n, nsamples, d):
+    # the same products summed in the same order: the layout of the pair
+    # products is all that differs
+    z = np.random.default_rng([n, nsamples, d]).exponential(size=(nsamples, n))
+    shift = z.mean(axis=0)
+    packed, m2 = _packed_moment(z, shift, d)
+    expected, expected_m2 = column_gather_moment(z, shift, d)
+    assert m2.tobytes() == expected_m2.tobytes()
+    assert packed.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n,nsamples", MOMENT_SIZES)
+def test_row_gathered_third_moment_within_the_summation_bound(n, nsamples):
+    # BLAS may sum p x^T and p^T x in different orders.  Each sum of N terms
+    # x_i x_j x_k is rounded at most h = BLOCK_ROWS + ceil(N / BLOCK_ROWS) + 1
+    # times per term, so each lies within gamma_h * S of the exact sum, S the
+    # sum of the terms' magnitudes; after the division by N the two differ by
+    # at most 2 gamma_h S / N plus the division's own rounding of each
+    z = np.random.default_rng([n, nsamples, 3]).exponential(size=(nsamples, n))
+    shift = z.mean(axis=0)
+    packed, m2 = _packed_moment(z, shift, 3)
+    expected, expected_m2 = column_gather_moment(z, shift, 3)
+    assert m2.tobytes() == expected_m2.tobytes()
+    u = np.finfo(float).eps / 2
+    h = BLOCK_ROWS + ceil(nsamples / BLOCK_ROWS) + 1
+    gamma = h * u / (1 - h * u)
+    x = np.abs(z - shift)
+    i, j, k = sorted_axes(n, 3).T
+    s = np.einsum("te,te,te->e", x[:, i], x[:, j], x[:, k])
+    bound = 2 * gamma * s / nsamples + 2 * u * np.maximum(np.abs(packed), np.abs(expected))
+    assert np.all(np.abs(packed - expected) <= bound)
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -977,6 +977,22 @@ class TestIcaPipeline:
         assert first.Z.packed.tobytes() == second.Z.packed.tobytes()
         assert np.array(first.trace).tobytes() == np.array(second.trace).tobytes()
 
+    def test_peak_memory_within_two_and_a_half_sample_arrays(self):
+        # the centred samples are dropped once whitened and the whitened ones
+        # once the cumulant is formed, so the sweep holds neither; the input
+        # is the caller's and not counted
+        r = np.random.default_rng(48)
+        y = r.uniform(-np.sqrt(3), np.sqrt(3), size=(20_000, 16)) @ r.standard_normal((16, 16)).T
+        ica(y[:2000])  # fills the per-size index caches
+        tracemalloc.start()
+        try:
+            _, res = ica(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rotations > 0
+        assert peak <= 2.5 * y.nbytes
+
     def test_rejects_samples_without_columns(self):
         with pytest.raises(ValueError, match="at least one column"):
             ica(np.zeros((10, 0)))
