@@ -12,6 +12,10 @@ and dimension ``n`` are stored with one scalar per multi-index of weight
 with ``m = d - 1 - k`` and ``a[-1] = 0``; term ``k`` counts the tuples that
 first differ from ``a`` in slot ``k``.  On multi-indices this is descending
 lex order, ``(d,0,..,0)`` first and ``(0,..,0,d)`` last.
+
+The ascending tuples and their multiplicities are enumerated once, level by
+level over the degree (:func:`_enumeration`); :func:`sorted_axes`,
+:func:`multiplicities` and :func:`multi_indices` all read that build.
 """
 
 from __future__ import annotations
@@ -23,37 +27,47 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All weight-``degree`` multi-indices on ``nvars`` variables, descending lex order."""
-    return tuple(map(tuple, _counts(nvars, degree).tolist()))
+def _enumeration(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sorted_axes` and :func:`multiplicities` from one build, read-only.
 
-
-@lru_cache(maxsize=None)
-def _counts(nvars: int, degree: int) -> np.ndarray:
-    """:func:`multi_indices` as a read-only ``packed_length x nvars`` array.
-
-    The counts are enumerated directly, one variable at a time: each prefix
-    of the first counts is followed by every count of the next variable that
-    fits its remaining weight, largest first, and the last variable takes the
-    rest.  Nothing ``degree`` long is built, so a huge degree on one variable
-    is one row.  The order is that of :func:`sorted_axes`' rows.
+    From the empty tuple, each level follows every ascending prefix by each
+    axis from its last axis up, so the rows stay in lexicographic order.  The
+    multiplicity is carried along exactly, in Python ints: the ``k``-th axis,
+    closing a run of ``r`` equal axes, multiplies it by ``k / r``.  One
+    variable has one row, a broadcast view, so a huge degree costs nothing.
     """
     if nvars <= 0:
         raise ValueError("nvars must be positive")
-    steps, rest = [], np.array([degree], dtype=np.intp)
-    for _ in range(nvars - 1):
-        size = rest + 1
-        row = np.repeat(np.arange(rest.size), size)
-        j = rest[row] - (np.arange(row.size) - (np.cumsum(size) - size)[row])
-        steps.append((row, j))
-        rest = rest[row] - j
-    out = np.empty((nvars, rest.size), dtype=np.intp)
-    out[-1], row = rest, np.arange(rest.size)
-    for k in range(nvars - 2, -1, -1):  # follow each row back through its prefixes
-        out[k] = steps[k][1][row]
-        row = steps[k][0][row]
-    out.setflags(write=False)
-    return out.T
+    if nvars == 1:
+        axes, mult = np.broadcast_to(np.intp(0), (1, degree)), np.ones(1, dtype=object)
+    else:
+        axes, mult = np.empty((1, 0), np.intp), np.ones(1, dtype=object)
+        last = run = np.zeros(1, np.intp)  # the empty prefix: next axis from 0, no run yet
+        for k in range(1, degree + 1):
+            size = nvars - last
+            row = np.repeat(np.arange(len(last)), size)
+            b = last[row] + np.arange(row.size) - (np.cumsum(size) - size)[row]
+            run = np.where(b == last[row], run[row] + 1, 1)
+            mult = mult[row] * k // run
+            axes, last = np.column_stack((axes[row], b)), b
+    mult = mult.astype(float)
+    mult.setflags(write=False)
+    axes.setflags(write=False)
+    return axes, mult
+
+
+@lru_cache(maxsize=None)
+def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All weight-``degree`` multi-indices on ``nvars`` variables, descending lex order.
+
+    Entry ``k`` of multi-index ``p`` counts axis ``k`` in row ``p`` of
+    :func:`sorted_axes`; the last count is the rest of the degree, so the
+    single row of one variable is never read.
+    """
+    axes = sorted_axes(nvars, degree)
+    below = (axes[:, :, None] < np.arange(1, nvars)).sum(axis=1)  # axes below 1..nvars-1
+    counts = np.diff(below, axis=1, prepend=0, append=degree)
+    return tuple(map(tuple, counts.tolist()))
 
 
 def packed_length(nvars: int, degree: int) -> int:
@@ -93,39 +107,17 @@ def multiplicity(j) -> int:
     return num
 
 
-@lru_cache(maxsize=None)
 def multiplicities(nvars: int, degree: int) -> np.ndarray:
-    """Multiplicity of each packed multi-index, in enumeration order.
-
-    A multiplicity depends only on the multiset of counts, and at most
-    ``degree`` of them are nonzero, so it is computed once per distinct row
-    of the largest ``min(nvars, degree)`` counts, ascending.
-    """
-    counts = np.sort(_counts(nvars, degree), axis=1)[:, -min(nvars, max(degree, 1)):]
-    order = np.lexsort(counts.T)
-    counts = counts[order]
-    first = np.ones(len(counts), dtype=bool)
-    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
-    arr = np.empty(len(counts))
-    arr[order] = np.array([multiplicity(j) for j in counts[first].tolist()], dtype=float)[
-        np.cumsum(first) - 1
-    ]
-    arr.setflags(write=False)
-    return arr
+    """Multiplicity of each packed multi-index, in enumeration order, read-only."""
+    return _enumeration(nvars, degree)[1]
 
 
-@lru_cache(maxsize=None)
 def sorted_axes(nvars: int, degree: int) -> np.ndarray:
     """Sorted 0-based axes of every packed multi-index, row ``p`` for slot ``p``, read-only.
 
-    Row ``p`` repeats each axis as often as row ``p`` of :func:`_counts`
-    counts it, so the rows are the ascending tuples in lexicographic order.
+    The rows are the ascending ``degree``-tuples in lexicographic order.
     """
-    counts = _counts(nvars, degree)
-    out = np.repeat(np.tile(np.arange(nvars, dtype=np.intp), len(counts)), counts.ravel())
-    out = out.reshape(len(counts), degree)
-    out.setflags(write=False)
-    return out
+    return _enumeration(nvars, degree)[0]
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +125,18 @@ def packing_positions(nvars: int, degree: int) -> np.ndarray:
     """Packed position of every full index tuple, flattened in C order.
 
     Entry ``t`` of the result is the :func:`packed_index` of the ``t``-th
-    tuple in ``product(range(nvars), repeat=degree)``, its axes sorted.
+    tuple in ``product(range(nvars), repeat=degree)``, its axes sorted.  The
+    tuples are sorted one leading index's block of ``nvars^(degree-1)`` at a
+    time, so the only temporaries are block sized.
     """
-    axes = np.indices((nvars,) * degree, dtype=np.intp).reshape(degree, -1)
-    axes.sort(axis=0)
-    out = packed_index(axes.T, nvars)
+    width = nvars ** (degree - 1)
+    block = np.empty((width, degree), dtype=np.intp)
+    rest = np.indices((nvars,) * (degree - 1), dtype=np.intp).reshape(degree - 1, width)
+    out = np.empty(nvars * width, dtype=np.intp)
+    for i in range(nvars):
+        block[:, 0] = i
+        block[:, 1:] = rest.T
+        block.sort(axis=1)
+        out[i * width:(i + 1) * width] = packed_index(block, nvars)
     out.setflags(write=False)
     return out
-

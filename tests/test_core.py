@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensorbss import core
+from tensorbss import core, indexing
 from tensorbss.core import (
     DenseTensor,
     SymTensor,
@@ -377,20 +377,53 @@ class TestIndexTables:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("d", range(6))
     def test_multi_indices_count_the_sorted_axes(self, n, d):
-        # the former definition: the axis counts of each sorted_axes row
+        # the definition, counted here independently of multi_indices: the
+        # axis counts of each sorted_axes row
         axes = sorted_axes(n, d)
         counts = np.zeros((len(axes), n), dtype=np.intp)
         np.add.at(counts, (np.arange(len(axes))[:, None], axes), 1)
         assert multi_indices(n, d) == tuple(map(tuple, counts.tolist()))
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("d", range(7))
+    @pytest.mark.parametrize(
+        "d,n",
+        # past 2^53, where an int64 or float running product is no longer exact
+        [*itertools.product(range(7), range(1, 7)), (60, 2), (62, 2), (70, 2), (25, 3)],
+    )
     def test_multiplicities_match_factorials(self, n, d):
         expected = [
             math.factorial(d) / math.prod(math.factorial(v) for v in j)
             for j in multi_indices(n, d)
         ]
         assert multiplicities(n, d).tolist() == expected
+
+    def test_tables_peak_near_their_own_size(self):
+        # built with the caches cleared; nothing O(n^(d+1)) or d x n^d is held
+        n, d = 32, 4
+        for f in vars(indexing).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        peaks = []
+        for build in (lambda: (sorted_axes(n, d), multiplicities(n, d)),
+                      lambda: packing_positions(n, d)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 5 * sorted_axes(n, d).nbytes
+        assert peaks[1] <= 2 * packing_positions(n, d).nbytes
+
+    def test_one_variable_at_a_huge_degree_is_one_count(self):
+        t0 = time.perf_counter()
+        assert multi_indices(1, 10**9) == ((10**9,),)
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("table", [multi_indices, sorted_axes, multiplicities])
+    @pytest.mark.parametrize("nvars", [0, -1])
+    def test_no_variables_refused(self, table, nvars):
+        with pytest.raises(ValueError, match="nvars"):
+            table(nvars, 3)
 
 
 def greedy_match_oracle(score):
