@@ -30,9 +30,20 @@ class _Parser(argparse.ArgumentParser):
         raise tio.InputError(message)
 
 
+def _count(text: str) -> int:
+    """An integer ``>= 0``; argparse names the flag of a refused value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="tensorbss", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parser.add_argument("--seed", type=_count, default=0, help="seed for all randomness, >= 0")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--json-indent", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,7 +91,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rank1", help="best rank-1 approximation of a symmetric tensor")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--init", choices=("hosvd", "random"), default="hosvd")
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=_count, default=5)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tables", help="reference ranks and orbit representatives")

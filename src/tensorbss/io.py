@@ -7,7 +7,9 @@ but the ``OSError`` of a file it cannot open.
 
 Dense tensors serialize as ``{"dims": [...], "data": [...]}`` with row-major
 data; symmetric tensors as ``{"sym": true, "dim": n, "order": d,
-"packed": [...]}``.
+"packed": [...]}``.  Sizes (``dim``, ``order``, each entry of ``dims``, and a
+quantic's ``degree``) must be JSON integers: a float, even ``3.0``, a boolean
+or a string is refused, not truncated.
 
 Sample CSV files carry a header row of variable names and one observation per
 line.  Each cell is written as its shortest ``repr``, so reload is exact.  A
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import shutil
 import tempfile
 from typing import TYPE_CHECKING, Any
@@ -79,6 +82,13 @@ def _field(obj: dict, key: str, convert):
     return _parse(f"field {key!r}", obj[key], convert)
 
 
+def _integer(value) -> int:
+    """``value`` if it is a JSON integer; a boolean, a string or any float is refused."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {reprlib.repr(value)}")
+    return value
+
+
 def _finite(value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
@@ -97,9 +107,10 @@ def tensor_from_obj(obj: dict):
     """The tensor of a parsed JSON object (``ValueError`` naming a bad field)."""
     if obj.get("sym"):
         return SymTensor(
-            _field(obj, "dim", int), _field(obj, "order", int), _field(obj, "packed", _finite)
+            _field(obj, "dim", _integer), _field(obj, "order", _integer),
+            _field(obj, "packed", _finite),
         )
-    dims = _field(obj, "dims", lambda v: [int(n) for n in v])
+    dims = _field(obj, "dims", lambda v: [_integer(n) for n in v])
     return DenseTensor.from_flat(dims, _field(obj, "data", _finite))
 
 
@@ -107,7 +118,7 @@ def quantic_from_obj(obj: dict) -> BinaryQuantic:
     """The quantic of a parsed JSON object (``ValueError`` naming a bad field)."""
     from .sylvester import BinaryQuantic
 
-    return BinaryQuantic(_field(obj, "degree", int), _field(obj, "gamma", _finite))
+    return BinaryQuantic(_field(obj, "degree", _integer), _field(obj, "gamma", _finite))
 
 
 def _complex_obj(z: complex) -> dict:

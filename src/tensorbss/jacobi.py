@@ -49,43 +49,45 @@ rotation of the round touches another pair's entries, so each angle is the
 one a solve made just before its own rotation would return, and the result
 is that of one rotation at a time up to rounding.
 
-Cyclic sweeps rotate the basis, not the tensor.  They keep the input tensor
-``t`` fixed and accumulate the rotation ``v``, whose row ``v_p`` is the
-``p``-th rotated basis vector, so the rotated tensor's entry
-``z[p^(d-j) q^j]`` is ``t(v_p^(d-j), v_q^j)``.  :func:`_round_reader` reads
-a whole round's pair rows off ``t`` with one matrix product between
-half-powers (at order 4, ``t`` as a quadratic form on pair products: the
-cumulant matrices of Cardoso & Souloumiac's JADE, 1993), and finishes them
-with one Gram product of its result and the other halves; an accepted round
-rotates only its pairs' rows of ``v``, and a round with no accepted pair
-changes nothing.  After the last sweep ``t`` is rotated once by ``v``, one
-matrix product per axis, and symmetrized; with no accepted pair this is
-skipped, so a diagonal input keeps its bytes.  The cost rule: a cyclic
-round touches all ``n`` indices, and reading its rows off ``t`` takes about
-``n^5 / 4`` multiply-adds at order 4, against ``4 n^5`` for rotating the
-tensor along its four axes.  A greedy step touches two indices, and its
-slice update of :func:`_apply_rotation`, ``O(n^(d-1))``, costs far less
-than reading the ``2n - 4`` pairs it affects off ``t``, which spans all
-``n`` indices and so costs a round's product, so greedy sweeps keep
-rotating the tensor.
-
 Greedy sweeps solve every pair in one call and then, after each rotation of
 ``(p, q)``, re-solve in one call the ``2n - 4`` pairs sharing exactly one
 index with it, so every other cached angle is exactly what a fresh solve
-would return.  Under ``(2, 4)`` the rotated pair itself is cached as
-``(0, 0)`` unsolved: it now sits at its global optimum, ``phi = 0``, where
-no candidate beats the current contrast by the ``1e-15`` margin, so a fresh
-solve returns exactly ``(0, 0)`` (its quartic's leading coefficient would
-also trim and cost a second ``eigvals`` call).  The other specs re-solve it
-with the rest: ``(1, 3)`` searches only half its period, and the quadratic
-forms return ``(0, 0)`` only when the rotation's own rounding leaves the
-pair's off-diagonal coefficient within its rounding floor.
+would return (the exactness rule below).  Under ``(2, 4)`` the rotated pair
+itself is cached as ``(0, 0)`` unsolved: it now sits at its global optimum,
+``phi = 0``, where no candidate beats the current contrast by the ``1e-15``
+margin, so a fresh solve returns exactly ``(0, 0)`` (its quartic's leading
+coefficient would also trim and cost a second ``eigvals`` call).  The other
+specs re-solve it with the rest: ``(1, 3)`` searches only half its period,
+and the quadratic forms return ``(0, 0)`` only when the rotation's own
+rounding leaves the pair's off-diagonal coefficient within its rounding floor.
 
-A round's reading products and the final rotation sum through BLAS, so
-cyclic sweeps reproduce as far as BLAS does: the same input, in the same
-process and with the same BLAS build and thread count, gives identical
-bytes; nothing is promised across machines, BLAS builds or thread counts,
-which may sum in another order.
+Both strategies rotate the basis, not the tensor, through one engine,
+:func:`_pair_reader`.  It keeps the input tensor ``t`` fixed and accumulates
+the rotation ``v``, whose row ``v_p`` is the ``p``-th rotated basis vector,
+so the rotated tensor's entry ``z[p^(d-j) q^j]`` is ``t(v_p^(d-j), v_q^j)``.
+It reads ``t`` once as a matrix ``m`` between half-powers (at order 4, ``t``
+as a quadratic form on pair products: the cumulant matrices of Cardoso &
+Souloumiac's JADE, 1993), keeps every basis vector's left half
+``y_r = h(v_r) @ m``, and reads the rotated tensor's pair matrices off ``y``
+and ``v``: ``g[p, q] = z[ppqq]`` and ``f[p, q] = z[pppq]`` at order 4,
+``f[p, q] = z[ppq]`` at order 3 and ``z[pq]`` at order 2.  Every pair row is
+gathered from them.  A rotation rewrites the rows of ``v`` it rotates and
+refreshes only their left halves; a round with no accepted pair changes
+nothing.  After the last sweep ``t`` is rotated once by ``v``, one matrix
+product per axis, and symmetrized; with no accepted pair this is skipped, so
+a diagonal input keeps its bytes.
+
+The exactness rule: each pair matrix is a product of fixed shape, so the bits
+of its entry ``(p, q)`` depend on ``y_p``, ``v_p`` and ``v_q`` alone.  A
+rotation of ``(p, q)`` therefore leaves the row of every pair disjoint from
+``{p, q}`` bit for bit, and the angle solve, whose rows are copied to C order
+first, gives each row's bits from that row alone, whatever the batch.
+
+The pair matrices and the final rotation sum through BLAS, so both strategies
+reproduce as far as BLAS does: the same input, in the same process and with
+the same BLAS build and thread count, gives identical bytes; nothing is
+promised across machines, BLAS builds or thread counts, which may sum in
+another order.
 
 The diagnostics (``contrast_value``, ``stationarity_residual``,
 ``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries: the
@@ -226,9 +228,11 @@ def contrast_value(z, spec: ContrastSpec) -> float:
 
 
 def _pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs ``p < q`` in row-major order, and their pair rows' flat positions in ``n^d``."""
+    """Pairs ``p < q`` in row-major order, and their rows' positions in ``_pair_reader``'s read."""
     p, q = np.triu_indices(n, 1)
-    return p, q, _pair_layout(p, q, d) @ n ** np.arange(d - 1, -1, -1)
+    matrix, row, column = np.array(_ENTRIES[d]).T
+    pq = np.stack([p, q], axis=1)
+    return p, q, (matrix * n + pq[:, row]) * n + pq[:, column]
 
 
 @cache
@@ -282,12 +286,11 @@ def _sample_table(d: int) -> np.ndarray:
 
 
 _SAMPLE_TABLES = {d: _sample_table(d) for d in (2, 3, 4)}
-# entry j of a pair row, z[p^(d-j) q^j], in :func:`_round_reader`: the left
-# half it reads (0: v_p's, 1: v_q's) and its right half (that many v_q's);
-# the entry is the dot product of the two, read off one Gram product of the
-# stacked left and right halves
-_HALVES = {2: ([0, 0, 1], [0, 1, 1]), 3: ([0, 0, 1, 1], [0, 1, 0, 1]),
-           4: ([0, 0, 0, 1, 1], [0, 1, 2, 1, 2])}
+# entry j of a pair row, z[p^(d-j) q^j], in the pair matrices of
+# :func:`_pair_reader`: (matrix, row, column), with 0 for p and 1 for q
+_ENTRIES = {2: [(0, 0, 0), (0, 0, 1), (0, 1, 1)],
+            3: [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)],
+            4: [(0, 0, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0), (0, 1, 1)]}
 
 
 def _forms(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -316,7 +319,8 @@ def _select(x: np.ndarray, val: np.ndarray, base: np.ndarray) -> tuple[np.ndarra
 
 def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Globally optimal angle of each row of pair entries, and its contrast gain over ``phi = 0``."""
-    vals = np.asarray(vals, dtype=float)
+    # in C order: numpy sums a strided layout in an order set by the row count
+    vals = np.ascontiguousarray(vals, dtype=float)
     m = vals.shape[0]
 
     if (alpha, d) in QUADRATIC_FORM_SPECS:
@@ -368,20 +372,6 @@ def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arctan(t), gain
 
 
-def _apply_rotation(zd: np.ndarray, p: int, q: int, phi: float) -> None:
-    """In-place Tucker update by the Givens matrix; touches only p/q slices."""
-    c, s = cos(phi), sin(phi)
-    d = zd.ndim
-    for axis in range(d):
-        idx_p = [slice(None)] * d
-        idx_q = [slice(None)] * d
-        idx_p[axis], idx_q[axis] = p, q
-        zp = zd[tuple(idx_p)].copy()
-        zq = zd[tuple(idx_q)].copy()
-        zd[tuple(idx_p)] = c * zp + s * zq
-        zd[tuple(idx_q)] = -s * zp + c * zq
-
-
 def _rotate_rows(v: np.ndarray, p, q, phi) -> None:
     """Rotate rows ``p`` and ``q`` of ``v`` by ``phi``, in place; index arrays of
     disjoint pairs rotate each pair by its own angle."""
@@ -390,39 +380,21 @@ def _rotate_rows(v: np.ndarray, p, q, phi) -> None:
     v[p], v[q] = c * vp + s * vq, c * vq - s * vp
 
 
-@cache
-def _gram_positions(k: int, d: int) -> np.ndarray:
-    """Positions of each pair's row entries in the flattened Gram product of
-    :func:`_round_reader`'s ``read`` on ``k`` pairs, row ``i`` for pair ``i``.
+def _pair_reader(t: np.ndarray):
+    """The basis ``v``, a reader of the pair matrices of ``t`` rotated by ``v``,
+    and the rotation of ``v`` (see the module docstring).
 
-    The product's rows are the left halves of the ``v_p``, then of the
-    ``v_q``; its columns the right halves in the same order, and at order 4
-    the mixed ``v_p v_q`` after them.  Read-only, since every caller shares it.
-    """
-    left, right = _HALVES[d]
-    block = np.array([0, 2, 1] if d == 4 else [0, 1])[right]
-    i, columns = np.arange(k)[:, None], (3 if d == 4 else 2) * k
-    out = (np.array(left) * k + i) * columns + block * k + i
-    out.flags.writeable = False
-    return out
-
-
-def _round_reader(t: np.ndarray):
-    """Reader of a round's pair rows off the fixed symmetric tensor ``t``.
-
-    ``read(v, p, q)`` returns the pair rows of ``t`` rotated by ``v`` along
-    every axis, for the disjoint pairs ``(p[i], q[i])``: entry ``j`` of row
-    ``i`` is ``t(v_p^(d-j), v_q^j)``, with ``v_p`` row ``p[i]`` of ``v``.
-    ``t`` is read once as a matrix ``m`` between half-powers: its first
-    ``d - d // 2`` axes against the rest, a side of two axes taken on
-    ``i <= j`` with weight 1 on the diagonal and 2 off it (order 4: the
-    ``P x P`` pair-product form, ``P = n (n + 1) / 2``; order 3: ``P x n``;
-    order 2: ``t`` itself).  Then ``t(x^2, y^2) = (x x) @ m @ (y y)`` with
-    ``(x y)[i, j] = (x_i y_j + x_j y_i) / 2`` on ``i <= j``, and likewise for
-    a side of one axis, so one product takes the round's stacked ``v_p`` and
-    ``v_q`` left halves through ``m``, and one Gram product with the stacked
-    right halves finishes every row; each row's entries are gathered from it
-    at :func:`_gram_positions`.
+    ``m`` is ``t`` between half-powers: its first ``d - d // 2`` axes against
+    the rest, a side of two axes taken on ``i <= j`` with weight 1 on the
+    diagonal and 2 off it (order 4: ``P x P``, ``P = n (n + 1) / 2``; order 3:
+    ``P x n``; order 2: ``t``).  With ``h(x, y)[i, j] = (x_i y_j + x_j y_i) / 2``
+    on ``i <= j`` and ``h(x) = h(x, x)`` (order 2: ``h(x) = x``), each basis
+    vector keeps ``y_r = h(v_r) @ m``, and ``read()`` returns the pair matrices
+    stacked and flattened: ``f = y @ v.T`` at orders 2 and 3; at order 4
+    ``g = y @ h(v).T`` and ``f[p, q] = y_p @ h(v_p, v_q)``, two products over
+    the columns of ``v`` at the ``i`` and the ``j``.  ``rotate(p, q, phi)``
+    rotates rows ``p`` and ``q`` of ``v`` (one pair, or index arrays of
+    disjoint pairs) and refreshes their left halves.
     """
     n, d = t.shape[0], t.ndim
     i, j = np.triu_indices(n)
@@ -434,23 +406,29 @@ def _round_reader(t: np.ndarray):
     else:
         m = t.reshape(n * n, n * n)[np.ix_(ij, ij)] * np.outer(w, w)
 
-    def read(v, p, q):
-        k = len(p)
-        x = v[np.concatenate([p, q])]  # the rows v_p, then v_q
-        r = x
-        if d > 2:  # their squares on i <= j, then at order 4 the mixed v_p v_q
-            xi, xj = x.take(i, axis=1), x.take(j, axis=1)
-            r = np.empty(((3 if d == 4 else 2) * k, i.size))
-            np.multiply(xi, xj, out=r[: 2 * k])
-            if d == 4:
-                mixed = r[2 * k :]
-                np.multiply(xi[:k], xj[k:], out=mixed)
-                mixed += xj[:k] * xi[k:]
-                mixed *= 0.5
-        y = r[: 2 * k] @ m  # the left halves through m
-        return (y @ (r if d == 4 else x).T).take(_gram_positions(k, d))
+    def h(x):
+        return x if d == 2 else x.take(i, axis=1) * x.take(j, axis=1)
 
-    return read
+    v = np.eye(n)
+    y = h(v) @ m
+
+    def read():
+        if d < 4:
+            return (y @ v.T).ravel()
+        g, f = out = np.empty((2, n, n))
+        vi, vj = v.take(i, axis=1), v.take(j, axis=1)
+        np.matmul(y, (vi * vj).T, out=g)
+        np.matmul(y * vi, vj.T, out=f)
+        f += (y * vj) @ vi.T
+        f *= 0.5
+        return out.ravel()
+
+    def rotate(p, q, phi):
+        _rotate_rows(v, p, q, phi)
+        rows = np.hstack((p, q))
+        y[rows] = h(v[rows]) @ m
+
+    return v, read, rotate
 
 
 def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
@@ -460,7 +438,6 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
     if t.ndim != spec.order:
         raise ValueError("tensor order does not match the contrast order")
     n, d = t.shape[0], t.ndim
-    v = np.eye(n)
     trace = [contrast_value(t, spec)]
     if n < 2:
         return ICAResult(Q=np.eye(n), Z=symmetrize(t), trace=trace)
@@ -469,17 +446,15 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
     npairs = len(first)
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
+    v, read, rotate = _pair_reader(t)
+
+    def solve(rows):
+        return _best_angles(read()[positions[rows]], d, spec.alpha)
 
     stop_reason, largest = "max_sweeps", []
     if greedy:
         # pair_index[i, j] is the index of pair {i, j}, -1 where i == j; a
         # rotated (2, 4) pair is cached as (0, 0), see the module docstring
-        z = t.copy()
-        flat = z.reshape(-1)
-
-        def solve(rows):
-            return _best_angles(flat[positions[rows]], d, spec.alpha)
-
         pair_index = np.full((n, n), -1, dtype=np.intp)
         pair_index[first, second] = pair_index[second, first] = np.arange(npairs)
         skip_rotated = (spec.alpha, d) == (2, 4)
@@ -492,8 +467,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
                 break
             p, q = int(first[k]), int(second[k])
-            _apply_rotation(z, p, q, phi)
-            _rotate_rows(v, p, q, phi)
+            rotate(p, q, phi)
             trace.append(trace[-1] + gain)
             angles.append(abs(phi))
             touched = np.concatenate([pair_index[p], pair_index[q]])
@@ -506,16 +480,14 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 phis[touched], gains[touched] = solve(touched)
         largest = [max(angles[i : i + npairs]) for i in range(0, len(angles), npairs)]
     else:
-        read = _round_reader(t)
         for _ in range(max_sweeps):
             largest_phi = 0.0
             for rows in _rounds(n):
-                p, q = first[rows], second[rows]
-                phis, gains = _best_angles(read(v, p, q), d, spec.alpha)
+                phis, gains = solve(rows)
                 ok = (gains > 0.0) & (phis != 0.0)
                 if not ok.any():
                     continue
-                _rotate_rows(v, p[ok], q[ok], phis[ok])
+                rotate(first[rows[ok]], second[rows[ok]], phis[ok])
                 for gain in gains[ok].tolist():
                     trace.append(trace[-1] + gain)
                 largest_phi = max(largest_phi, float(np.abs(phis[ok]).max()))
@@ -523,15 +495,15 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
             if largest_phi < ANGLE_TOL:
                 stop_reason = "angle_tol"
                 break
-        # rotate t once by v, unless no pair was accepted: each product takes
-        # the leading axis through v and moves it last, into the buffer of the
-        # product before last; t is dropped after the first product, and the
-        # spare buffer before the symmetrization
-        z, spare = t, None
-        del read, t
-        for step in range(d if len(trace) > 1 else 0):
-            z, spare = np.matmul(z.reshape(n, -1).T, v.T, out=spare), (z if step else None)
-        z, spare = z.reshape((n,) * d), None
+
+    # rotate t once by v, unless no pair was accepted: each product takes the leading
+    # axis through v and moves it last, into the buffer of the product before last;
+    # t is dropped after the first product, the spare buffer before symmetrizing
+    z, spare = t, None
+    del read, rotate, solve, t
+    for step in range(d if len(trace) > 1 else 0):
+        z, spare = np.matmul(z.reshape(n, -1).T, v.T, out=spare), (z if step else None)
+    z, spare = z.reshape((n,) * d), None
 
     return ICAResult(
         Q=v.T.copy(), Z=symmetrize(z), trace=trace, stop_reason=stop_reason,

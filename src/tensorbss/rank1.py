@@ -170,7 +170,9 @@ def best_rank1(
     max_iter: int = 500,
 ) -> Rank1Approx:
     """Power iteration with restarts; the largest final contraction wins, ties
-    by earliest start."""
+    by earliest start.  ``restarts`` must be ``>= 0``."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     arr = _as_array(c)
     rng = np.random.default_rng(seed)
     starts = []

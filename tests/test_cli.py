@@ -143,8 +143,25 @@ MALFORMED_INPUTS = [
                  "every dimension must be >= 1, got [2, 0, 2]", id="zero-dim"),
     pytest.param("sylvester", "[" * 100_000, "not valid JSON", id="deeply-nested"),
     pytest.param("sylvester", '{"degree": Infinity, "gamma": [1]}',
-                 "field 'degree': cannot convert float infinity to integer",
-                 id="infinite-degree"),
+                 "field 'degree': expected an integer, got inf", id="infinite-degree"),
+    # sizes are JSON integers: each of these once read as a 2x2x2 tensor, or a
+    # degree of 3, 1 or 3, and exited 0
+    pytest.param("parafac", '{"dims": [2.9, 2, 2], "data": [1, 2, 3, 4, 5, 6, 7, 8]}',
+                 "field 'dims': expected an integer, got 2.9", id="fractional-dims"),
+    pytest.param("parafac", '{"dims": "222", "data": [1, 2, 3, 4, 5, 6, 7, 8]}',
+                 "field 'dims': expected an integer, got '2'", id="string-dims"),
+    pytest.param("rank1", '{"sym": true, "dim": 2.5, "order": 3, "packed": [1, 2, 3, 4]}',
+                 "field 'dim': expected an integer, got 2.5", id="fractional-dim"),
+    pytest.param("rank1", '{"sym": true, "dim": 2, "order": 3.2, "packed": [1, 2, 3, 4]}',
+                 "field 'order': expected an integer, got 3.2", id="fractional-order"),
+    pytest.param("sylvester", '{"degree": 3.7, "gamma": [1, 2, 3, 4]}',
+                 "field 'degree': expected an integer, got 3.7", id="fractional-degree"),
+    pytest.param("sylvester", '{"degree": true, "gamma": [1, 2]}',
+                 "field 'degree': expected an integer, got True", id="boolean-degree"),
+    pytest.param("sylvester", '{"degree": "3", "gamma": [1, 2, 3, 4]}',
+                 "field 'degree': expected an integer, got '3'", id="string-degree"),
+    pytest.param("sylvester", '{"degree": 3.0, "gamma": [1, 2, 3, 4]}',
+                 "field 'degree': expected an integer, got 3.0", id="integral-float-degree"),
 ]
 
 # samples CSVs on which load_samples must agree with the per-line reference reader
@@ -602,6 +619,23 @@ class TestCliRoundTrips:
         assert "--max-sweeps must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--seed", "-1", "gen", "--sources", "2", "--samples", "100",
+          "--out", "{tmp}/o.csv", "--manifest", "{tmp}/m.json"), "--seed"),
+        (("--seed", "-1", "parafac", "--rank", "1", "--in", "{tmp}/t.json",
+          "--out", "{tmp}/o.json"), "--seed"),
+        (("--seed", "-1", "rank1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"), "--seed"),
+        (("rank1", "--restarts", "-1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"),
+         "--restarts"),
+    ], ids=["seed-gen", "seed-parafac", "seed-rank1", "restarts"])
+    def test_negative_count_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        # numpy's refusal of a negative seed exited 2 naming no flag, and rank1
+        # ran one start for any restarts < 0
+        save_json({"dims": [2, 2, 2], "data": [1.0] * 8}, tmp_path / "t.json")
+        assert self.run(*(a.format(tmp=tmp_path) for a in argv)) == 1
+        assert capsys.readouterr().err == f"usage error: argument {flag}: must be >= 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
     def test_parafac_order2_exits_1(self, tmp_path, capsys):
         tpath = tmp_path / "t.json"
         save_json(tensor_to_obj(DenseTensor(rng.standard_normal((3, 3)))), tpath)
@@ -843,8 +877,9 @@ def _set(doc, path, value):
 
 
 # values of the wrong JSON type for a number or a list of numbers; booleans and
-# numeric strings are left out, because readers take them as numbers (and read
-# the "sym" flag, which no fault targets, by its truth value)
+# numeric strings are left out, because the entry readers take them as numbers
+# (size readers refuse them, see MALFORMED_INPUTS, and the "sym" flag, which
+# no fault targets, is read by its truth value)
 WRONG_TYPES = st.one_of(
     st.text(alphabet="abcxyz", max_size=4), st.none(),
     st.dictionaries(st.sampled_from("ab"), st.integers(-3, 3), max_size=2),

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import atan, atan2, ceil, pi, sqrt
+from math import atan, atan2, ceil, cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from tensorbss.jacobi import (
     ANGLE_TOL,
     QUADRATIC_FORM_SPECS,
     ContrastSpec,
-    _apply_rotation,
     _best_angles,
+    _pair_reader,
+    _pairs,
     _rotate_rows,
-    _round_reader,
     _rotated_diag,
     contrast_value,
     convexity_margin,
@@ -435,25 +435,48 @@ def best_angle_polynomial(vals, d, alpha):
     return best_phi, best_val - base
 
 
-def sweep_greedy_all_pairs(g, spec, max_sweeps=None):
-    """The greedy sweep that solves every pair again before each rotation (dense ``g``)."""
+def apply_rotation(zd, p, q, phi):
+    """In-place Tucker update of the dense ``zd`` by the Givens matrix; touches only p/q slices."""
+    c, s = cos(phi), sin(phi)
+    d = zd.ndim
+    for axis in range(d):
+        idx_p = [slice(None)] * d
+        idx_q = [slice(None)] * d
+        idx_p[axis], idx_q[axis] = p, q
+        zp = zd[tuple(idx_p)].copy()
+        zq = zd[tuple(idx_q)].copy()
+        zd[tuple(idx_p)] = c * zp + s * zq
+        zd[tuple(idx_q)] = -s * zp + c * zq
+
+
+def sweep_greedy_all_pairs(g, spec, max_sweeps=None, dense=False):
+    """The greedy sweep that solves every pair again before each rotation (dense ``g``).
+
+    It reads the pair rows through :func:`_pair_reader`, as the sweep does, or
+    with ``dense`` off the tensor itself, rotated slice by slice.
+    """
     zd = g.copy()
-    n = zd.shape[0]
-    v = np.eye(n)
+    n, d = zd.shape[0], zd.ndim
+    first, second, positions = _pairs(n, d)
+    v, read, rotate = _pair_reader(g)
     trace = [contrast_value(zd, spec)]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    pairs = list(zip(first.tolist(), second.tolist()))
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
     rotations, largest = 0, []
     while rotations < len(pairs) * max_sweeps:
-        vals = np.array([_pair_vals(zd, p, q) for p, q in pairs])
-        phis, gains = _best_angles(vals, spec.order, spec.alpha)
+        if dense:
+            vals = np.array([_pair_vals(zd, p, q) for p, q in pairs])
+        else:
+            vals = read()[positions]
+        phis, gains = _best_angles(vals, d, spec.alpha)
         k = max(range(len(pairs)), key=lambda j: gains[j])
         (p, q), phi, gain = pairs[k], float(phis[k]), float(gains[k])
         if gain <= 0.0 or abs(phi) < ANGLE_TOL:
             break
-        _apply_rotation(zd, p, q, phi)
-        _rotate_rows(v, p, q, phi)
+        if dense:
+            apply_rotation(zd, p, q, phi)
+        rotate(p, q, phi)
         trace.append(trace[-1] + gain)
         if rotations % len(pairs) == 0:
             largest.append(0.0)
@@ -478,7 +501,7 @@ def sweep_cyclic_one_pair(g, spec, max_sweeps=None):
             p, q = (int(i) for i in pairs[k])
             phi, gain = (float(x) for x in solve_one(_pair_vals(zd, p, q), spec.order, spec.alpha))
             if gain > 0.0 and phi != 0.0:
-                _apply_rotation(zd, p, q, phi)
+                apply_rotation(zd, p, q, phi)
                 _rotate_rows(v, p, q, phi)
                 trace.append(trace[-1] + gain)
                 largest[-1] = max(largest[-1], abs(phi))
@@ -583,9 +606,13 @@ class TestSolveOracle:
         order = r.permutation(len(rows))
         chunked = zip(*(_best_angles(rows[order[i : i + 17]], d, alpha)
                         for i in range(0, len(rows), 17)))
-        for batch, single, chunks in zip(whole, alone, chunked):
+        # a strided layout, as fancy indexing by a transposed index table gives
+        fortran = zip(*(_best_angles(np.asfortranarray(rows[order[i : i + 17]]), d, alpha)
+                        for i in range(0, len(rows), 17)))
+        for batch, single, chunks, strided in zip(whole, alone, chunked, fortran):
             assert batch.tobytes() == np.concatenate(single).tobytes()
             assert batch[order].tobytes() == np.concatenate(chunks).tobytes()
+            assert batch[order].tobytes() == np.concatenate(strided).tobytes()
 
     def test_trimmed_real_roots(self):
         for coeffs in ([0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, 0.0], [2.0, -3.0, 1.0, 1e-20],
@@ -611,6 +638,9 @@ def count_solve_rows(monkeypatch):
 class TestGreedyOracle:
     @pytest.mark.parametrize("alpha,d", ALL_SPECS)
     def test_matches_all_pairs_selection(self, alpha, d):
+        # bit for bit against the oracle reading through the same reader: a
+        # rotation leaves every other pair's row bytes, so no cached angle is
+        # stale; within rounding of the dense slice update
         spec = ContrastSpec(alpha, d)
         r = np.random.default_rng(900 + 10 * d + alpha)
         for n in range(2, 7):
@@ -624,6 +654,13 @@ class TestGreedyOracle:
                 assert res.trace == trace
                 assert (res.rotations, res.sweeps) == (rotations, sweeps)
                 assert res.largest_angles == largest
+                q, trace, rotations, sweeps, largest = sweep_greedy_all_pairs(
+                    g.expand().array, spec, max_sweeps, dense=True
+                )
+                assert (res.rotations, res.sweeps) == (rotations, sweeps)
+                np.testing.assert_allclose(res.Q, q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(res.trace, trace, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(res.largest_angles, largest, rtol=0, atol=1e-12)
 
     @staticmethod
     def check_rows_per_rotation(monkeypatch, spec, per_rotation):
@@ -649,11 +686,18 @@ class TestGreedyOracle:
         """The premise of caching a rotated (2, 4) pair as (0, 0) instead of solving it."""
         solved = []
 
-        def rotate_then_solve(zd, p, q, phi):
-            _apply_rotation(zd, p, q, phi)
-            solved.append(solve_one(_pair_vals(zd, p, q), 4, 2))
+        def spied_reader(t):
+            v, read, rotate = _pair_reader(t)
+            first, second, positions = _pairs(t.shape[0], 4)
+            index = {(p, q): k for k, (p, q) in enumerate(zip(first.tolist(), second.tolist()))}
 
-        monkeypatch.setattr(jacobi, "_apply_rotation", rotate_then_solve)
+            def rotate_then_solve(p, q, phi):
+                rotate(p, q, phi)
+                solved.append(solve_one(read()[positions[index[p, q]]], 4, 2))
+
+            return v, read, rotate_then_solve
+
+        monkeypatch.setattr(jacobi, "_pair_reader", spied_reader)
         r = np.random.default_rng(970)
         for n in range(2, 8):
             for _ in range(6):
@@ -736,7 +780,7 @@ class TestRotateRound:
             v = np.linalg.qr(r.standard_normal((n, n)))[0]
             z_seq, v_seq = zd.copy(), v.copy()
             for k, phi in zip(rows.tolist(), phis.tolist()):
-                _apply_rotation(z_seq, int(first[k]), int(second[k]), phi)
+                apply_rotation(z_seq, int(first[k]), int(second[k]), phi)
                 _rotate_rows(v_seq, int(first[k]), int(second[k]), phi)
             norm = np.linalg.norm(zd)
             rotate_round(zd, v, first[rows], second[rows], phis)
@@ -780,21 +824,53 @@ class TestRotateRound:
         assert sizes == [([0], [1], 1)] * res.rotations
 
 
+def pair_rows(z, n, d):
+    """Every pair's row of the dense ``z``, in the order of :func:`_pairs`."""
+    p, q = np.triu_indices(n, 1)
+    return z[tuple(np.moveaxis(jacobi._pair_layout(p, q, d), -1, 0))]
+
+
+def rotate_random_rounds(rotate, n, r):
+    """Rotate each round's pairs through ``rotate``, by random angles."""
+    first, second = np.triu_indices(n, 1)
+    for rows in jacobi._rounds(n):
+        rotate(first[rows], second[rows], r.uniform(-pi / 2, pi / 2, len(rows)))
+
+
 class TestRoundReader:
+    """The pair reader that both strategies share, :func:`_pair_reader`."""
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", range(2, 10))
     def test_rows_match_the_rotated_tensor(self, d, n):
         # odd n leave one index idle in every round
         r = np.random.default_rng(1400 + 10 * n + d)
         t = symmetrize(r.standard_normal((n,) * d)).expand().array
-        v = np.linalg.qr(r.standard_normal((n, n)))[0]
-        z = tucker_transform(t, [v] * d).array
-        read = _round_reader(t)
-        first, second = np.triu_indices(n, 1)
-        for rows in jacobi._rounds(n):
-            p, q = first[rows], second[rows]
-            expected = z[tuple(np.moveaxis(jacobi._pair_layout(p, q, d), -1, 0))]
-            assert np.abs(read(v, p, q) - expected).max() <= 1e-13 * np.linalg.norm(t)
+        v, read, rotate = _pair_reader(t)
+        positions = _pairs(n, d)[2]
+        for _ in range(2):
+            rotate_random_rounds(rotate, n, r)
+            z = tucker_transform(t, [v] * d).array
+            assert np.abs(read()[positions] - pair_rows(z, n, d)).max() <= 1e-13 * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_rotation_keeps_the_bytes_of_disjoint_pairs(self, d, n):
+        # the premise of greedy's cached angles: a pair's row reads only its
+        # own two basis vectors and their left halves
+        r = np.random.default_rng(1420 + 10 * n + d)
+        t = symmetrize(r.standard_normal((n,) * d)).expand().array
+        v, read, rotate = _pair_reader(t)
+        first, second, positions = _pairs(n, d)
+        rotate_random_rounds(rotate, n, r)
+        for k in r.permutation(len(first))[:6].tolist():
+            p, q = int(first[k]), int(second[k])
+            before = read()[positions]
+            rotate(p, q, r.uniform(-pi / 2, pi / 2))
+            after = read()[positions]
+            disjoint = ~np.isin(first, [p, q]) & ~np.isin(second, [p, q])
+            assert before[disjoint].tobytes() == after[disjoint].tobytes()
+            assert not np.array_equal(before[k], after[k])
 
     @pytest.mark.parametrize("alpha,d", ALL_SPECS)
     def test_result_is_the_input_rotated_by_q(self, alpha, d):
@@ -806,14 +882,15 @@ class TestRoundReader:
             expected = tucker_transform(t, [res.Q.T] * d).array
             assert np.abs(res.Z.expand().array - expected).max() <= 1e-13 * np.linalg.norm(t)
 
+    @pytest.mark.parametrize("greedy", [False, True], ids=["cyclic", "greedy"])
     @pytest.mark.parametrize("n", [16, 32])
-    def test_peak_memory_within_three_dense_tensors(self, n):
+    def test_peak_memory_within_three_dense_tensors(self, n, greedy):
         # the input is expanded once and not copied; the final rotation
         # drops it after its first product and reuses its two buffers
         g = symmetrize(np.random.default_rng(1500 + n).standard_normal((n,) * 4))
         tracemalloc.start()
         try:
-            res = jacobi._run_sweeps(g, ContrastSpec(2, 4), greedy=False, max_sweeps=1)
+            res = jacobi._run_sweeps(g, ContrastSpec(2, 4), greedy=greedy, max_sweeps=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

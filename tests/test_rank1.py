@@ -253,6 +253,10 @@ class TestHosvdInit:
     def test_zero_tensor_starts_at_the_first_unit_vector(self):
         assert hosvd_init(np.zeros((3, 3, 3))).tolist() == [1.0, 0.0, 0.0]
 
+    def test_negative_restarts_refused(self):
+        with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
+            best_rank1(np.ones((2, 2, 2)), restarts=-1)
+
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_best_rank1_stationary_on_symmetric_8x4(self, seed):
         c = symmetrize(np.random.default_rng(seed).standard_normal((8,) * 4)).expand().array
