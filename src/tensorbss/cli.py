@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
     p.add_argument("--order", type=int, choices=(3, 4), default=4)
     p.add_argument("--alpha", type=int, choices=(1, 2), default=2)
     p.add_argument("--strategy", choices=("cyclic", "greedy"), default="cyclic")
-    p.add_argument("--max-sweeps", type=int, default=None,
+    p.add_argument("--max-sweeps", type=_count, default=None,
                    help="sweep budget, >= 0 (0 whitens only); default ceil(sqrt(n)) + 3")
     p.add_argument("--sources", type=int, default=None,
                    help="expected source count; must equal the observation dimension "
@@ -160,8 +160,6 @@ def _cmd_cumulants(args) -> int:
 def _cmd_ica(args) -> int:
     from .jacobi import ContrastSpec, ica, stationarity_residual
 
-    if args.max_sweeps is not None and args.max_sweeps < 0:
-        raise tio.InputError(f"--max-sweeps must be >= 0, got {args.max_sweeps}")
     samples, _ = tio.load_samples(args.infile)
     n = samples.shape[1]
     if args.sources is not None and args.sources > n:

@@ -13,12 +13,14 @@ The sums run as matrix products over blocks of ``BLOCK_ROWS`` samples.  A
 block is centered and transposed once, so ``x`` holds one sensor per row,
 and its pair products ``p = [x_i x_j]``, ``i <= j``, are built row by row
 (each row of ``p`` the product of two contiguous rows of ``x``): order 4
-accumulates ``p p^T``, order 3 ``p x^T`` and order 2 ``x x^T``.  Each distinct
-entry is then gathered once from those matrices and broadcast, so the
-returned tensors are symmetric by construction.  The same input, in the same
-process and with the same BLAS thread count, gives identical bytes; nothing
-is promised across machines, BLAS builds or thread counts, which may sum in
-another order.
+accumulates ``p p^T``, order 3 ``p x^T`` and order 2 ``x x^T``: rows the
+sorted ``k``-tuples of axes, ``k = d - d // 2``, and columns the sorted
+``(d - k)``-tuples, in packed order.  Each distinct entry, a sorted
+``d``-tuple, is gathered once at the slots of its first ``k`` axes and of the
+rest, so the returned tensors are symmetric by construction.
+The same input, in the same process and with the same BLAS thread count,
+gives identical bytes; nothing is promised across machines, BLAS builds or
+thread counts, which may sum in another order.
 
 Samples are plain arrays with one observation per row.
 """
@@ -64,13 +66,10 @@ def _packed_moment(z: np.ndarray, shift: np.ndarray, d: int):
             p *= x[ju]
             high += p @ (x if d == 3 else p).T
     m2 /= z.shape[0]
-    a = sorted_axes(n, d).T
-    if d == 2:
-        return m2[a[0], a[1]], m2
-    high /= z.shape[0]  # rows, and columns at d = 4, in triu order: the packed order of pairs
-    if d == 3:
-        return high[packed_index(a[:2].T, n), a[2]], m2
-    return high[packed_index(a[:2].T, n), packed_index(a[2:].T, n)], m2
+    if d > 2:
+        high /= z.shape[0]
+    a, k = sorted_axes(n, d), d - d // 2
+    return (m2 if d == 2 else high)[packed_index(a[:, :k], n), packed_index(a[:, k:], n)], m2
 
 
 def cumulant_tensor(z, d: int) -> SymTensor:

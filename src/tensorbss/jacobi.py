@@ -62,20 +62,20 @@ and the quadratic forms return ``(0, 0)`` only when the rotation's own
 rounding leaves the pair's off-diagonal coefficient within its rounding floor.
 
 Both strategies rotate the basis, not the tensor, through one engine,
-:func:`_pair_reader`.  It keeps the input tensor ``t`` fixed and accumulates
+:func:`_pair_reader`.  It keeps the input SymTensor ``t`` fixed and accumulates
 the rotation ``v``, whose row ``v_p`` is the ``p``-th rotated basis vector,
 so the rotated tensor's entry ``z[p^(d-j) q^j]`` is ``t(v_p^(d-j), v_q^j)``.
-It reads ``t`` once as a matrix ``m`` between half-powers (at order 4, ``t``
-as a quadratic form on pair products: the cumulant matrices of Cardoso &
-Souloumiac's JADE, 1993), keeps every basis vector's left half
-``y_r = h(v_r) @ m``, and reads the rotated tensor's pair matrices off ``y``
-and ``v``: ``g[p, q] = z[ppqq]`` and ``f[p, q] = z[pppq]`` at order 4,
-``f[p, q] = z[ppq]`` at order 3 and ``z[pq]`` at order 2.  Every pair row is
-gathered from them.  A rotation rewrites the rows of ``v`` it rotates and
+It gathers ``t`` once from ``packed`` as a matrix ``m`` between half-powers
+(at order 4, ``t`` as a quadratic form on pair products: the cumulant
+matrices of Cardoso & Souloumiac's JADE, 1993), keeps every basis vector's
+left half ``y_r = h(v_r) @ m``, and reads the rotated tensor's pair matrices
+off ``y`` and ``v``: ``g[p, q] = z[ppqq]`` and ``f[p, q] = z[pppq]`` at order
+4, ``f[p, q] = z[ppq]`` at order 3 and ``z[pq]`` at order 2.  Every pair row
+is gathered from them.  A rotation rewrites the rows of ``v`` it rotates and
 refreshes only their left halves; a round with no accepted pair changes
-nothing.  After the last sweep ``t`` is rotated once by ``v``, one matrix
-product per axis, and symmetrized; with no accepted pair this is skipped, so
-a diagonal input keeps its bytes.
+nothing.  Only the final rotation builds the ``n^d`` array: ``t`` is expanded,
+rotated once by ``v``, one matrix product per axis, and symmetrized; with no
+accepted pair this is skipped, so an unrotated input is returned as given.
 
 The exactness rule: each pair matrix is a product of fixed shape, so the bits
 of its entry ``(p, q)`` depend on ``y_p``, ``v_p`` and ``v_q`` alone.  A
@@ -90,8 +90,9 @@ promised across machines, BLAS builds or thread counts, which may sum in
 another order.
 
 The diagnostics (``contrast_value``, ``stationarity_residual``,
-``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries: the
-diagonal and the pair rows the sweep reads, from ``packed`` for a SymTensor.
+``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries of
+``packed``: the diagonal and the pair rows the sweep reads.  They and the
+sweeps pack a dense input by ``SymTensor.from_dense``, refused unless symmetric.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .core import SymTensor, _as_array, is_real, poly_roots, symmetrize
+from .core import SymTensor, is_real, poly_roots, symmetrize
 from .cumulants import as_samples, cumulant_tensor
-from .indexing import packed_index
+from .indexing import multiplicities, packed_index, packing_positions, sorted_axes
 from .whiten import Whitener, standardize
 
 SUPPORTED_SPECS = {(1, 3), (1, 4), (2, 3), (2, 4), (2, 2)}
@@ -203,20 +204,15 @@ def _pair_layout(p, q, d: int) -> np.ndarray:
 
 def _read(z, d: int):
     """Diagonal of the order-``d`` tensor ``z``, and a reader of its entries at rows of
-    axes: a SymTensor's from ``packed`` by :func:`packed_index`, an array's directly."""
-    sym = isinstance(z, SymTensor)
-    z = z if sym else _as_array(z)
-    order = z.order if sym else z.ndim
-    if order != d:
-        raise ValueError(f"tensor order {order} does not match the stated order {d}")
-    n = z.dim if sym else z.shape[0]
+    axes, from ``packed`` by :func:`packed_index`; a dense ``z`` is packed first."""
+    z = z if isinstance(z, SymTensor) else SymTensor.from_dense(z)
+    if z.order != d:
+        raise ValueError(f"tensor order {z.order} does not match the stated order {d}")
 
     def read(axes):
-        if sym:
-            return z.packed[packed_index(np.sort(axes, axis=-1), n)]
-        return z[tuple(np.moveaxis(axes, -1, 0))]
+        return z.packed[packed_index(np.sort(axes, axis=-1), z.dim)]
 
-    return read(np.repeat(np.arange(n), d).reshape(n, d)), read
+    return read(np.repeat(np.arange(z.dim), d).reshape(z.dim, d)), read
 
 
 def contrast_value(z, spec: ContrastSpec) -> float:
@@ -380,31 +376,30 @@ def _rotate_rows(v: np.ndarray, p, q, phi) -> None:
     v[p], v[q] = c * vp + s * vq, c * vq - s * vp
 
 
-def _pair_reader(t: np.ndarray):
-    """The basis ``v``, a reader of the pair matrices of ``t`` rotated by ``v``,
+def _pair_reader(g: SymTensor):
+    """The basis ``v``, a reader of the pair matrices of ``g`` rotated by ``v``,
     and the rotation of ``v`` (see the module docstring).
 
-    ``m`` is ``t`` between half-powers: its first ``d - d // 2`` axes against
-    the rest, a side of two axes taken on ``i <= j`` with weight 1 on the
-    diagonal and 2 off it (order 4: ``P x P``, ``P = n (n + 1) / 2``; order 3:
-    ``P x n``; order 2: ``t``).  With ``h(x, y)[i, j] = (x_i y_j + x_j y_i) / 2``
-    on ``i <= j`` and ``h(x) = h(x, x)`` (order 2: ``h(x) = x``), each basis
-    vector keeps ``y_r = h(v_r) @ m``, and ``read()`` returns the pair matrices
-    stacked and flattened: ``f = y @ v.T`` at orders 2 and 3; at order 4
-    ``g = y @ h(v).T`` and ``f[p, q] = y_p @ h(v_p, v_q)``, two products over
-    the columns of ``v`` at the ``i`` and the ``j``.  ``rotate(p, q, phi)``
-    rotates rows ``p`` and ``q`` of ``v`` (one pair, or index arrays of
-    disjoint pairs) and refreshes their left halves.
+    ``m`` is ``g`` between half-powers, gathered from ``packed``: rows the sorted
+    ``k``-tuples of axes, ``k = d - d // 2``, columns the sorted ``(d - k)``-tuples,
+    each weighted by its multiplicity (order 4: ``P x P``, ``P = n (n + 1) / 2``;
+    order 3: ``P x n``; order 2: ``n x n``).  With ``h(x, y)[i, j]`` the mean of
+    ``x_i y_j`` and ``x_j y_i`` on ``i <= j``, and ``h(x) = h(x, x)`` (order 2:
+    ``h(x) = x``), each basis vector keeps ``y_r = h(v_r) @ m``; ``read()``
+    returns the pair matrices stacked and flattened: ``f = y @ v.T`` at orders 2
+    and 3; at order 4 ``g = y @ h(v).T`` and ``f[p, q] = y_p @ h(v_p, v_q)``, two
+    products over the columns of ``v`` at the ``i`` and the ``j``.
+    ``rotate(p, q, phi)`` rotates rows ``p`` and ``q`` of ``v`` (one pair, or
+    index arrays of disjoint pairs) and refreshes their left halves.
     """
-    n, d = t.shape[0], t.ndim
-    i, j = np.triu_indices(n)
-    ij, w = i * n + j, np.where(i == j, 1.0, 2.0)
-    if d == 2:
-        m = t
-    elif d == 3:
-        m = t.reshape(n * n, n)[ij] * w[:, None]
-    else:
-        m = t.reshape(n * n, n * n)[np.ix_(ij, ij)] * np.outer(w, w)
+    n, d = g.dim, g.order
+    k = d - d // 2
+    # the sorted tuples' rows and columns in the n^k x n^(d - k) unfolding
+    at = np.ix_(np.ravel_multi_index(sorted_axes(n, k).T, (n,) * k),
+                np.ravel_multi_index(sorted_axes(n, d - k).T, (n,) * (d - k)))
+    m = g.packed[packing_positions(n, d).reshape(n**k, -1)[at]]
+    m *= np.outer(multiplicities(n, k), multiplicities(n, d - k))
+    i, j = sorted_axes(n, 2).T
 
     def h(x):
         return x if d == 2 else x.take(i, axis=1) * x.take(j, axis=1)
@@ -434,19 +429,17 @@ def _pair_reader(t: np.ndarray):
 def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
-    t = _as_array(g)
-    if t.ndim != spec.order:
-        raise ValueError("tensor order does not match the contrast order")
-    n, d = t.shape[0], t.ndim
-    trace = [contrast_value(t, spec)]
+    g = g if isinstance(g, SymTensor) else SymTensor.from_dense(g)
+    trace = [contrast_value(g, spec)]
+    n, d = g.dim, g.order
     if n < 2:
-        return ICAResult(Q=np.eye(n), Z=symmetrize(t), trace=trace)
+        return ICAResult(Q=np.eye(n), Z=g, trace=trace)
 
     first, second, positions = _pairs(n, d)
     npairs = len(first)
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
-    v, read, rotate = _pair_reader(t)
+    v, read, rotate = _pair_reader(g)
 
     def solve(rows):
         return _best_angles(read()[positions[rows]], d, spec.alpha)
@@ -496,17 +489,20 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 stop_reason = "angle_tol"
                 break
 
-    # rotate t once by v, unless no pair was accepted: each product takes the leading
-    # axis through v and moves it last, into the buffer of the product before last;
-    # t is dropped after the first product, the spare buffer before symmetrizing
-    z, spare = t, None
-    del read, rotate, solve, t
-    for step in range(d if len(trace) > 1 else 0):
-        z, spare = np.matmul(z.reshape(n, -1).T, v.T, out=spare), (z if step else None)
-    z, spare = z.reshape((n,) * d), None
+    # expand g and rotate it once by v, unless no pair was accepted: each product takes
+    # the leading axis through v and moves it last, into the buffer of the product
+    # before last; the expansion is dropped after the first product, the spare buffer
+    # before symmetrizing
+    del read, rotate, solve
+    if len(trace) > 1:
+        z, spare = g.expand().array, None
+        for step in range(d):
+            z, spare = np.matmul(z.reshape(n, -1).T, v.T, out=spare), (z if step else None)
+        spare = None
+        g = symmetrize(z.reshape((n,) * d))
 
     return ICAResult(
-        Q=v.T.copy(), Z=symmetrize(z), trace=trace, stop_reason=stop_reason,
+        Q=v.T.copy(), Z=g, trace=trace, stop_reason=stop_reason,
         largest_angles=largest,
     )
 
@@ -516,6 +512,7 @@ def sweep_cyclic(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICARes
 
     Each sweep visits every pair once, as rounds of disjoint pairs (see
     :func:`_rounds`); at most ``max_sweeps`` sweeps, which must be ``>= 0``.
+    A dense ``g`` is packed by ``SymTensor.from_dense``, which refuses a non-symmetric one.
     """
     return _run_sweeps(g, spec, greedy=False, max_sweeps=max_sweeps)
 
@@ -524,6 +521,7 @@ def sweep_greedy(g, spec: ContrastSpec, max_sweeps: int | None = None) -> ICARes
     """Rotate the pair with the largest contrast gain until no pair improves.
 
     Stops after at most ``max_sweeps`` (``>= 0``) times the pair count rotations.
+    A dense ``g`` is packed by ``SymTensor.from_dense``, which refuses a non-symmetric one.
     """
     return _run_sweeps(g, spec, greedy=True, max_sweeps=max_sweeps)
 

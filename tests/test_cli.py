@@ -610,15 +610,6 @@ class TestCliRoundTrips:
         assert err.count("\n") == 1
         assert out.exists()
 
-    def test_ica_negative_max_sweeps_exits_1(self, tmp_path, capsys):
-        samples = tmp_path / "s.csv"
-        save_samples(samples, rng.uniform(-1.0, 1.0, (200, 2)))
-        out = tmp_path / "r.json"
-        code = self.run("ica", "--max-sweeps", "-1", "--in", str(samples), "--out", str(out))
-        assert code == 1
-        assert "--max-sweeps must be >= 0" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv, flag", [
         (("--seed", "-1", "gen", "--sources", "2", "--samples", "100",
           "--out", "{tmp}/o.csv", "--manifest", "{tmp}/m.json"), "--seed"),
@@ -627,7 +618,9 @@ class TestCliRoundTrips:
         (("--seed", "-1", "rank1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"), "--seed"),
         (("rank1", "--restarts", "-1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"),
          "--restarts"),
-    ], ids=["seed-gen", "seed-parafac", "seed-rank1", "restarts"])
+        (("ica", "--max-sweeps", "-1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"),
+         "--max-sweeps"),
+    ], ids=["seed-gen", "seed-parafac", "seed-rank1", "restarts", "max-sweeps"])
     def test_negative_count_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
         # numpy's refusal of a negative seed exited 2 naming no flag, and rank1
         # ran one start for any restarts < 0

@@ -450,16 +450,16 @@ def apply_rotation(zd, p, q, phi):
 
 
 def sweep_greedy_all_pairs(g, spec, max_sweeps=None, dense=False):
-    """The greedy sweep that solves every pair again before each rotation (dense ``g``).
+    """The greedy sweep that solves every pair again before each rotation (SymTensor ``g``).
 
     It reads the pair rows through :func:`_pair_reader`, as the sweep does, or
-    with ``dense`` off the tensor itself, rotated slice by slice.
+    with ``dense`` off the expanded tensor, rotated slice by slice.
     """
-    zd = g.copy()
-    n, d = zd.shape[0], zd.ndim
+    zd = g.expand().array.copy()
+    n, d = g.dim, g.order
     first, second, positions = _pairs(n, d)
     v, read, rotate = _pair_reader(g)
-    trace = [contrast_value(zd, spec)]
+    trace = [contrast_value(g, spec)]
     pairs = list(zip(first.tolist(), second.tolist()))
     if max_sweeps is None:
         max_sweeps = ceil(sqrt(n)) + 3
@@ -647,15 +647,13 @@ class TestGreedyOracle:
             for max_sweeps in (None, 1):
                 g = symmetrize(r.standard_normal((n,) * d))
                 res = sweep_greedy(g, spec, max_sweeps=max_sweeps)
-                q, trace, rotations, sweeps, largest = sweep_greedy_all_pairs(
-                    g.expand().array, spec, max_sweeps
-                )
+                q, trace, rotations, sweeps, largest = sweep_greedy_all_pairs(g, spec, max_sweeps)
                 np.testing.assert_array_equal(res.Q, q)
                 assert res.trace == trace
                 assert (res.rotations, res.sweeps) == (rotations, sweeps)
                 assert res.largest_angles == largest
                 q, trace, rotations, sweeps, largest = sweep_greedy_all_pairs(
-                    g.expand().array, spec, max_sweeps, dense=True
+                    g, spec, max_sweeps, dense=True
                 )
                 assert (res.rotations, res.sweeps) == (rotations, sweeps)
                 np.testing.assert_allclose(res.Q, q, rtol=0, atol=1e-12)
@@ -688,7 +686,7 @@ class TestGreedyOracle:
 
         def spied_reader(t):
             v, read, rotate = _pair_reader(t)
-            first, second, positions = _pairs(t.shape[0], 4)
+            first, second, positions = _pairs(t.dim, 4)
             index = {(p, q): k for k, (p, q) in enumerate(zip(first.tolist(), second.tolist()))}
 
             def rotate_then_solve(p, q, phi):
@@ -845,8 +843,9 @@ class TestRoundReader:
     def test_rows_match_the_rotated_tensor(self, d, n):
         # odd n leave one index idle in every round
         r = np.random.default_rng(1400 + 10 * n + d)
-        t = symmetrize(r.standard_normal((n,) * d)).expand().array
-        v, read, rotate = _pair_reader(t)
+        g = symmetrize(r.standard_normal((n,) * d))
+        t = g.expand().array
+        v, read, rotate = _pair_reader(g)
         positions = _pairs(n, d)[2]
         for _ in range(2):
             rotate_random_rounds(rotate, n, r)
@@ -859,8 +858,7 @@ class TestRoundReader:
         # the premise of greedy's cached angles: a pair's row reads only its
         # own two basis vectors and their left halves
         r = np.random.default_rng(1420 + 10 * n + d)
-        t = symmetrize(r.standard_normal((n,) * d)).expand().array
-        v, read, rotate = _pair_reader(t)
+        v, read, rotate = _pair_reader(symmetrize(r.standard_normal((n,) * d)))
         first, second, positions = _pairs(n, d)
         rotate_random_rounds(rotate, n, r)
         for k in r.permutation(len(first))[:6].tolist():
@@ -881,6 +879,28 @@ class TestRoundReader:
             assert res.rotations > 0
             expected = tucker_transform(t, [res.Q.T] * d).array
             assert np.abs(res.Z.expand().array - expected).max() <= 1e-13 * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("strategy", [sweep_cyclic, sweep_greedy])
+    @pytest.mark.parametrize("n, d", [(5, 3), (5, 4), (16, 4)])
+    def test_unrotated_result_is_the_input(self, strategy, n, d):
+        # max_sweeps=0 returns the input as given: no expand and symmetrize
+        # round trip moves its packed entries by an ulp
+        g = cumulant_tensor(np.random.default_rng(3).standard_normal((2000, n)), d)
+        res = strategy(g, ContrastSpec(2, d), max_sweeps=0)
+        assert res.rotations == 0
+        assert res.Z.packed.tobytes() == g.packed.tobytes()
+
+    def test_non_symmetric_cube_refused(self):
+        # the reader reads only the entries at sorted axes, while the final
+        # rotation would rotate the whole cube: the reported contrast and
+        # the returned Z would disagree
+        t = np.random.default_rng(0).standard_normal((4,) * 4)
+        spec = ContrastSpec(2, 4)
+        for call in (lambda: sweep_cyclic(t, spec), lambda: sweep_greedy(t, spec),
+                     lambda: contrast_value(t, spec), lambda: stationarity_residual(t, 4),
+                     lambda: convexity_margin(t, 4, 0, 1)):
+            with pytest.raises(ValueError, match="not symmetric"):
+                call()
 
     @pytest.mark.parametrize("greedy", [False, True], ids=["cyclic", "greedy"])
     @pytest.mark.parametrize("n", [16, 32])
