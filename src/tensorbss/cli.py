@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=("cyclic", "greedy"), default="cyclic")
     p.add_argument("--max-sweeps", type=_count, default=None,
                    help="sweep budget, >= 0 (0 whitens only); default ceil(sqrt(n)) + 3")
-    p.add_argument("--sources", type=int, default=None,
+    p.add_argument("--sources", type=_count, default=None,
                    help="expected source count; must equal the observation dimension "
                         "(more is underdetermined; fewer needs source-count detection, "
                         "not supported yet)")
@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("parafac", help="trilinear decomposition by ALS")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_count, default=200)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--init", choices=("svd", "random"), default="svd")
     p.add_argument("--in", dest="infile", required=True)

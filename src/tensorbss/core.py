@@ -177,17 +177,21 @@ def tucker_transform(t, matrices) -> DenseTensor:
 
     ``matrices[k]`` acts on mode ``k+1`` and must have as many columns as that
     mode's dimension; output dimensions are the matrices' row counts.
+
+    One BLAS product per mode, ``out.reshape(n_k, rest).T @ m.T``, moves the
+    leading axis through its matrix to the end, so the axes end in order; each
+    input, a ``SymTensor``'s expansion too, is rebound: at most two arrays are alive.
     """
-    arr = _as_array(t)
+    out = _as_array(t)
     matrices = [np.asarray(m, dtype=float) for m in matrices]
-    if len(matrices) != arr.ndim:
-        raise ValueError(f"expected {arr.ndim} matrices, got {len(matrices)}")
+    if len(matrices) != out.ndim:
+        raise ValueError(f"expected {out.ndim} matrices, got {len(matrices)}")
     for k, m in enumerate(matrices):
-        if m.ndim != 2 or m.shape[1] != arr.shape[k]:
-            raise ValueError(f"matrix {k} must have {arr.shape[k]} columns")
-    out = arr
-    for k, m in enumerate(matrices):
-        out = np.moveaxis(np.tensordot(m, out, axes=(1, k)), 0, k)
+        # mode k+1 leads; both sizes are given, as -1 is ambiguous at a zero-size axis
+        if m.ndim != 2 or m.shape[1] != out.shape[0]:
+            raise ValueError(f"matrix {k} must have {out.shape[0]} columns")
+        rest = out.shape[1:]
+        out = (out.reshape(out.shape[0], math.prod(rest)).T @ m.T).reshape(rest + m.shape[:1])
     return DenseTensor(out)
 
 
@@ -235,7 +239,11 @@ def frobenius_inner(g, h) -> float:
 
 
 def symmetrize(t) -> SymTensor:
-    """Average a cubical tensor over all index permutations and pack it."""
+    """Average a cubical tensor over all index permutations and pack it.
+
+    Sums by ``np.add.at``, in ``np.bincount``'s order; ``bincount`` would copy
+    the read-only ``n^d`` arrays: the cached positions and any ``DenseTensor``.
+    """
     arr = _as_array(t)
     if arr.ndim == 0:
         raise ValueError("cannot symmetrize a scalar")
@@ -244,7 +252,9 @@ def symmetrize(t) -> SymTensor:
     n, d = arr.shape[0], arr.ndim
     # a packed slot has as many index tuples as its multiplicity
     pos, size = packing_positions(n, d), packed_length(n, d)
-    return SymTensor(n, d, np.bincount(pos, arr.reshape(-1), size) / multiplicities(n, d))
+    sums = np.zeros(size)
+    np.add.at(sums, pos, arr.reshape(-1))
+    return SymTensor(n, d, sums / multiplicities(n, d))
 
 
 def rank1_sym(w, d: int, weight: float = 1.0) -> DenseTensor:

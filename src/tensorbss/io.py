@@ -280,11 +280,10 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
         if not header.strip():
             raise InputError(f"{path}, line 1: no header row (empty file or blank line)")
         names = [h.strip() for h in header.split(",")]
-        rows, blank = [], []
+        rows, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             _check_text(path, lineno, line)
             if not line.strip():
-                blank.append(lineno)
                 continue
             cells = line.split(",")
             if len(cells) != len(names):
@@ -294,6 +293,7 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
                 )
             try:
                 rows.append([float(v) for v in cells])
+                linenos.append(lineno)
             except ValueError:
                 col = next(k for k, v in enumerate(cells) if not _is_number(v))
                 raise InputError(
@@ -306,12 +306,8 @@ def _scan_samples(path) -> tuple[np.ndarray, list[str]]:
     # min and max see every nan and infinity without a sample-sized temporary
     if not np.isfinite([samples.min(), samples.max()]).all():
         k, col = np.argwhere(~np.isfinite(samples))[0]
-        lineno = k + 2
-        for b in blank:  # each blank line before the row moves it one line down
-            if b <= lineno:
-                lineno += 1
         raise InputError(
-            f"{path}, line {lineno}, column {col + 1}: {float(samples[k, col])!r} "
+            f"{path}, line {linenos[k]}, column {col + 1}: {float(samples[k, col])!r} "
             "is not a finite number"
         )
     return samples, names

@@ -73,9 +73,9 @@ off ``y`` and ``v``: ``g[p, q] = z[ppqq]`` and ``f[p, q] = z[pppq]`` at order
 4, ``f[p, q] = z[ppq]`` at order 3 and ``z[pq]`` at order 2.  Every pair row
 is gathered from them.  A rotation rewrites the rows of ``v`` it rotates and
 refreshes only their left halves; a round with no accepted pair changes
-nothing.  Only the final rotation builds the ``n^d`` array: ``t`` is expanded,
-rotated once by ``v``, one matrix product per axis, and symmetrized; with no
-accepted pair this is skipped, so an unrotated input is returned as given.
+nothing.  Only the final rotation, ``symmetrize(tucker_transform(t, [v] * d))``,
+builds the ``n^d`` array; with no accepted pair it is skipped, so an unrotated
+input is returned as given.
 
 The exactness rule: each pair matrix is a product of fixed shape, so the bits
 of its entry ``(p, q)`` depend on ``y_p``, ``v_p`` and ``v_q`` alone.  A
@@ -83,11 +83,11 @@ rotation of ``(p, q)`` therefore leaves the row of every pair disjoint from
 ``{p, q}`` bit for bit, and the angle solve, whose rows are copied to C order
 first, gives each row's bits from that row alone, whatever the batch.
 
-The pair matrices and the final rotation sum through BLAS, so both strategies
-reproduce as far as BLAS does: the same input, in the same process and with
-the same BLAS build and thread count, gives identical bytes; nothing is
-promised across machines, BLAS builds or thread counts, which may sum in
-another order.
+The pair matrices and the final rotation's ``tucker_transform`` sum through
+BLAS, so both strategies reproduce as far as BLAS does: the same input, in the
+same process and with the same BLAS build and thread count, gives identical
+bytes; nothing is promised across machines, BLAS builds or thread counts,
+which may sum in another order.
 
 The diagnostics (``contrast_value``, ``stationarity_residual``,
 ``convexity_margin``, ``ica``'s low-confidence floor) read O(n^2) entries of
@@ -103,7 +103,7 @@ from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .core import SymTensor, is_real, poly_roots, symmetrize
+from .core import SymTensor, is_real, poly_roots, symmetrize, tucker_transform
 from .cumulants import as_samples, cumulant_tensor
 from .indexing import multiplicities, packed_index, packing_positions, sorted_axes
 from .whiten import Whitener, standardize
@@ -489,17 +489,10 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                 stop_reason = "angle_tol"
                 break
 
-    # expand g and rotate it once by v, unless no pair was accepted: each product takes
-    # the leading axis through v and moves it last, into the buffer of the product
-    # before last; the expansion is dropped after the first product, the spare buffer
-    # before symmetrizing
+    # free m and y before the final rotation's n^d arrays
     del read, rotate, solve
     if len(trace) > 1:
-        z, spare = g.expand().array, None
-        for step in range(d):
-            z, spare = np.matmul(z.reshape(n, -1).T, v.T, out=spare), (z if step else None)
-        spare = None
-        g = symmetrize(z.reshape((n,) * d))
+        g = symmetrize(tucker_transform(g, [v] * d))
 
     return ICAResult(
         Q=v.T.copy(), Z=g, trace=trace, stop_reason=stop_reason,

@@ -460,7 +460,7 @@ class TestCliRoundTrips:
         "flags,message",
         [
             (("--rank", "0"), "rank must be >= 1"),
-            (("--rank", "2", "--max-iters", "-5"), "max_iters must be >= 0"),
+            (("--rank", "2", "--max-iters", "-5"), "argument --max-iters: must be >= 0, got -5"),
             (("--rank", "2", "--tol", "-1"), "rel_tol must be finite"),
             (("--rank", "2", "--tol", "nan"), "rel_tol must be finite"),
         ],
@@ -620,7 +620,12 @@ class TestCliRoundTrips:
          "--restarts"),
         (("ica", "--max-sweeps", "-1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"),
          "--max-sweeps"),
-    ], ids=["seed-gen", "seed-parafac", "seed-rank1", "restarts", "max-sweeps"])
+        (("ica", "--sources", "-1", "--in", "{tmp}/t.json", "--out", "{tmp}/o.json"),
+         "--sources"),
+        (("parafac", "--rank", "1", "--max-iters", "-1", "--in", "{tmp}/t.json",
+          "--out", "{tmp}/o.json"), "--max-iters"),
+    ], ids=["seed-gen", "seed-parafac", "seed-rank1", "restarts", "max-sweeps", "sources",
+            "max-iters"])
     def test_negative_count_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
         # numpy's refusal of a negative seed exited 2 naming no flag, and rank1
         # ran one start for any restarts < 0

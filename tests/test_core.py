@@ -148,6 +148,31 @@ class TestTuckerTransform:
         with pytest.raises(ValueError):
             tucker_transform(np.zeros((2, 2)), [np.eye(3), np.eye(2)])
 
+    # its own generator: drawing from rng at collection would move every later test's draws
+    edge = np.random.default_rng(2009)
+
+    @pytest.mark.parametrize("t, mats", [
+        (np.array(2.0), []),
+        (edge.standard_normal(3), [edge.standard_normal((4, 3))]),
+        (edge.standard_normal((1, 3, 1)), [edge.standard_normal((2, 1)), np.eye(3), np.ones((1, 1))]),
+        (np.zeros((0, 3)), [np.zeros((2, 0)), np.eye(3)]),
+        (edge.standard_normal((2, 3)), [np.zeros((0, 2)), np.eye(3)]),
+        (edge.standard_normal((2, 3, 4)), [edge.standard_normal((3, 2)), edge.standard_normal((1, 3)),
+                                           edge.standard_normal((5, 4))]),
+    ], ids=["order0", "order1", "size1", "empty-in", "empty-out", "non-square"])
+    def test_edges_match_summation_oracle(self, t, mats):
+        # a reshape to (n, -1) is ambiguous when an axis has size 0
+        got = tucker_transform(t, mats).array
+        assert got.shape == tuple(m.shape[0] for m in mats)
+        np.testing.assert_allclose(got, tucker_brute(t, mats), rtol=0, atol=1e-12)
+
+    def test_tensor_inputs_match_summation_oracle(self):
+        sym = symmetrize(self.edge.standard_normal((3, 3, 3)))
+        mats = [self.edge.standard_normal((2, 3)) for _ in range(3)]
+        expected = tucker_brute(sym.expand().array, mats)
+        for t in (sym, sym.expand()):
+            np.testing.assert_allclose(tucker_transform(t, mats).array, expected, atol=1e-12)
+
 
 class TestUnfold:
     def test_order2(self):
@@ -270,6 +295,29 @@ class TestSymmetrize:
         np.testing.assert_array_equal(multiplicities(n, d), counts)
         expected = np.bincount(pos, weights=t.reshape(-1), minlength=size) / counts
         assert symmetrize(t).packed.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_bytes_of_bincount_on_plain_and_read_only_input(self, d):
+        n = 9 - d
+        x = np.random.default_rng(d).standard_normal((n,) * d)
+        pos, size = packing_positions(n, d), packed_length(n, d)
+        expected = np.bincount(pos, x.ravel(), size) / multiplicities(n, d)
+        for t in (x, DenseTensor(x)):
+            assert symmetrize(t).packed.tobytes() == expected.tobytes()
+
+    def test_read_only_input_is_not_copied(self):
+        # np.bincount copies a read-only argument: the cached positions and
+        # the DenseTensor's array, two n^d arrays
+        n, d = 16, 4
+        x = DenseTensor(np.random.default_rng(7).standard_normal((n,) * d))
+        symmetrize(x)  # caches packing_positions(n, d)
+        tracemalloc.start()
+        try:
+            symmetrize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n**d * 8
 
 
 class TestSymTensor:

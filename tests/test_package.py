@@ -1,6 +1,6 @@
-"""Package-wide checks: the README quickstart runs as written, no module keeps
-an import it never uses, the package namespace imports its submodules lazily,
-and each CLI subcommand loads only the modules it runs."""
+"""Package-wide checks: the README quickstart runs as written, no module or
+script keeps an import it never uses, the package namespace imports its
+submodules lazily, and each CLI subcommand loads only the modules it runs."""
 
 import ast
 import contextlib
@@ -19,6 +19,7 @@ import tensorbss
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "tensorbss").glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_readme_quickstart_separates():
@@ -48,7 +49,7 @@ def test_unused_import_detector():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
