@@ -186,7 +186,8 @@ def _cmd_ica(args) -> int:
         "sweeps": res.sweeps,
         "rotations": res.rotations,
         "low_confidence": res.low_confidence,
-        "diagnostics": {"stop_reason": res.stop_reason, "largest_angles": res.largest_angles},
+        "diagnostics": {"stop_reason": res.stop_reason, "angle_tol": res.angle_tol,
+                        "largest_angles": res.largest_angles},
     }
     _emit(out, args, args.out)
     return 0

@@ -32,10 +32,15 @@ diagonal difference would favour.  The candidate with the largest
 restricted contrast wins, and candidates within ``1e-12`` of the best are
 ties that go to the smallest angle.  A rotation is applied only when its
 contrast gain is strictly positive, so the recorded contrast trace never
-decreases.  Sweeps stop once no rotation of a whole sweep exceeds
-``ANGLE_TOL`` (cyclic), once the best pair's angle falls below it or no pair
+decreases.  Sweeps stop once no accepted rotation of a whole sweep reaches
+``angle_tol`` (cyclic), once the best pair's angle falls below it or no pair
 gains (greedy), or after ``max_sweeps`` sweeps (``max_sweeps`` times the pair
 count in rotations, for greedy); the result's ``stop_reason`` says which.
+``angle_tol`` is ``ANGLE_TOL``, the rounding floor, on a given tensor, and
+``max(ANGLE_TOL, 1 / (100 sqrt(N)))`` in :func:`ica`, whose cumulant is
+estimated from ``N`` samples: JADE's threshold (Cardoso & Souloumiac, *IEE
+Proc. F*, 1993), below which an angle only fits estimation noise.  It only
+ends the sweeps sooner, so ``ica``'s trace is a prefix of the ``ANGLE_TOL`` run's.
 
 A rotation of ``(p, q)`` rewrites only tensor slices indexed by ``p`` or
 ``q``, and a pair's angle reads only the entries indexed within that pair.
@@ -177,7 +182,8 @@ class ICAResult:
     or ``"max_sweeps"`` (a tensor without pairs is already stationary).
     ``largest_angles`` holds the largest accepted ``|phi|`` of each sweep (for
     greedy, of each block of pair-count rotations), one entry per sweep.
-    ``sweeps`` and ``rotations`` are read from these two lists.
+    ``sweeps`` and ``rotations`` are read from these two lists, and
+    ``angle_tol`` is the tolerance of the ``"angle_tol"`` stop.
     """
 
     Q: np.ndarray
@@ -186,6 +192,7 @@ class ICAResult:
     low_confidence: bool = False
     stop_reason: str = "angle_tol"
     largest_angles: list[float] = field(default_factory=list)
+    angle_tol: float = ANGLE_TOL
 
     @property
     def sweeps(self) -> int:
@@ -426,14 +433,15 @@ def _pair_reader(g: SymTensor):
     return v, read, rotate
 
 
-def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> ICAResult:
+def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None,
+                angle_tol: float = ANGLE_TOL) -> ICAResult:
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     g = g if isinstance(g, SymTensor) else SymTensor.from_dense(g)
     trace = [contrast_value(g, spec)]
     n, d = g.dim, g.order
     if n < 2:
-        return ICAResult(Q=np.eye(n), Z=g, trace=trace)
+        return ICAResult(Q=np.eye(n), Z=g, trace=trace, angle_tol=angle_tol)
 
     first, second, positions = _pairs(n, d)
     npairs = len(first)
@@ -456,7 +464,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
         while len(angles) < npairs * max_sweeps:
             k = int(np.argmax(gains))
             phi, gain = float(phis[k]), float(gains[k])
-            if gain <= 0.0 or abs(phi) < ANGLE_TOL:
+            if gain <= 0.0 or abs(phi) < angle_tol:
                 stop_reason = "no_gain" if gain <= 0.0 else "angle_tol"
                 break
             p, q = int(first[k]), int(second[k])
@@ -485,7 +493,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
                     trace.append(trace[-1] + gain)
                 largest_phi = max(largest_phi, float(np.abs(phis[ok]).max()))
             largest.append(largest_phi)
-            if largest_phi < ANGLE_TOL:
+            if largest_phi < angle_tol:
                 stop_reason = "angle_tol"
                 break
 
@@ -496,7 +504,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None) -> 
 
     return ICAResult(
         Q=v.T.copy(), Z=g, trace=trace, stop_reason=stop_reason,
-        largest_angles=largest,
+        largest_angles=largest, angle_tol=angle_tol,
     )
 
 
@@ -567,8 +575,10 @@ def ica(
     diagonal cumulant is smaller than five standard errors of a diagonal
     cumulant estimate under the Gaussian null (marginal cumulant variances
     2, 6, 24 over the sample count, for orders 2, 3, 4), as happens for
-    Gaussian data.  ``max_sweeps`` must be ``>= 0``; ``0`` returns the
-    whitened problem unrotated.  ``N <= n`` samples of ``n`` columns raise
+    Gaussian data.  Sweeps stop below the angle ``max(ANGLE_TOL, 1 / (100
+    sqrt(N)))`` for ``N`` samples, JADE's threshold (see the module docstring).
+    ``max_sweeps`` must be ``>= 0``; ``0`` returns the whitened problem
+    unrotated.  ``N <= n`` samples of ``n`` columns raise
     ``ValueError`` before the (singular) covariance is formed.
     """
     z = as_samples(samples)
@@ -588,7 +598,8 @@ def ica(
     g = cumulant_tensor(y, spec.order)
     del y
 
-    res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps)
+    res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps,
+                      angle_tol=max(ANGLE_TOL, 1.0 / (100.0 * sqrt(z.shape[0]))))
     null_var = {2: 2.0, 3: 6.0, 4: 24.0}[spec.order]
     confidence_floor = 5.0 * sqrt(null_var / z.shape[0])
     diag, _ = _read(res.Z, spec.order)

@@ -41,8 +41,11 @@ def _check_covariance(r, name: str) -> np.ndarray:
 
 def _inv_sqrt(r: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
     lam, u = np.linalg.eigh(r)
-    if lam[-1] <= 0.0 or lam[0] <= tol * lam[-1]:
+    if lam[0] <= 0.0:
         raise ValueError(f"{name} is not positive definite (smallest eigenvalue {lam[0]:.3e})")
+    if lam[0] <= tol * lam[-1]:
+        raise ValueError(f"{name} is too ill-conditioned to whiten (condition number "
+                         f"{lam[-1] / lam[0]:.3e} exceeds {1 / tol:.0e})")
     return (u / np.sqrt(lam)) @ u.T
 
 

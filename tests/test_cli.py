@@ -411,8 +411,10 @@ class TestCliRoundTrips:
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         diagnostics = res["diagnostics"]
         assert diagnostics["stop_reason"] == "angle_tol"
+        assert diagnostics["angle_tol"] == 1 / (100 * math.sqrt(8000))
         assert len(diagnostics["largest_angles"]) == res["sweeps"]
-        assert diagnostics["largest_angles"][-1] < 1e-8 <= diagnostics["largest_angles"][0]
+        largest = diagnostics["largest_angles"]
+        assert largest[-1] < diagnostics["angle_tol"] <= largest[0]
 
     def test_gen_determinism_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -741,6 +743,18 @@ class TestCliRoundTrips:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert json.loads(err)["message"].endswith("N = 5 samples of n = 20000 columns")
         assert not out.exists()
+
+    def test_ill_conditioned_mixing_exits_2_naming_the_condition(self, tmp_path, capsys):
+        r = np.random.default_rng(8)
+        u, _ = np.linalg.qr(r.standard_normal((8, 8)))
+        w, _ = np.linalg.qr(r.standard_normal((8, 8)))
+        a = (u * np.logspace(0, -7, 8)) @ w.T
+        samples = tmp_path / "s.csv"
+        save_samples(samples, r.uniform(-1.0, 1.0, (2000, 8)) @ a.T)
+        assert self.run("ica", "--in", str(samples), "--out", str(tmp_path / "r.json")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("covariance is too ill-conditioned to whiten")
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         qpath = tmp_path / "q.json"

@@ -371,6 +371,54 @@ class TestStopReason:
         assert res.stop_reason == "angle_tol"
 
 
+def uniform_mixture(n, samples, seed):
+    r = np.random.default_rng(seed)
+    s = r.uniform(-sqrt(3.0), sqrt(3.0), (samples, n))
+    return s @ r.standard_normal((n, n)).T
+
+
+def ica_with_cumulant(monkeypatch, x, strategy):
+    """``ica``'s result and the whitened cumulant it swept."""
+    seen, run = [], jacobi._run_sweeps
+
+    def spy(g, *args, **kwargs):
+        seen.append(g)
+        return run(g, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "_run_sweeps", spy)
+    _, res = ica(x, ContrastSpec(2, 4), strategy=strategy)
+    monkeypatch.undo()
+    return res, seen[0]
+
+
+class TestSampleAngleTol:
+    def test_cyclic_stops_at_the_sample_resolution(self, monkeypatch):
+        res, g = ica_with_cumulant(monkeypatch, uniform_mixture(16, 20000, 1), "cyclic")
+        assert res.angle_tol == 1 / (100 * sqrt(20000))
+        assert res.stop_reason == "angle_tol" and res.sweeps < ceil(sqrt(16)) + 3
+        assert res.largest_angles[-1] < res.angle_tol <= res.largest_angles[-2]
+        # the rule only truncates the ANGLE_TOL run, which goes on sweeping
+        full = jacobi._run_sweeps(g, ContrastSpec(2, 4), greedy=False, max_sweeps=None)
+        assert full.sweeps > res.sweeps
+        assert res.trace == full.trace[: len(res.trace)]
+        cut = jacobi._run_sweeps(g, ContrastSpec(2, 4), greedy=False, max_sweeps=res.sweeps)
+        assert res.Q.tobytes() == cut.Q.tobytes()
+        assert res.Z.packed.tobytes() == cut.Z.packed.tobytes()
+
+    def test_greedy_trace_is_a_prefix_with_fewer_rotations(self, monkeypatch):
+        res, g = ica_with_cumulant(monkeypatch, uniform_mixture(10, 5000, 1), "greedy")
+        assert (res.stop_reason, res.angle_tol) == ("angle_tol", 1 / (100 * sqrt(5000)))
+        full = jacobi._run_sweeps(g, ContrastSpec(2, 4), greedy=True, max_sweeps=None)
+        assert res.rotations < full.rotations
+        assert res.trace == full.trace[: len(res.trace)]
+
+    def test_given_tensors_keep_the_rounding_floor(self):
+        g, _ = rotated_diag([-1.2, -2.0, 1.5, 0.8], 4, seed=2)
+        for sweep in (sweep_cyclic, sweep_greedy):
+            assert sweep(g, ContrastSpec(2, 4)).angle_tol == ANGLE_TOL
+            assert sweep(np.ones((1,) * 4), ContrastSpec(2, 4)).angle_tol == ANGLE_TOL
+
+
 # The angle solve as numpy.polynomial wrote it, before the solve built its
 # polynomials with np.convolve and its companion matrix by hand.
 def _real_roots_polynomial(coeffs_ascending):
@@ -905,8 +953,8 @@ class TestRoundReader:
     @pytest.mark.parametrize("greedy", [False, True], ids=["cyclic", "greedy"])
     @pytest.mark.parametrize("n", [16, 32])
     def test_peak_memory_within_three_dense_tensors(self, n, greedy):
-        # the input is expanded once and not copied; the final rotation
-        # drops it after its first product and reuses its two buffers
+        # the input is expanded once and not copied; the final rotation's
+        # tucker_transform holds at most two arrays at once
         g = symmetrize(np.random.default_rng(1500 + n).standard_normal((n,) * 4))
         tracemalloc.start()
         try:

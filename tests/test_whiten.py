@@ -31,6 +31,27 @@ class TestStandardize:
         with pytest.raises(ValueError, match="positive definite"):
             standardize(np.diag([1.0, 0.0]))
 
+    def test_negative_eigenvalue_named_not_positive_definite(self):
+        with pytest.raises(ValueError, match=r"^covariance is not positive definite "
+                                             r"\(smallest eigenvalue -1\.000e-03\)$"):
+            standardize(np.diag([1.0, -1e-3]))
+
+    def test_ill_conditioned_named_as_such(self):
+        # a square mixing of condition 1e7: its covariance is positive definite,
+        # with condition 1e14, past the whitening limit of 1e10
+        r = np.random.default_rng(8)
+        u, _ = np.linalg.qr(r.standard_normal((8, 8)))
+        w, _ = np.linalg.qr(r.standard_normal((8, 8)))
+        a = (u * np.logspace(0, -7, 8)) @ w.T
+        cov = a @ a.T
+        assert np.linalg.eigvalsh(cov)[0] > 0.0
+        with pytest.raises(ValueError, match=r"^covariance is too ill-conditioned to whiten "
+                                             r"\(condition number \d\.\d{3}e\+14 exceeds 1e\+10\)$"):
+            standardize(cov)
+        with pytest.raises(ValueError, match=r"^covariance is too ill-conditioned .* exceeds 1e\+10\)$"):
+            standardize(np.diag([1.0, 1e-11]))
+        standardize(np.diag([1.0, 1e-9]))  # within the limit
+
     def test_whitened_samples_have_unit_covariance(self):
         z = rng.standard_normal((2000, 4)) @ rng.standard_normal((4, 4))
         zc = z - z.mean(axis=0)
