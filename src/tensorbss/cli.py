@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
 
 
 def _emit(obj, args, path=None):
-    text = json.dumps(obj, indent=args.json_indent)
+    text = json.dumps(obj, indent=args.json_indent, allow_nan=False)  # NaN is not JSON
     if path is None:
         print(text)
     else:

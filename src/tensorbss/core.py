@@ -290,6 +290,17 @@ def lead_signs(m) -> np.ndarray:
     return np.where(lead < 0, -1.0, 1.0)
 
 
+SAFE_EXPONENT = 256
+
+
+def safe_exponent(peak: float) -> int:
+    """The power of two ``e`` to divide an array of largest magnitude ``peak`` by,
+    ``np.ldexp(arr, -e)``, so that its squared norms neither overflow nor underflow:
+    0 when ``peak`` is 0 or lies within ``2**(+-SAFE_EXPONENT)``, else the binary
+    exponent that brings ``peak`` into ``[0.5, 1)``.  The division is exact."""
+    return 0 if 2.0**-SAFE_EXPONENT <= peak <= 2.0**SAFE_EXPONENT else int(np.frexp(peak)[1])
+
+
 def poly_roots(rows) -> np.ndarray:
     """Each row's polynomial roots (ascending coefficients), sorted, as complex.
 

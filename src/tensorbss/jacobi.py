@@ -108,7 +108,7 @@ from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .core import SymTensor, is_real, poly_roots, symmetrize, tucker_transform
+from .core import SymTensor, is_real, poly_roots, safe_exponent, symmetrize, tucker_transform
 from .cumulants import as_samples, cumulant_tensor
 from .indexing import multiplicities, packed_index, packing_positions, sorted_axes
 from .whiten import Whitener, standardize
@@ -580,6 +580,15 @@ def ica(
     ``max_sweeps`` must be ``>= 0``; ``0`` returns the whitened problem
     unrotated.  ``N <= n`` samples of ``n`` columns raise
     ``ValueError`` before the (singular) covariance is formed.
+
+    The samples are read twice, block by block, and never copied: once for
+    their covariance, once for the cumulant of the whitened samples, each
+    block whitened as it is read (``cumulant_tensor``'s ``transform``), so the
+    peak is the samples plus ``O(P^2 + BLOCK_ROWS * P)`` floats, ``P =
+    n(n+1)/2``.  The one exception is scale: when the largest ``|sample|``
+    lies outside ``2**(+-core.SAFE_EXPONENT)``, ``ica`` works on the samples
+    divided by a power of two ``2**e`` (a copy), whose whitener is returned
+    multiplied by ``2**-e``, exactly, so any float scale separates alike.
     """
     z = as_samples(samples)
     if strategy not in ("cyclic", "greedy"):
@@ -588,15 +597,16 @@ def ica(
         raise ValueError(f"ica needs more samples than columns: N = {z.shape[0]} samples "
                          f"of n = {z.shape[1]} columns")
 
-    # the centred and the whitened samples are dropped once used, so the
-    # sweep holds neither
-    zc = z - z.mean(axis=0)
-    r_y = zc.T @ zc / z.shape[0]
-    wh = standardize(r_y)
-    y = wh.apply(zc)
-    del zc
-    g = cumulant_tensor(y, spec.order)
-    del y
+    e = safe_exponent(max(-z.min(), z.max()))
+    if e:
+        z = np.ldexp(z, -e)
+    wh = standardize(cumulant_tensor(z, 2).expand().array)
+    g = cumulant_tensor(z, spec.order, transform=wh.T)
+    if e:
+        with np.errstate(over="ignore"):
+            wh = Whitener(T=np.ldexp(wh.T, -e), source_count=wh.source_count)
+        if not np.isfinite(wh.T).all():
+            raise ValueError("the whitener overflows the float range")
 
     res = _run_sweeps(g, spec, greedy=(strategy == "greedy"), max_sweeps=max_sweeps,
                       angle_tol=max(ANGLE_TOL, 1.0 / (100.0 * sqrt(z.shape[0]))))

@@ -46,7 +46,7 @@ identity rounds to within ``GRAM_ROUNDING s``, ``s = max(norm(G)^2,
 sum|A'A * B'B * C'C|)``, so the initial fit, a squared error ``e`` with ``e
 norm(G)^2 <= GRAM_FIT_FLOOR s^2`` and the verdict on a step that close to the
 current fit come from the residual: a Gram fit stays within 1e-12 of it.  A
-tensor whose largest entry lies outside ``2**(+-SAFE_EXPONENT)`` is fitted
+tensor whose largest entry lies outside ``2**(+-core.SAFE_EXPONENT)`` is fitted
 divided by a power of two, weights multiplied back, so that no squared norm
 overflows or underflows.  Factors are returned normalized: unit-norm columns,
 nonnegative weights, sign carried by the last factor.
@@ -67,6 +67,7 @@ from .core import (
     leading_left_vectors,
     mode_n_unfold,
     real_roots,
+    safe_exponent,
     tucker_transform,
 )
 
@@ -76,7 +77,6 @@ GRAM_COND_LIMIT = 1e8
 # the Gram fit's limits, explained in the module docstring
 GRAM_ROUNDING = 1e-14  # its rounding error was measured at most 1.4e-15
 GRAM_FIT_FLOOR = 1e-6
-SAFE_EXPONENT = 256
 _DEGREE_3, _DEGREE_6 = (np.indices((2,) * k).sum(0).ravel() for k in (3, 6))  # see _line_search
 
 
@@ -331,8 +331,7 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
             stacklevel=2,
         )
 
-    peak = np.max(np.abs(arr), initial=0.0)
-    exponent = 0 if 2.0**-SAFE_EXPONENT <= peak <= 2.0**SAFE_EXPONENT else int(np.frexp(peak)[1])
+    exponent = safe_exponent(np.max(np.abs(arr), initial=0.0))
     if exponent:
         arr = np.ldexp(arr, -exponent)
     gnorm = float(np.linalg.norm(arr))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorbss.io as tio
-from tensorbss.cli import main
+from tensorbss.cli import _emit, main
 from tensorbss.io import (
     _BLOCK_ROWS,
     InputError,
@@ -446,6 +447,37 @@ class TestCliRoundTrips:
         assert self.run("cumulants", "--order", "4", "--in", str(samples), "--out", str(out)) == 0
         c = tensor_from_obj(load_json(out))
         assert isinstance(c, SymTensor) and c.order == 4
+
+    def test_cumulant_overflow_exits_2_without_output(self, tmp_path, capsys):
+        # the order-4 moments of samples near 1e160 overflow: no NaN is written
+        samples, out = tmp_path / "s.csv", tmp_path / "c.json"
+        save_samples(samples, np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3)) * 1e160)
+        assert self.run("cumulants", "--order", "4", "--in", str(samples), "--out", str(out)) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "the order-4 cumulant overflows the float range",
+        }
+        assert not out.exists()
+
+    def test_emit_refuses_nan(self, tmp_path):
+        out = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"x": [1.0, math.inf]}, argparse.Namespace(json_indent=None), out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_ica_at_extreme_scales(self, tmp_path, capsys, scale):
+        r = np.random.default_rng(1)
+        s = r.uniform(-np.sqrt(3), np.sqrt(3), (3000, 3))
+        a = r.standard_normal((3, 3))
+        samples, manifest = tmp_path / "s.csv", tmp_path / "m.json"
+        result, metrics = tmp_path / "r.json", tmp_path / "score.json"
+        save_samples(samples, (s @ a.T) * scale)
+        save_json({"mixing": (a * scale).tolist()}, manifest)
+        assert self.run("ica", "--in", str(samples), "--out", str(result)) == 0
+        assert self.run("score", "--result", str(result), "--manifest", str(manifest),
+                        "--out", str(metrics)) == 0
+        assert capsys.readouterr().err == ""
+        assert load_json(metrics)["min_dominance"] >= 0.95
 
     def test_parafac_command(self, tmp_path):
         from tensorbss.parafac import KruskalFactors, reconstruct

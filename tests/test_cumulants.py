@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 from math import ceil
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbss.core import tucker_transform
-from tensorbss.cumulants import BLOCK_ROWS, _packed_moment, cumulant_tensor
+from tensorbss.cumulants import BLOCK_ROWS, _packed_moment, as_samples, cumulant_tensor
 from tensorbss.indexing import packed_index, sorted_axes
 
 rng = np.random.default_rng(99)
@@ -226,3 +228,57 @@ class TestOffdiagRatio:
         rhs = tucker_transform(cumulant_tensor(x, 4).expand(), [q] * 4).array
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
         assert offdiag_ratio(cumulant_tensor(y, 4)) > 0.1
+
+
+class TestTransform:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [5, 2], ids=["square", "two-rows"])
+    def test_matches_the_transformed_samples(self, d, rows):
+        r = np.random.default_rng([d, rows])
+        z = r.exponential(size=(2 * BLOCK_ROWS + 37, 5)) + r.standard_normal(5)
+        m = r.standard_normal((rows, 5))
+        got = cumulant_tensor(z, d, transform=m)
+        assert (got.dim, got.order) == (rows, d)
+        assert_close_to_oracle(got.packed, cumulant_tensor(z @ m.T, d).packed)
+
+    def test_equals_the_tucker_transform(self):
+        # the module docstring's multilinearity, with a 2 x n whitener-like map
+        r = np.random.default_rng(31)
+        z = r.uniform(-1.0, 1.0, (700, 4)) ** 3
+        m = r.standard_normal((2, 4))
+        got = cumulant_tensor(z, 4, transform=m).expand().array
+        assert_close_to_oracle(got, tucker_transform(cumulant_tensor(z, 4), [m] * 4).array)
+
+    @pytest.mark.parametrize(
+        "m", [np.ones(3), np.ones((2, 4)), np.array([[1.0, np.nan, 0.0]])],
+        ids=["1-D", "wrong-columns", "not-finite"],
+    )
+    def test_bad_transform_names_its_shape(self, m):
+        z = np.random.default_rng(32).standard_normal((50, 3))
+        with pytest.raises(ValueError, match=re.escape(f"with 3 columns, got shape {m.shape}")):
+            cumulant_tensor(z, 4, transform=m)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_overflow_raises_naming_the_order(self, d):
+        z = np.random.default_rng(33).uniform(-1.0, 1.0, (100, 3)) * 1e160
+        with pytest.raises(ValueError, match=f"the order-{d} cumulant overflows"):
+            cumulant_tensor(z, d)
+
+
+class TestAsSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_one_non_finite_entry_in_the_last_row(self, bad):
+        z = np.random.default_rng(34).standard_normal((100, 4))
+        z[-1, 2] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            as_samples(z)
+
+    def test_checks_without_a_temporary_of_the_samples(self):
+        z = np.random.default_rng(35).standard_normal((10**6, 4))
+        tracemalloc.start()
+        try:
+            as_samples(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as npoly
 from tensorbss import jacobi
 from tensorbss.core import real_roots, symmetrize, tucker_transform
 from tensorbss.cumulants import cumulant_tensor
+from tensorbss.simulate import score
 from tensorbss.jacobi import (
     ANGLE_TOL,
     QUADRATIC_FORM_SPECS,
@@ -1123,9 +1124,8 @@ class TestIcaPipeline:
         assert np.array(first.trace).tobytes() == np.array(second.trace).tobytes()
 
     def test_peak_memory_within_two_and_a_half_sample_arrays(self):
-        # the centred samples are dropped once whitened and the whitened ones
-        # once the cumulant is formed, so the sweep holds neither; the input
-        # is the caller's and not counted
+        # the samples are read block by block and never copied; the input is
+        # the caller's and not counted
         r = np.random.default_rng(48)
         y = r.uniform(-np.sqrt(3), np.sqrt(3), size=(20_000, 16)) @ r.standard_normal((16, 16)).T
         ica(y[:2000])  # fills the per-size index caches
@@ -1137,6 +1137,47 @@ class TestIcaPipeline:
             tracemalloc.stop()
         assert res.rotations > 0
         assert peak <= 2.5 * y.nbytes
+
+    @pytest.mark.parametrize("strategy", ["cyclic", "greedy"])
+    @pytest.mark.parametrize("n,samples,bound", [(4, 200_000, 0.1), (16, 20_000, 0.6)])
+    def test_peak_memory_holds_no_copy_of_the_samples(self, strategy, n, samples, bound):
+        # the covariance and the whitened cumulant accumulate block by block
+        # from the caller's array; at n = 16 the rest is the final rotation's
+        # two n^4 arrays
+        y = uniform_mixture(n, samples, 49)
+        ica(y[:2000], strategy=strategy)  # fills the per-size index caches
+        tracemalloc.start()
+        try:
+            _, res = ica(y, strategy=strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rotations > 0
+        assert peak <= bound * y.nbytes
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_any_float_scale_separates_alike(self, scale):
+        # squares of these samples overflow or underflow; ica divides them by
+        # a power of two and multiplies the whitener back, exactly
+        r = np.random.default_rng(1)
+        s = r.uniform(-sqrt(3.0), sqrt(3.0), (3000, 3))
+        a = r.standard_normal((3, 3))
+        wh, res = ica(s @ a.T)
+        separator = res.Q.T @ wh.T
+        wh, res = ica((s @ a.T) * scale)
+        scaled = res.Q.T @ wh.T
+        assert np.abs(scaled * scale - separator).max() <= 1e-12 * np.abs(separator).max()
+        assert score(scaled, a * scale)["min_dominance"] >= 0.95
+
+    def test_powers_of_two_give_the_same_rotation(self):
+        x = uniform_mixture(3, 3000, 2)
+        (wh_up, up), (wh_down, down) = ica(x * 2.0**600), ica(x * 2.0**-600)
+        assert up.Q.tobytes() == down.Q.tobytes()
+        assert np.array_equal(np.ldexp(wh_up.T, 1200), wh_down.T)
+
+    def test_subnormal_samples_refused_naming_the_overflow(self):
+        with pytest.raises(ValueError, match="the whitener overflows the float range"):
+            ica(uniform_mixture(3, 3000, 3) * 1e-315)
 
     def test_rejects_samples_without_columns(self):
         with pytest.raises(ValueError, match="at least one column"):

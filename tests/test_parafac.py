@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensorbss import parafac
-from tensorbss.core import mode_n_unfold, real_roots, tucker_transform
+from tensorbss.core import SAFE_EXPONENT, mode_n_unfold, real_roots, tucker_transform
 from tensorbss.parafac import (
     GRAM_COND_LIMIT,
     ALSConfig,
@@ -165,7 +165,7 @@ def uncompressed_als(g, cfg):
     """``als`` as it was before the core phase, one loop on the full tensor: a frozen copy."""
     arr = np.asarray(g, dtype=float)
     peak = np.max(np.abs(arr), initial=0.0)
-    limit = parafac.SAFE_EXPONENT
+    limit = SAFE_EXPONENT
     exponent = 0 if 2.0**-limit <= peak <= 2.0**limit else int(np.frexp(peak)[1])
     if exponent:
         arr = np.ldexp(arr, -exponent)
