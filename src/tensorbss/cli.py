@@ -45,7 +45,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tensorbss", description=__doc__)
     parser.add_argument("--seed", type=_count, default=0, help="seed for all randomness, >= 0")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--json-indent", type=int, default=None)
+    parser.add_argument("--json-indent", type=_count, default=None, help="JSON indent, >= 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic mixture and its manifest")

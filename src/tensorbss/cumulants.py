@@ -86,7 +86,9 @@ def cumulant_tensor(z, d: int, transform=None) -> SymTensor:
     Each block of samples is mapped by ``transform`` as it is read (see the module
     docstring), so the transformed samples are never formed; by multilinearity the
     result equals ``tucker_transform(cumulant_tensor(z, d), [transform] * d)`` up to
-    rounding.  A cumulant that overflows the float range raises ``ValueError``.
+    rounding.  A cumulant that overflows the float range raises ``ValueError``, and so
+    does one that underflows: every entry below the normal range while the samples'
+    spread, raised to the power ``d``, is too.
     """
     if not 1 <= d <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
@@ -107,4 +109,12 @@ def cumulant_tensor(z, d: int, transform=None) -> SymTensor:
             packed = packed - m2[i, j] * m2[k, l] - m2[i, k] * m2[j, l] - m2[i, l] * m2[j, k]
     if not np.isfinite(packed).all():
         raise ValueError(f"the order-{d} cumulant overflows the float range")
+    tiny = np.finfo(float).tiny
+    if np.abs(packed).max() < tiny:
+        # all zero or subnormal: an underflow when even the largest centred, mapped entry
+        # (at most peak) has a d-th power below the normal range; constant samples (peak 0)
+        # and cancellations at a representable scale keep their zeros
+        peak = np.max(np.abs(m) @ np.ptp(z, axis=0))
+        if 0 < peak < tiny ** (1 / d):
+            raise ValueError(f"the order-{d} cumulant underflows the float range")
     return SymTensor(n, d, packed)

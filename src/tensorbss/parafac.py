@@ -29,6 +29,16 @@ the core expanded back, exact for an orthogonal projection of a model in the
 subspace.  ``norm(G - P(G))`` is taken once from that residual, as
 ``norm(G)^2 - norm(core)^2`` cancels on near-exact tensors.
 
+An R x R x R core starts its loop from the pencil (Jennrich) solution of the
+core, which is exact for a core of rank R (Harshman 1970; Leurgans, Ross &
+Abel, SIAM J. Matrix Anal. Appl. 1993), instead of from the projected initial
+factors, ``U_n^T U_n = I`` when every mode is compressed: the identity start
+spends most of its iterations in the swamp described below.  The projected
+factors stay the start when a solve of the pencil fails, an eigenvalue is
+complex (a real core whose rank-R factors are complex) or the pencil's core
+fit is not below theirs.  ``history[0]`` is the full tensor's fit of the
+start the loop takes.
+
 Before every cycle after the first, the iteration tries an enhanced line
 search (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008), the
 remedy for the slow "swamps" of nearly collinear factors: it steps from the
@@ -242,6 +252,33 @@ def _init_factors(arr: np.ndarray, cfg: ALSConfig) -> tuple[KruskalFactors, list
     return KruskalFactors(*mats), bases
 
 
+def _pencil_start(
+    core: np.ndarray, fit: float, gnorm: float
+) -> tuple[KruskalFactors, float] | None:
+    """The pencil solution of an R x R x R ``core`` and its fit, if below ``fit``; else None.
+
+    For ``core = sum_r a_r o b_r o c_r`` with invertible A and B, the slice mixtures
+    ``X = core @ w1`` and ``Y = core @ w2`` give ``X Y^-1 = A D A^-1`` and ``X^T Y^-T = B D
+    B^-1``, D diagonal: A and B are their eigenvectors, paired by sorting the shared
+    eigenvalues, and C is one least-squares solve.  None when a solve fails or an
+    eigenvalue is complex, as for a real core whose rank-R factors are complex.
+    """
+    rank = core.shape[0]
+    x, y = core @ np.ones(rank), core @ np.arange(1.0, rank + 1)
+    try:
+        va, a = np.linalg.eig(np.linalg.solve(y.T, x.T).T)  # X Y^-1
+        vb, b = np.linalg.eig(np.linalg.solve(y, x).T)  # X^T Y^-T
+        if np.iscomplexobj(va) or np.iscomplexobj(vb):
+            return None
+        a, b = a[:, np.argsort(va)], b[:, np.argsort(vb)]
+        c = np.linalg.lstsq(khatri_rao(a, b), core.reshape(-1, rank), rcond=None)[0].T
+    except np.linalg.LinAlgError:
+        return None
+    start = KruskalFactors(a, b, c)
+    start_fit = _relative_norm(core - reconstruct(start).array, gnorm)
+    return (start, start_fit) if start_fit < fit else None
+
+
 def normalized(f: KruskalFactors) -> KruskalFactors:
     """Unit-norm columns, nonnegative weights; signs pushed into C."""
     mats = _scaled_factors(f)
@@ -307,7 +344,8 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
     """Iterate ALS until the relative fit stalls; never raises on non-convergence.
 
     Returns normalized factors and the per-iteration relative fit history
-    ``norm(G - reconstruct) / norm(G)`` (first entry: the initial guess), later
+    ``norm(G - reconstruct) / norm(G)`` (first entry: the start the loop takes,
+    the initial guess or, on an R x R x R core, its pencil solution), later
     entries from the Gram identity, guarded and rescaled, core phase first, as
     the module docstring says.  ``max_iters`` bounds both phases together.
     """
@@ -346,6 +384,10 @@ def als(g, cfg: ALSConfig) -> tuple[KruskalFactors, list[float]]:
         outside = _relative_norm(arr - tucker_transform(core, back).array, gnorm)
         f = KruskalFactors(*(m @ x for m, x in zip(to_core, (f.A, f.B, f.C))))
         fit = _relative_norm(core - reconstruct(f).array, gnorm)
+        pencil = _pencil_start(core, fit, gnorm) if core.shape == (cfg.rank,) * 3 else None
+        if pencil is not None:
+            f, fit = pencil
+            history[0] = float(np.hypot(outside, fit))
         f = _iterate(core, f, fit, history, gnorm, outside, cfg.max_iters, cfg.rel_tol)
         f = KruskalFactors(*(m @ x for m, x in zip(back, (f.A, f.B, f.C))))
     iters = cfg.max_iters + 1 - len(history)

@@ -458,6 +458,20 @@ class TestCliRoundTrips:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, order", [(1e-170, 2), (1e-90, 4)])
+    def test_cumulant_underflow_exits_2_without_output(self, tmp_path, capsys, scale, order):
+        # the moments of samples near 1e-170 (order 2) or 1e-90 (order 4) fall below the
+        # float range: no zeros are written
+        samples, out = tmp_path / "s.csv", tmp_path / "c.json"
+        save_samples(samples, np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3)) * scale)
+        argv = ("cumulants", "--order", str(order), "--in", str(samples), "--out", str(out))
+        assert self.run(*argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"the order-{order} cumulant underflows the float range",
+        }
+        assert not out.exists()
+
     def test_emit_refuses_nan(self, tmp_path):
         out = tmp_path / "x.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -658,8 +672,9 @@ class TestCliRoundTrips:
          "--sources"),
         (("parafac", "--rank", "1", "--max-iters", "-1", "--in", "{tmp}/t.json",
           "--out", "{tmp}/o.json"), "--max-iters"),
+        (("--json-indent", "-1", "tables", "--d", "3", "--n", "2"), "--json-indent"),
     ], ids=["seed-gen", "seed-parafac", "seed-rank1", "restarts", "max-sweeps", "sources",
-            "max-iters"])
+            "max-iters", "json-indent"])
     def test_negative_count_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
         # numpy's refusal of a negative seed exited 2 naming no flag, and rank1
         # ran one start for any restarts < 0

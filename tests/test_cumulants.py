@@ -264,6 +264,27 @@ class TestTransform:
         with pytest.raises(ValueError, match=f"the order-{d} cumulant overflows"):
             cumulant_tensor(z, d)
 
+    @pytest.mark.parametrize("scale, d", [(1e-170, 2), (1e-170, 3), (1e-170, 4), (1e-90, 4)])
+    def test_underflow_raises_naming_the_order(self, scale, d):
+        z = np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3)) * scale
+        with pytest.raises(ValueError, match=f"the order-{d} cumulant underflows"):
+            cumulant_tensor(z, d)
+
+    def test_small_scales_above_the_underflow_kept(self):
+        # at 1e-90 the order-3 entries, near 1e-271, are still normal floats
+        z = np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3))
+        for d in (2, 3):
+            small = cumulant_tensor(z * 1e-90, d).packed
+            assert_close_to_oracle(small * 1e90**d, cumulant_tensor(z, d).packed)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_constant_samples_keep_exact_zeros(self, d):
+        assert not cumulant_tensor(np.full((100, 3), 2.0**-600), d).packed.any()
+
+    def test_cancelling_samples_keep_exact_zeros(self):
+        # the odd moment of a symmetric sample cancels exactly at a representable scale
+        assert not cumulant_tensor(np.array([[-1.0], [1.0]]), 3).packed.any()
+
 
 class TestAsSamples:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

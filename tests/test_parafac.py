@@ -145,6 +145,12 @@ def direct_als(arr, cfg):
     if core.shape != arr.shape:
         phases.insert(0, (core, basis))
         f = expand(f, [m.T for m in basis])
+        # the start als takes: the pencil solution of an R x R x R core, when it fits better
+        rank_cube = core.shape == (cfg.rank,) * 3
+        pencil = parafac._pencil_start(core, fit(core, f), gnorm) if rank_cube else None
+        if pencil is not None:
+            f = pencil[0]
+            history[0] = fit(arr, expand(f, basis))
     for t, mats in phases:
         prev, own = None, fit(t, f)
         for _ in range(cfg.max_iters + 1 - len(history)):
@@ -427,6 +433,53 @@ class TestInit:
         assert abs(history[-1] - ref[-1]) <= 1e-12
 
 
+class TestPencilStart:
+    @staticmethod
+    def _runs(g, cfg, monkeypatch):
+        """``als``'s history with the start, what each ``_pencil_start`` call returned, and
+        the history with the start disabled."""
+        returned = []
+        start = parafac._pencil_start
+        monkeypatch.setattr(
+            parafac, "_pencil_start", lambda *a: returned.append(start(*a)) or returned[-1]
+        )
+        history = als(g, cfg)[1]
+        monkeypatch.setattr(parafac, "_pencil_start", lambda *a: None)
+        return history, returned, als(g, cfg)[1]
+
+    def test_exact_core_solved_at_the_start(self, monkeypatch):
+        g = reconstruct(random_factors((6, 7, 8), 3, seed=41)).array
+        history, returned, off = self._runs(g, ALSConfig(rank=3), monkeypatch)
+        assert len(returned) == 1 and returned[0][1] < 1e-13
+        assert history[0] < 1e-13 < off[0] and len(history) < len(off)
+
+    def test_complex_pencil_falls_back(self, monkeypatch):
+        # real rank 3, complex rank 2: the slices I and a rotation by 90 degrees, embedded
+        # in 6 x 6 x 6 through orthonormal bases, have a pencil with eigenvalues (1 +- i)/(1 +- 2i)
+        small = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])], axis=2)
+        r = np.random.default_rng(42)
+        bases = [np.linalg.qr(r.standard_normal((6, 2)))[0] for _ in range(3)]
+        g = tucker_transform(small, bases).array
+        history, returned, off = self._runs(g, ALSConfig(rank=2, max_iters=500), monkeypatch)
+        assert returned == [None]
+        assert np.array(history).tobytes() == np.array(off).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_swamp_history_shortened(self, seed, monkeypatch):
+        g = swamp_tensor(seed, n=50, rank=5)
+        cfg = ALSConfig(rank=5, max_iters=1000, rel_tol=1e-10)
+        history, returned, off = self._runs(g, cfg, monkeypatch)
+        assert len(returned) == 1 and returned[0] is not None
+        assert len(history) <= 0.7 * len(off)
+        assert abs(history[-1] - off[-1]) <= cfg.rel_tol
+
+    def test_random_init_unchanged(self, monkeypatch):
+        cfg = ALSConfig(rank=3, max_iters=300, rel_tol=1e-10, init="random", seed=3)
+        history, returned, off = self._runs(swamp_tensor(1), cfg, monkeypatch)
+        assert returned == []
+        assert np.array(history).tobytes() == np.array(off).tobytes()
+
+
 class TestAls:
     def test_exact_rank2_recovery(self):
         truth = random_factors((4, 4, 4), 2, seed=101)
@@ -661,7 +714,8 @@ class TestAls:
 
         monkeypatch.setattr(parafac, "_init_factors", duplicated)
         g = np.random.default_rng(0).standard_normal((5, 4, 6))
-        cfg = ALSConfig(rank=3, max_iters=40)
+        # random: the svd init's pencil start on this R x R x R core replaces the duplicates
+        cfg = ALSConfig(rank=3, max_iters=40, init="random")
         _, ref = direct_als(g, cfg)
         reports = []
         step = parafac.als_step
@@ -679,7 +733,8 @@ class TestAls:
 
     def test_small_fits_come_from_the_residual(self, monkeypatch):
         g = reconstruct(random_factors((4, 4, 4), 2, seed=101)).array
-        cfg = ALSConfig(rank=2, max_iters=500, rel_tol=1e-14)
+        # random: the svd init's pencil start solves this exact rank-2 tensor at once
+        cfg = ALSConfig(rank=2, max_iters=500, rel_tol=1e-14, init="random")
         _, ref = direct_als(g, cfg)
         events = []
 
