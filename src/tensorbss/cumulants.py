@@ -13,8 +13,8 @@ The same rule lets :func:`cumulant_tensor` return the cumulant of the rows of
 ``z @ M.T``, for any matrix ``M`` with ``n`` columns (a whitener, say),
 without forming them.  The sums run as matrix products over blocks of
 ``BLOCK_ROWS`` samples, and each block is centered and mapped as it is read,
-``x = M (block - mean)^T`` (``M`` the identity when none is given), so ``x``
-holds one transformed sensor per row and the samples are never copied whole.
+``x = M (block - mean)^T`` (``x = (block - mean)^T`` when no ``M`` is given), so
+``x`` holds one transformed sensor per row and the samples are never copied whole.
 The pair products ``p = [x_i x_j]``, ``i <= j``, are built row by row (each
 row of ``p`` the product of two contiguous rows of ``x``): order 4 accumulates
 ``p p^T``, order 3 ``p x^T`` and order 2 ``x x^T``: rows the sorted
@@ -58,16 +58,18 @@ def as_samples(z) -> np.ndarray:
 
 def _packed_moment(z: np.ndarray, shift: np.ndarray, d: int, m: np.ndarray | None = None):
     """Packed order-``d`` moment (``d`` 2 to 4) of the rows of ``x = (z - shift) @ m.T``,
-    ``m`` the identity when None, and the matrix of second moments."""
-    m = np.eye(z.shape[1]) if m is None else m
-    n = m.shape[0]
+    ``z - shift`` itself when ``m`` is None, and the matrix of second moments."""
+    n = z.shape[1] if m is None else m.shape[0]
     iu, ju = np.triu_indices(n)
     m2 = np.zeros((n, n))
     high = np.zeros((iu.size, n if d == 3 else iu.size)) if d > 2 else None
     for start in range(0, z.shape[0], BLOCK_ROWS):
-        x = m @ (z[start : start + BLOCK_ROWS] - shift).T
+        x = (z[start : start + BLOCK_ROWS] - shift).T
+        if m is not None:
+            x = m @ x
         m2 += x @ x.T
         if d > 2:
+            x = np.ascontiguousarray(x)  # C order gathers faster, and keeps p x^T's sum order
             p = x[iu]
             p *= x[ju]
             high += p @ (x if d == 3 else p).T
@@ -87,19 +89,20 @@ def cumulant_tensor(z, d: int, transform=None) -> SymTensor:
     docstring), so the transformed samples are never formed; by multilinearity the
     result equals ``tucker_transform(cumulant_tensor(z, d), [transform] * d)`` up to
     rounding.  A cumulant that overflows the float range raises ``ValueError``, and so
-    does one that underflows: every entry below the normal range while the samples'
-    spread, raised to the power ``d``, is too.
+    does one that underflows: its largest entry nonzero but below the normal range
+    (a subnormal, short of bits), or every entry zero while the samples' spread,
+    raised to the power ``d``, is below it too.
     """
     if not 1 <= d <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     z = as_samples(z)
-    m = np.eye(z.shape[1]) if transform is None else np.asarray(transform, dtype=float)
-    if m.ndim != 2 or m.shape[1] != z.shape[1] or not np.isfinite(m).all():
+    m = None if transform is None else np.asarray(transform, dtype=float)
+    if m is not None and (m.ndim != 2 or m.shape[1] != z.shape[1] or not np.isfinite(m).all()):
         raise ValueError(f"transform must be a finite 2-D matrix with {z.shape[1]} columns, "
                          f"got shape {m.shape}")
-    n = m.shape[0]
+    n = z.shape[1] if m is None else m.shape[0]
     if d == 1:
-        return SymTensor(n, 1, m @ z.mean(axis=0))
+        return SymTensor(n, 1, z.mean(axis=0) if m is None else m @ z.mean(axis=0))
     if z.shape[0] < 2:
         raise ValueError("orders >= 2 need at least two samples")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -110,11 +113,14 @@ def cumulant_tensor(z, d: int, transform=None) -> SymTensor:
     if not np.isfinite(packed).all():
         raise ValueError(f"the order-{d} cumulant overflows the float range")
     tiny = np.finfo(float).tiny
-    if np.abs(packed).max() < tiny:
-        # all zero or subnormal: an underflow when even the largest centred, mapped entry
-        # (at most peak) has a d-th power below the normal range; constant samples (peak 0)
-        # and cancellations at a representable scale keep their zeros
-        peak = np.max(np.abs(m) @ np.ptp(z, axis=0))
-        if 0 < peak < tiny ** (1 / d):
+    largest = np.abs(packed).max()
+    if largest < tiny:
+        # a subnormal largest entry is an underflow; all zeros are one when even the
+        # largest centred, mapped entry (at most peak) has a d-th power below the normal
+        # range, while constant samples (peak 0) and cancellations at a representable
+        # scale keep their zeros
+        spread = np.ptp(z, axis=0)
+        peak = np.max(spread if m is None else np.abs(m) @ spread)
+        if largest > 0 or 0 < peak < tiny ** (1 / d):
             raise ValueError(f"the order-{d} cumulant underflows the float range")
     return SymTensor(n, d, packed)

@@ -54,17 +54,36 @@ rotation of the round touches another pair's entries, so each angle is the
 one a solve made just before its own rotation would return, and the result
 is that of one rotation at a time up to rounding.
 
-Greedy sweeps solve every pair in one call and then, after each rotation of
-``(p, q)``, re-solve in one call the ``2n - 4`` pairs sharing exactly one
-index with it, so every other cached angle is exactly what a fresh solve
-would return (the exactness rule below).  Under ``(2, 4)`` the rotated pair
-itself is cached as ``(0, 0)`` unsolved: it now sits at its global optimum,
-``phi = 0``, where no candidate beats the current contrast by the ``1e-15``
-margin, so a fresh solve returns exactly ``(0, 0)`` (its quartic's leading
-coefficient would also trim and cost a second ``eigvals`` call).  The other
-specs re-solve it with the rest: ``(1, 3)`` searches only half its period,
-and the quadratic forms return ``(0, 0)`` only when the rotation's own
-rounding leaves the pair's off-diagonal coefficient within its rounding floor.
+Greedy sweeps rotate the pair of largest gain, and solve lazily (Minoux,
+*Accelerated greedy algorithms for maximizing submodular set functions*,
+1978): a pair is solved only when its gain might win.  The first pick solves
+every pair in one call.  A rotation of ``(p, q)`` makes the ``2n - 4`` pairs
+sharing exactly one index with it dirty, and gives each an upper bound on its
+gain, :func:`_gain_bounds`: restricted to one pair, the contrast is
+``c + sum_k a_k cos(k phi) + b_k sin(k phi)`` over the harmonics ``k`` in
+``{4, 8}`` for ``(2, 4)``, ``{1, 3}`` for ``(1, 3)`` and ``{4}`` for the
+quadratic forms; fixed tables turn the pair's row into the contrast at
+``2 D + 1`` equispaced angles (``D`` the highest harmonic over the
+harmonics' gcd) and those samples into the coefficients, and no angle gains
+more than ``sum_k hypot(a_k, b_k) - a_k`` (for the quadratic forms, the gain
+itself).
+Before each pick, one call solves the dirty pairs whose bound plus the
+rounding slack ``1e-12 (1 + max |sample|)`` reaches the best clean gain; the
+rest keep their bounds and cannot win, since a solve's gain never exceeds its
+bound by the slack.  A solve only raises the best clean gain, so one call
+suffices.  The pick is then the one an eager sweep, re-solving every touched
+pair after each rotation, would make, bit for bit: each pair's row is read
+after the last rotation, and by the exactness rule below its bytes, and
+hence its solve, are those it had when it was last touched.  ``read()`` runs
+once per rotation and serves both the bounds and the solves.  Under ``(2, 4)``
+the rotated pair itself is cached as ``(0, 0)`` unsolved: it now sits at its
+global optimum, ``phi = 0``, where no candidate beats the current contrast by
+the ``1e-15`` margin, so a fresh solve returns exactly ``(0, 0)`` (its
+quartic's leading coefficient would also trim and cost a second ``eigvals``
+call).  The other specs make it dirty with the rest: ``(1, 3)`` searches only
+half its period, and the quadratic forms return ``(0, 0)`` only when the
+rotation's own rounding leaves the pair's off-diagonal coefficient within its
+rounding floor.
 
 Both strategies rotate the basis, not the tensor, through one engine,
 :func:`_pair_reader`.  It keeps the input SymTensor ``t`` fixed and accumulates
@@ -104,7 +123,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import ceil, cos, pi, sin, sqrt
+from math import ceil, cos, gcd, pi, sin, sqrt
 
 import numpy as np
 
@@ -289,6 +308,24 @@ def _sample_table(d: int) -> np.ndarray:
 
 
 _SAMPLE_TABLES = {d: _sample_table(d) for d in (2, 3, 4)}
+# the frequencies of the nonconstant harmonics of each spec's restricted contrast
+_HARMONICS = {(2, 4): (4, 8), (1, 3): (1, 3), (2, 2): (4,), (2, 3): (4,), (1, 4): (4,)}
+
+
+def _bound_table(alpha: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of ``z_pp`` then ``z_qq`` at ``2 D + 1`` equispaced angles over the
+    contrast's period ``2 pi / w``, one column each, ``w`` the frequencies' gcd and ``D``
+    the highest over ``w``; and the table taking the contrast's values there to the
+    coefficients ``a_k`` then ``b_k`` of its harmonics."""
+    ks = _HARMONICS[alpha, d]
+    w = gcd(*ks)
+    phi = 2.0 * pi / w * np.arange(2 * max(ks) // w + 1) / (2 * max(ks) // w + 1)
+    zp, zq = zip(*(_rotated_diag(np.eye(d + 1), d, t) for t in phi))
+    harmonic = np.outer(ks, phi)
+    return np.array(zp + zq).T, 2.0 / phi.size * np.vstack([np.cos(harmonic), np.sin(harmonic)]).T
+
+
+_BOUND_TABLES = {spec: _bound_table(*spec) for spec in SUPPORTED_SPECS}
 # entry j of a pair row, z[p^(d-j) q^j], in the pair matrices of
 # :func:`_pair_reader`: (matrix, row, column), with 0 for p and 1 for q
 _ENTRIES = {2: [(0, 0, 0), (0, 0, 1), (0, 1, 1)],
@@ -375,6 +412,26 @@ def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arctan(t), gain
 
 
+def _gain_bounds(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """An upper bound on each row's contrast gain over ``phi = 0``, and the rounding slack
+    within which :func:`_best_angles`'s gain may exceed it.
+
+    The restricted contrast is ``c + sum_k a_k cos(k phi) + b_k sin(k phi)`` over the
+    frequencies ``k`` of ``_HARMONICS``; its samples at the angles of :func:`_bound_table`
+    give the coefficients exactly, and no angle gains more than
+    ``sum_k hypot(a_k, b_k) - a_k``.  The slack is ``1e-12 (1 + max |sample|)``.
+    """
+    weights, harmonics = _BOUND_TABLES[alpha, d]
+    z = vals @ weights
+    if alpha == 2:
+        z = z * z
+    s, k = weights.shape[1] // 2, harmonics.shape[1] // 2
+    samples = z[:, :s] + z[:, s:]
+    ab = samples @ harmonics
+    a = ab[:, :k]
+    return (np.hypot(a, ab[:, k:]) - a).sum(axis=1), 1e-12 * (1.0 + np.abs(samples).max(axis=1))
+
+
 def _rotate_rows(v: np.ndarray, p, q, phi) -> None:
     """Rotate rows ``p`` and ``q`` of ``v`` by ``phi``, in place; index arrays of
     disjoint pairs rotate each pair by its own angle."""
@@ -449,19 +506,23 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None,
         max_sweeps = ceil(sqrt(n)) + 3
     v, read, rotate = _pair_reader(g)
 
-    def solve(rows):
-        return _best_angles(read()[positions[rows]], d, spec.alpha)
-
     stop_reason, largest = "max_sweeps", []
     if greedy:
         # pair_index[i, j] is the index of pair {i, j}, -1 where i == j; a
-        # rotated (2, 4) pair is cached as (0, 0), see the module docstring
+        # rotated (2, 4) pair is cached as (0, 0); a dirty pair's gain is -inf
+        # and its bound its gain bound plus slack, a solved pair's bound is -inf
+        # (see the module docstring)
         pair_index = np.full((n, n), -1, dtype=np.intp)
         pair_index[first, second] = pair_index[second, first] = np.arange(npairs)
         skip_rotated = (spec.alpha, d) == (2, 4)
-        phis, gains = solve(slice(None))
+        phis, gains, bound = np.zeros(npairs), np.full(npairs, -np.inf), np.full(npairs, np.inf)
+        rows = read()[positions]
         angles = []
         while len(angles) < npairs * max_sweeps:
+            solve = np.flatnonzero(~(bound < gains.max()))  # a nan bound is solved
+            if solve.size:
+                phis[solve], gains[solve] = _best_angles(rows[solve], d, spec.alpha)
+                bound[solve] = -np.inf
             k = int(np.argmax(gains))
             phi, gain = float(phis[k]), float(gains[k])
             if gain <= 0.0 or abs(phi) < angle_tol:
@@ -477,14 +538,15 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None,
                 phis[k], gains[k] = 0.0, 0.0
             else:
                 touched = np.append(touched, k)
-            if touched.size:  # none for a rotated (2, 4) pair at n = 2
-                phis[touched], gains[touched] = solve(touched)
+            rows = read()[positions]
+            bound[touched] = np.add(*_gain_bounds(rows[touched], d, spec.alpha))
+            gains[touched] = -np.inf
         largest = [max(angles[i : i + npairs]) for i in range(0, len(angles), npairs)]
     else:
         for _ in range(max_sweeps):
             largest_phi = 0.0
             for rows in _rounds(n):
-                phis, gains = solve(rows)
+                phis, gains = _best_angles(read()[positions[rows]], d, spec.alpha)
                 ok = (gains > 0.0) & (phis != 0.0)
                 if not ok.any():
                     continue
@@ -498,7 +560,7 @@ def _run_sweeps(g, spec: ContrastSpec, greedy: bool, max_sweeps: int | None,
                 break
 
     # free m and y before the final rotation's n^d arrays
-    del read, rotate, solve
+    del read, rotate
     if len(trace) > 1:
         g = symmetrize(tucker_transform(g, [v] * d))
 

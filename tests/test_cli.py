@@ -458,10 +458,10 @@ class TestCliRoundTrips:
         }
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale, order", [(1e-170, 2), (1e-90, 4)])
+    @pytest.mark.parametrize("scale, order", [(1e-170, 2), (1e-90, 4), (1e-77, 4)])
     def test_cumulant_underflow_exits_2_without_output(self, tmp_path, capsys, scale, order):
         # the moments of samples near 1e-170 (order 2) or 1e-90 (order 4) fall below the
-        # float range: no zeros are written
+        # float range, and near 1e-77 the order-4 entries are subnormal: nothing is written
         samples, out = tmp_path / "s.csv", tmp_path / "c.json"
         save_samples(samples, np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3)) * scale)
         argv = ("cumulants", "--order", str(order), "--in", str(samples), "--out", str(out))

@@ -107,6 +107,16 @@ def test_row_gathered_moment_has_the_column_gathered_bytes(n, nsamples, d):
     assert packed.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n,nsamples", MOMENT_SIZES)
+def test_no_transform_has_the_identity_transforms_bytes(n, nsamples, d):
+    # blocks are mapped only when a transform is given; mapping by the identity
+    # changes no bit of any order
+    z = np.random.default_rng([n, nsamples, d, 1]).exponential(size=(nsamples, n))
+    identity = cumulant_tensor(z, d, transform=np.eye(n)).packed
+    assert cumulant_tensor(z, d).packed.tobytes() == identity.tobytes()
+
+
 @pytest.mark.parametrize("n,nsamples", MOMENT_SIZES)
 def test_row_gathered_third_moment_within_the_summation_bound(n, nsamples):
     # BLAS may sum p x^T and p^T x in different orders.  Each sum of N terms
@@ -264,8 +274,10 @@ class TestTransform:
         with pytest.raises(ValueError, match=f"the order-{d} cumulant overflows"):
             cumulant_tensor(z, d)
 
-    @pytest.mark.parametrize("scale, d", [(1e-170, 2), (1e-170, 3), (1e-170, 4), (1e-90, 4)])
+    @pytest.mark.parametrize("scale, d", [(1e-170, 2), (1e-170, 3), (1e-170, 4), (1e-90, 4),
+                                          (1e-77, 4)])
     def test_underflow_raises_naming_the_order(self, scale, d):
+        # at 1e-77 the order-4 entries are subnormal, the largest 1.36e-309
         z = np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3)) * scale
         with pytest.raises(ValueError, match=f"the order-{d} cumulant underflows"):
             cumulant_tensor(z, d)
@@ -276,6 +288,13 @@ class TestTransform:
         for d in (2, 3):
             small = cumulant_tensor(z * 1e-90, d).packed
             assert_close_to_oracle(small * 1e90**d, cumulant_tensor(z, d).packed)
+
+    def test_order4_just_above_the_subnormal_range_kept(self):
+        # at 1e-75 the largest order-4 entry, 1.36e-301, is a normal float
+        z = np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 3))
+        small = cumulant_tensor(z * 1e-75, 4).packed
+        assert np.abs(small).max() >= np.finfo(float).tiny
+        assert_close_to_oracle(small * 1e75**4, cumulant_tensor(z, 4).packed)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_constant_samples_keep_exact_zeros(self, d):

@@ -14,6 +14,7 @@ from tensorbss.jacobi import (
     QUADRATIC_FORM_SPECS,
     ContrastSpec,
     _best_angles,
+    _gain_bounds,
     _pair_reader,
     _pairs,
     _rotate_rows,
@@ -692,7 +693,7 @@ class TestGreedyOracle:
         # stale; within rounding of the dense slice update
         spec = ContrastSpec(alpha, d)
         r = np.random.default_rng(900 + 10 * d + alpha)
-        for n in range(2, 7):
+        for n in range(2, 13):
             for max_sweeps in (None, 1):
                 g = symmetrize(r.standard_normal((n,) * d))
                 res = sweep_greedy(g, spec, max_sweeps=max_sweeps)
@@ -710,24 +711,97 @@ class TestGreedyOracle:
                 np.testing.assert_allclose(res.largest_angles, largest, rtol=0, atol=1e-12)
 
     @staticmethod
-    def check_rows_per_rotation(monkeypatch, spec, per_rotation):
-        rows = count_solve_rows(monkeypatch)
-        n = 5
+    def check_solves_only_stale_pairs(monkeypatch, spec, rotated_is_stale):
+        """Every solve takes distinct pairs touched by a rotation since their last solve.
+
+        A rotation of (p, q) touches the pairs sharing exactly one index with it,
+        and itself where ``rotated_is_stale``.  Solved rows are told apart by
+        their bytes in a fresh read.  Returns, per solve call, the pairs solved
+        and whether the pair rotated last is among them.
+        """
+        n = 7
+        first, second, positions = _pairs(n, spec.order)
+        pairs = list(zip(first.tolist(), second.tolist()))
+        stale, last, readers, calls = set(range(len(pairs))), [None], [], []
+
+        def spied_reader(t):
+            v, read, rotate = _pair_reader(t)
+            readers.append(read)
+
+            def rotate_and_touch(p, q, phi):
+                rotate(p, q, phi)
+                last[0] = pairs.index((p, q))
+                stale.update(k for k, pair in enumerate(pairs) if len({p, q} & set(pair)) == 1)
+                if rotated_is_stale:
+                    stale.add(last[0])
+
+            return v, read, rotate_and_touch
+
+        def spied_solve(vals, d, alpha):
+            index = {row.tobytes(): k for k, row in enumerate(readers[0]()[positions])}
+            solved = [index[row.tobytes()] for row in np.ascontiguousarray(vals)]
+            assert len(set(solved)) == len(solved)
+            assert stale.issuperset(solved)
+            stale.difference_update(solved)
+            calls.append((solved, last[0] in solved))
+            return _best_angles(vals, d, alpha)
+
+        monkeypatch.setattr(jacobi, "_pair_reader", spied_reader)
+        monkeypatch.setattr(jacobi, "_best_angles", spied_solve)
         g = symmetrize(np.random.default_rng(950).standard_normal((n,) * spec.order))
         res = sweep_greedy(g, spec)
         assert res.rotations > 0
-        assert len(rows) == 1 + res.rotations
-        assert sum(rows) == n * (n - 1) // 2 + res.rotations * per_rotation(n)
+        assert sorted(calls[0][0]) == list(range(len(pairs)))  # the first solve takes every pair
+        assert sum(len(solved) for solved, _ in calls) < len(pairs) * (1 + res.rotations)
+        return calls
 
     def test_solves_only_touched_pairs(self, monkeypatch):
-        # the 2n - 4 pairs sharing one index with the rotated pair
-        self.check_rows_per_rotation(monkeypatch, ContrastSpec(2, 4), lambda n: 2 * n - 4)
+        # a rotated (2, 4) pair is cached as (0, 0), so only another rotation makes it stale
+        calls = self.check_solves_only_stale_pairs(monkeypatch, ContrastSpec(2, 4), False)
+        assert not any(rotated for _, rotated in calls)
 
     @pytest.mark.parametrize("alpha,d", [(1, 3), (2, 3)])
     def test_solves_rotated_pair_again(self, monkeypatch, alpha, d):
         # and the rotated pair itself: (1, 3) and the quadratic forms do not
         # solve it back to exactly (0, 0)
-        self.check_rows_per_rotation(monkeypatch, ContrastSpec(alpha, d), lambda n: 2 * n - 3)
+        calls = self.check_solves_only_stale_pairs(monkeypatch, ContrastSpec(alpha, d), True)
+        assert any(rotated for _, rotated in calls)
+
+    @pytest.mark.parametrize("source", ["ica", "random"])
+    def test_solves_at_most_half_the_eager_rows(self, monkeypatch, source):
+        # an eager sweep solves all pairs, then the 2n - 4 pairs each rotation touches
+        n = 16
+        r = np.random.default_rng(1300)
+        if source == "ica":
+            s = r.uniform(-sqrt(3.0), sqrt(3.0), (5000, n))
+            rows = count_solve_rows(monkeypatch)
+            _, res = ica(s @ r.standard_normal((n, n)).T, strategy="greedy")
+        else:
+            g = symmetrize(r.standard_normal((n,) * 4))
+            rows = count_solve_rows(monkeypatch)
+            res = sweep_greedy(g, ContrastSpec(2, 4))
+        assert res.rotations > 100
+        assert sum(rows) <= 0.5 * (n * (n - 1) // 2 + res.rotations * (2 * n - 4))
+
+    def test_matches_all_pairs_selection_on_greedy_ica(self, monkeypatch):
+        # the whitened cumulant greedy ica sweeps at n = 16, bit for bit
+        swept, run = [], jacobi._run_sweeps
+
+        def spied_run(g, *args, **kwargs):
+            swept.append(g)
+            return run(g, *args, **kwargs)
+
+        monkeypatch.setattr(jacobi, "_run_sweeps", spied_run)
+        r = np.random.default_rng(1310)
+        s = r.uniform(-sqrt(3.0), sqrt(3.0), (5000, 16))
+        ica(s @ r.standard_normal((16, 16)).T, strategy="greedy")
+        (g,) = swept
+        res = sweep_greedy(g, ContrastSpec(2, 4))
+        q, trace, rotations, sweeps, largest = sweep_greedy_all_pairs(g, ContrastSpec(2, 4))
+        assert res.rotations > 100
+        assert res.Q.tobytes() == q.tobytes()
+        assert res.trace == trace
+        assert (res.rotations, res.sweeps, res.largest_angles) == (rotations, sweeps, largest)
 
     def test_rotated_pair_solves_to_zero(self, monkeypatch):
         """The premise of caching a rotated (2, 4) pair as (0, 0) instead of solving it."""
@@ -769,6 +843,34 @@ class TestGreedyOracle:
         _, res = ica(s @ r.standard_normal((6, 6)).T, strategy="greedy")
         assert res.rotations > 0
         assert calls == [(m, 4, 4) for m in rows]
+
+
+class TestGainBound:
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_bounds_the_solved_gain(self, alpha, d):
+        r = np.random.default_rng(1400 + 10 * d + alpha)
+        rows = np.vstack([r.standard_normal((10**4, PAIR_SIZE[d])), degenerate_vals(alpha, d)])
+        _, gain = _best_angles(rows, d, alpha)
+        bound, slack = _gain_bounds(rows, d, alpha)
+        assert np.all(bound >= 0.0)
+        assert np.all(gain <= bound + slack)
+        # with a margin: the excess over the bound stays within 1% of the slack
+        assert np.all(gain - bound <= 0.01 * slack)
+        if (alpha, d) in QUADRATIC_FORM_SPECS:
+            # one harmonic: the bound is the gain itself
+            assert np.all(bound - gain <= slack)
+
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_bounds_the_contrast_on_a_grid(self, alpha, d):
+        # the harmonic sets hold: no angle of a fine grid gains more than the bound
+        r = np.random.default_rng(1500 + 10 * d + alpha)
+        rows = r.standard_normal((20, PAIR_SIZE[d]))
+        bound, slack = _gain_bounds(rows, d, alpha)
+        grid = np.linspace(-pi, pi, 721)
+        for vals, b, e in zip(rows, bound, slack):
+            base = _restricted(vals, d, alpha, 0.0)
+            gains = [_restricted(vals, d, alpha, phi) - base for phi in grid]
+            assert max(gains) <= b + e
 
 
 class TestCyclicOracle:
