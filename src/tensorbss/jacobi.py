@@ -2,40 +2,45 @@
 
 The driver maximizes a contrast — the sum of (powers of) diagonal entries of
 a symmetric order-2/3/4 tensor — one index pair at a time.  Restricted to one
-pair, the contrast is a trigonometric polynomial of the rotation angle:
+pair, the contrast is a trigonometric polynomial of the rotation angle,
+``c + sum_k a_k cos(k phi) + b_k sin(k phi)`` (Comon, *Independent component
+analysis, a new concept?*, Signal Processing 1994), over the frequencies
+``k`` in ``{4, 8}`` for ``(alpha, d) = (2, 4)``, in ``{1, 3}`` for ``(1, 3)``
+and in ``{4}`` for the quadratic forms ``(2, 2)``, ``(2, 3)`` and ``(1, 4)``.
+With ``w`` the frequencies' gcd and ``D`` the highest over ``w``, it has
+degree ``D`` in ``theta = w phi``, and in ``x = tan(theta / 2)`` it is
+``P(x) / (1 + x^2)^D`` for a polynomial ``P`` of degree ``2 D``.
 
-* for ``(alpha, d)`` in ``{(2, 2), (2, 3), (1, 4)}`` it is a quadratic form
-  in ``u = (cos 2*phi, sin 2*phi)``, maximized by the dominant eigenvector of
-  a 2x2 matrix reconstructed exactly from three angle samples;
-* for ``(1, 3)`` it has first and third harmonics; stationary angles are the
-  real roots of a degree-6 polynomial in ``h = tan(phi/2)``, for
-  ``phi`` in ``[-pi/2, pi/2]``;
-* for ``(2, 4)`` it is ``H(xi) / (xi^2 + 4)^2`` with ``xi = t - 1/t``,
-  ``t = tan(phi)``, and ``H`` a quartic whose coefficients are quadratic
-  forms in the pair's five entries (Comon, *Independent component analysis,
-  a new concept?*, Signal Processing 1994).  Its stationary points are the
-  real roots of the quartic ``H'(xi) (xi^2 + 4) - 4 xi H(xi)``, and each one
-  is taken as the root ``t`` of ``t^2 - xi t - 1 = 0`` with ``|t| <= 1``, so
-  angles lie in ``[-pi/4, pi/4]``; the other root is the same rotation
-  shifted by ``pi/2``, with the same contrast.
+One table per spec, generated at import, takes a pair's row of entries
+(``alpha = 1``) or their products (``alpha = 2``) to the harmonic
+coefficients ``c, a_j, b_j``, to the stationary polynomial in ``x`` (zero
+where the contrast's derivative is) and to ``P``.  The coefficients come
+from the contrast at ``2 D + 1`` equispaced angles; every true entry is a
+multiple of ``2^-8``, so each is rounded to one and the table is exact.
 
 The angle solve, :func:`_best_angles`, takes one row of pair entries per
-pair and solves them all at once: fixed tables turn each row into its
-samples or polynomial coefficients, the roots of all rows come from
+pair and reads all rows off one product with the table; each row's result
+depends on that row alone.  With one harmonic (the quadratic forms) the
+angle is ``atan2(b, a) / w``, and the gain over ``phi = 0`` has a
+cancellation-free closed form.  ``a`` and ``b`` count as zero within the
+rounding floor of the row's harmonic coefficients, so a pair diagonal up to
+rounding is not rotated, not even by the ``pi/4`` swap that a rounding
+residue in its diagonal difference would favour.  With two harmonics the
+candidates are the real roots of the stationary polynomial, from
 :func:`~tensorbss.core.poly_roots` (one stacked companion-matrix ``eigvals``
-call for each degree the rows have after trimming), and each row's result
-depends on that row alone.  The quadratic forms count their off-diagonal
-coefficient and their diagonal difference as zero within the rounding floor
-of the samples each is made of, so a pair diagonal up to rounding is not
-rotated, not even by the ``pi/4`` swap that a rounding residue in its
-diagonal difference would favour.  The candidate with the largest
-restricted contrast wins, and candidates within ``1e-12`` of the best are
-ties that go to the smallest angle.  A rotation is applied only when its
-contrast gain is strictly positive, so the recorded contrast trace never
-decreases.  Sweeps stop once no accepted rotation of a whole sweep reaches
-``angle_tol`` (cyclic), once the best pair's angle falls below it or no pair
-gains (greedy), or after ``max_sweeps`` sweeps (``max_sweeps`` times the pair
-count in rotations, for greedy); the result's ``stop_reason`` says which.
+call for each degree the rows have after trimming), valued by Horner's rule
+on ``P``.  Angles of ``(2, 4)`` lie in ``(-pi/4, pi/4]``, the whole circle
+in ``theta``: its end ``theta = pi`` (``x`` infinite, where the contrast is
+``P``'s top coefficient) is the last candidate.  Angles of ``(1, 3)`` lie in
+``[-pi/2, pi/2]``, half its period: the roots with ``|x| <= 1``, after the
+ends ``x = 1, -1``.  The candidate with the largest restricted contrast
+wins, and candidates within ``1e-12`` of the best are ties that go to the
+smallest angle.  A rotation is applied only when its contrast gain is
+strictly positive, so the recorded contrast trace never decreases.  Sweeps
+stop once no accepted rotation of a whole sweep reaches ``angle_tol``
+(cyclic), once the best pair's angle falls below it or no pair gains
+(greedy), or after ``max_sweeps`` sweeps (``max_sweeps`` times the pair count
+in rotations, for greedy); the result's ``stop_reason`` says which.
 ``angle_tol`` is ``ANGLE_TOL``, the rounding floor, on a given tensor, and
 ``max(ANGLE_TOL, 1 / (100 sqrt(N)))`` in :func:`ica`, whose cumulant is
 estimated from ``N`` samples: JADE's threshold (Cardoso & Souloumiac, *IEE
@@ -59,31 +64,24 @@ Greedy sweeps rotate the pair of largest gain, and solve lazily (Minoux,
 1978): a pair is solved only when its gain might win.  The first pick solves
 every pair in one call.  A rotation of ``(p, q)`` makes the ``2n - 4`` pairs
 sharing exactly one index with it dirty, and gives each an upper bound on its
-gain, :func:`_gain_bounds`: restricted to one pair, the contrast is
-``c + sum_k a_k cos(k phi) + b_k sin(k phi)`` over the harmonics ``k`` in
-``{4, 8}`` for ``(2, 4)``, ``{1, 3}`` for ``(1, 3)`` and ``{4}`` for the
-quadratic forms; fixed tables turn the pair's row into the contrast at
-``2 D + 1`` equispaced angles (``D`` the highest harmonic over the
-harmonics' gcd) and those samples into the coefficients, and no angle gains
-more than ``sum_k hypot(a_k, b_k) - a_k`` (for the quadratic forms, the gain
-itself).
-Before each pick, one call solves the dirty pairs whose bound plus the
-rounding slack ``1e-12 (1 + max |sample|)`` reaches the best clean gain; the
-rest keep their bounds and cannot win, since a solve's gain never exceeds its
-bound by the slack.  A solve only raises the best clean gain, so one call
-suffices.  The pick is then the one an eager sweep, re-solving every touched
-pair after each rotation, would make, bit for bit: each pair's row is read
-after the last rotation, and by the exactness rule below its bytes, and
-hence its solve, are those it had when it was last touched.  ``read()`` runs
-once per rotation and serves both the bounds and the solves.  Under ``(2, 4)``
-the rotated pair itself is cached as ``(0, 0)`` unsolved: it now sits at its
-global optimum, ``phi = 0``, where no candidate beats the current contrast by
-the ``1e-15`` margin, so a fresh solve returns exactly ``(0, 0)`` (its
-quartic's leading coefficient would also trim and cost a second ``eigvals``
-call).  The other specs make it dirty with the rest: ``(1, 3)`` searches only
-half its period, and the quadratic forms return ``(0, 0)`` only when the
-rotation's own rounding leaves the pair's off-diagonal coefficient within its
-rounding floor.
+gain, :func:`_gain_bounds`: with the table's harmonics, no angle gains more
+than ``sum_j hypot(a_j, b_j) - a_j`` (for the quadratic forms, the gain
+itself).  Before each pick, one call solves the dirty pairs whose bound plus
+the rounding slack ``1e-12 (1 + |c| + sum_j hypot(a_j, b_j))`` reaches the
+best clean gain; the rest keep their bounds and cannot win, since a solve's
+gain never exceeds its bound by the slack.  A solve only raises the best
+clean gain, so one call suffices.  The pick is then the one an eager sweep,
+re-solving every touched pair after each rotation, would make, bit for bit:
+each pair's row is read after the last rotation, and by the exactness rule
+below its bytes, and hence its solve, are those it had when it was last
+touched.  ``read()`` runs once per rotation and serves both the bounds and
+the solves.  Under ``(2, 4)`` the rotated pair itself is cached as ``(0, 0)``
+unsolved: it now sits at its global optimum, ``phi = 0``, where no candidate
+beats the current contrast by the ``1e-15`` margin, so a fresh solve returns
+exactly ``(0, 0)``.  The other specs make it dirty with the rest: ``(1, 3)``
+searches only half its period, and the quadratic forms return ``(0, 0)``
+only when the rotation's own rounding leaves the pair's harmonics within
+their rounding floor.
 
 Both strategies rotate the basis, not the tensor, through one engine,
 :func:`_pair_reader`.  It keeps the input SymTensor ``t`` fixed and accumulates
@@ -104,8 +102,9 @@ input is returned as given.
 The exactness rule: each pair matrix is a product of fixed shape, so the bits
 of its entry ``(p, q)`` depend on ``y_p``, ``v_p`` and ``v_q`` alone.  A
 rotation of ``(p, q)`` therefore leaves the row of every pair disjoint from
-``{p, q}`` bit for bit, and the angle solve, whose rows are copied to C order
-first, gives each row's bits from that row alone, whatever the batch.
+``{p, q}`` bit for bit, and the angle solve, whose products with the table
+are laid out in C order, gives each row's bits from that row alone, whatever
+the batch.
 
 The pair matrices and the final rotation's ``tucker_transform`` sum through
 BLAS, so both strategies reproduce as far as BLAS does: the same input, in the
@@ -122,7 +121,7 @@ sweeps pack a dense input by ``SymTensor.from_dense``, refused unless symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from math import ceil, cos, gcd, pi, sin, sqrt
 
 import numpy as np
@@ -132,47 +131,10 @@ from .cumulants import as_samples, cumulant_tensor
 from .indexing import multiplicities, packed_index, packing_positions, sorted_axes
 from .whiten import Whitener, standardize
 
-SUPPORTED_SPECS = {(1, 3), (1, 4), (2, 3), (2, 4), (2, 2)}
-QUADRATIC_FORM_SPECS = {(2, 2), (2, 3), (1, 4)}
+# the frequencies of the nonconstant harmonics of each spec's restricted contrast
+_HARMONICS = {(2, 4): (4, 8), (1, 3): (1, 3), (2, 2): (4,), (2, 3): (4,), (1, 4): (4,)}
+SUPPORTED_SPECS = _HARMONICS.keys()
 ANGLE_TOL = 1e-8
-
-# (1, 3), columns over the pair entries (a, b, e, g): rows 0-6 are the
-# ascending coefficients in h = tan(phi/2) of d/dphi of the contrast times
-# (1 + h^2)^3 / 3, rows 7-13 those of the contrast times (1 + h^2)^3
-_TABLE_13 = np.array([
-    [0.0, 1.0, -1.0, 0.0],
-    [-2.0, 4.0, 4.0, -2.0],
-    [-4.0, -11.0, 11.0, 4.0],
-    [4.0, -16.0, -16.0, 4.0],
-    [4.0, 11.0, -11.0, -4.0],
-    [-2.0, 4.0, 4.0, -2.0],
-    [0.0, -1.0, 1.0, 0.0],
-    [1.0, 0.0, 0.0, 1.0],
-    [0.0, 6.0, -6.0, 0.0],
-    [-3.0, 12.0, 12.0, -3.0],
-    [-8.0, -12.0, 12.0, 8.0],
-    [3.0, -12.0, -12.0, 3.0],
-    [0.0, 6.0, -6.0, 0.0],
-    [-1.0, 0.0, 0.0, -1.0],
-])
-# (2, 4): coefficient k of H, as an upper-triangular quadratic form over the
-# pair entries (a, b, e, f, g); H4 = a^2 + g^2 is the contrast at phi = 0
-_H_24 = np.array([
-    [[2, 0, 24, 0, 4], [0, 32, 0, 64, 0], [0, 0, 72, 0, 24], [0, 0, 0, 32, 0], [0, 0, 0, 0, 2]],
-    [[0, -24, 0, -8, 0], [0, 0, -48, 0, 8], [0, 0, 0, 48, 0], [0, 0, 0, 0, 24], [0, 0, 0, 0, 0]],
-    [[4, 0, 12, 0, 0], [0, 16, 0, 0, 0], [0, 0, 0, 0, 12], [0, 0, 0, 16, 0], [0, 0, 0, 0, 4]],
-    [[0, -8, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 8], [0, 0, 0, 0, 0]],
-    [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]],
-], dtype=float).reshape(5, 25)
-# rows 0-4: H'(xi) (xi^2 + 4) - 4 xi H(xi), ascending in xi; rows 5-9: H
-_TABLE_24 = np.vstack([
-    4 * _H_24[1],
-    8 * _H_24[2] - 4 * _H_24[0],
-    12 * _H_24[3] - 3 * _H_24[1],
-    16 * _H_24[4] - 2 * _H_24[2],
-    -_H_24[3],
-    _H_24,
-])
 
 
 @dataclass(frozen=True)
@@ -301,31 +263,53 @@ def _rotated_diag(vals, d: int, phi: float) -> tuple[float, float]:
     return zp, zq
 
 
-def _sample_table(d: int) -> np.ndarray:
-    """Rows: the weights of ``z_pp`` at ``phi = 0, pi/4, pi/8``, then of ``z_qq``."""
-    zp, zq = zip(*(_rotated_diag(np.eye(d + 1), d, phi) for phi in (0.0, pi / 4, pi / 8)))
-    return np.array(zp + zq)
+_TRIU = {k: np.triu_indices(k) for k in (3, 4, 5)}
 
 
-_SAMPLE_TABLES = {d: _sample_table(d) for d in (2, 3, 4)}
-# the frequencies of the nonconstant harmonics of each spec's restricted contrast
-_HARMONICS = {(2, 4): (4, 8), (1, 3): (1, 3), (2, 2): (4,), (2, 3): (4,), (1, 4): (4,)}
+def _monomials(vals: np.ndarray, alpha: int) -> np.ndarray:
+    """Each row's degree-``alpha`` monomials: its entries, or their products ``x_i x_j``
+    for ``i <= j``."""
+    if alpha == 1:
+        return vals
+    i, j = _TRIU[vals.shape[1]]
+    return vals.take(i, axis=1) * vals.take(j, axis=1)
 
 
-def _bound_table(alpha: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of ``z_pp`` then ``z_qq`` at ``2 D + 1`` equispaced angles over the
-    contrast's period ``2 pi / w``, one column each, ``w`` the frequencies' gcd and ``D``
-    the highest over ``w``; and the table taking the contrast's values there to the
-    coefficients ``a_k`` then ``b_k`` of its harmonics."""
+def _harmonic_table(alpha: int, d: int) -> np.ndarray:
+    """The table taking a pair row's monomials to its restricted contrast in ``theta = w phi``.
+
+    ``w`` is the gcd of the spec's frequencies and ``D`` the highest over ``w``.
+    Rows ``0 .. 2D`` are the coefficients ``c, a_1 .. a_D, b_1 .. b_D`` of
+    ``c + sum_j a_j cos(j theta) + b_j sin(j theta)``, the harmonics of the
+    contrast at ``2D + 1`` equispaced ``theta``: every true entry is a multiple
+    of ``2^-8``, and each is rounded to one, so the table is exact.  The next
+    ``2D + 1`` rows are the ascending coefficients in ``x = tan(theta / 2)`` of
+    the stationary polynomial, ``d/dtheta`` of the contrast times
+    ``(1 + x^2)^D / D``, and the last ``2D + 1`` those of the contrast times
+    ``(1 + x^2)^D``, from ``e^(i j theta) (1 + x^2)^D = (1 + i x)^(2j) (1 + x^2)^(D - j)``.
+    """
     ks = _HARMONICS[alpha, d]
     w = gcd(*ks)
-    phi = 2.0 * pi / w * np.arange(2 * max(ks) // w + 1) / (2 * max(ks) // w + 1)
-    zp, zq = zip(*(_rotated_diag(np.eye(d + 1), d, t) for t in phi))
-    harmonic = np.outer(ks, phi)
-    return np.array(zp + zq).T, 2.0 / phi.size * np.vstack([np.cos(harmonic), np.sin(harmonic)]).T
+    D = max(ks) // w
+    theta = 2.0 * pi * np.arange(2 * D + 1) / (2 * D + 1)
+    zp, zq = (np.array(z) for z in zip(*(_rotated_diag(np.eye(d + 1), d, t / w) for t in theta)))
+    if alpha == 2:  # the weights of z_pp^2 and z_qq^2 on the monomials
+        i, j = _TRIU[d + 1]
+        zp, zq = ((2.0 - (i == j)) * z[:, i] * z[:, j] for z in (zp, zq))
+    harmonic = np.arange(D + 1)[:, None] * theta
+    h = np.vstack([np.cos(harmonic), np.sin(harmonic[1:])]) @ (zp + zq) * (2.0 / theta.size)
+    h[0] /= 2.0
+    h = np.round(256.0 * h) / 256.0 + 0.0  # + 0.0 clears the negative zeros
+    e = np.array([reduce(np.convolve, [[1.0, 1j]] * (2 * j) + [[1.0, 0.0, 1.0]] * (D - j), [1.0])
+                  for j in range(D + 1)])
+    j = np.arange(1, D + 1)[:, None]
+    stationary = np.vstack([np.zeros_like(e.real[:1]), -j * e.imag[1:], j * e.real[1:]]).T @ h / D
+    return np.vstack([h, stationary, np.vstack([e.real, e.imag[1:]]).T @ h])
 
 
-_BOUND_TABLES = {spec: _bound_table(*spec) for spec in SUPPORTED_SPECS}
+_TABLES = {spec: _harmonic_table(*spec) for spec in SUPPORTED_SPECS}
+
+
 # entry j of a pair row, z[p^(d-j) q^j], in the pair matrices of
 # :func:`_pair_reader`: (matrix, row, column), with 0 for p and 1 for q
 _ENTRIES = {2: [(0, 0, 0), (0, 0, 1), (0, 1, 1)],
@@ -335,7 +319,8 @@ _ENTRIES = {2: [(0, 0, 0), (0, 0, 1), (0, 1, 1)],
 
 def _forms(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Row ``i`` is ``table @ x[i]``, summed per row so that its bits depend on ``x[i]`` alone."""
-    return (x[:, None, :] * table).sum(axis=2)
+    # the products in C order: numpy sums another layout in an order set by the row count
+    return np.multiply(x[:, None, :], table, order="C").sum(axis=2)
 
 
 def _select(x: np.ndarray, val: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,77 +344,62 @@ def _select(x: np.ndarray, val: np.ndarray, base: np.ndarray) -> tuple[np.ndarra
 
 def _best_angles(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Globally optimal angle of each row of pair entries, and its contrast gain over ``phi = 0``."""
-    # in C order: numpy sums a strided layout in an order set by the row count
-    vals = np.ascontiguousarray(vals, dtype=float)
+    vals = np.asarray(vals, dtype=float)
     m = vals.shape[0]
+    table = _TABLES[alpha, d]
+    w, s = gcd(*_HARMONICS[alpha, d]), table.shape[0] // 3  # s = 2D + 1
+    coeffs = _forms(_monomials(vals, alpha), table)
 
-    if (alpha, d) in QUADRATIC_FORM_SPECS:
-        # reconstruct the exact quadratic form in (cos 2phi, sin 2phi) from
-        # three samples; its dominant eigenvector gives the angle, and the
-        # gain over phi = 0 has a cancellation-free closed form; b12 and the
-        # diagonal difference are zero within the rounding floor of the
-        # samples each is made of
-        z = _forms(vals, _SAMPLE_TABLES[d])
-        if alpha == 2:
-            z = z * z
-        b11, b22, f = (z[:, :3] + z[:, 3:]).T
-        eps4 = 4.0 * np.finfo(float).eps
-        b12 = f - 0.5 * (b11 + b22)
-        b12[np.abs(b12) <= eps4 * (np.abs(b11) + np.abs(b22) + np.abs(f))] = 0.0
-        delta = 0.5 * (b11 - b22)
-        delta[np.abs(delta) <= eps4 * (np.abs(b11) + np.abs(b22))] = 0.0
-        radius = np.hypot(delta, b12)
-        phi = np.where(radius > 0.0, 0.25 * np.arctan2(b12, delta), 0.0)
-        gain = np.divide(b12 * b12, radius + delta, out=radius - delta, where=delta > 0.0)
+    if s == 3:
+        # one harmonic, c + a cos(theta) + b sin(theta): the angle is atan2's, and
+        # the gain over theta = 0 has a cancellation-free closed form; a and b are
+        # zero within the rounding floor of the row's harmonic coefficients
+        floor = 4.0 * np.finfo(float).eps * np.abs(coeffs[:, :3]).sum(axis=1)
+        a, b = (np.where(np.abs(y) <= floor, 0.0, y) for y in coeffs[:, 1:3].T)
+        radius = np.hypot(a, b)
+        phi = np.where(radius > 0.0, np.arctan2(b, a) / w, 0.0)
+        gain = np.divide(b * b, radius + a, out=radius - a, where=a > 0.0)
         return phi, gain
 
-    if (alpha, d) == (1, 3):
-        # candidates h = 1, -1 (phi = +-pi/2), then the stationary h in [-1, 1]
-        coeffs = _forms(vals, _TABLE_13)
-        h = poly_roots(coeffs[:, :7])
-        real = np.c_[np.ones((m, 2), bool), is_real(h) & (np.abs(h.real) <= 1.0 + 1e-12)]
-        h = np.c_[np.tile([1.0, -1.0], (m, 1)), h.real]
-        val = coeffs[:, 13:14]
-        for k in range(12, 6, -1):
-            val = val * h + coeffs[:, k : k + 1]
-        one_h2 = 1.0 + h * h
-        val = np.where(real, val / (one_h2 * one_h2 * one_h2), -np.inf)
-        h, gain = _select(h, val, coeffs[:, 7])
-        return 2.0 * np.arctan(h), gain
-
-    coeffs = _forms((vals[:, :, None] * vals[:, None, :]).reshape(m, 25), _TABLE_24)
-    xi = poly_roots(coeffs[:, :5])
-    real, xi = is_real(xi), xi.real
-    val = coeffs[:, 9:10]
-    for k in range(8, 4, -1):
-        val = val * xi + coeffs[:, k : k + 1]
-    xi2_4 = xi * xi + 4.0
-    val = np.where(real, val / (xi2_4 * xi2_4), -np.inf)
-    t = -2.0 / (xi + np.copysign(np.sqrt(xi2_4), xi))
-    # candidates in ascending t
-    order = (np.arange(m)[:, None], np.argsort(t, axis=1))
-    t, gain = _select(t[order], val[order], coeffs[:, 9])
-    return np.arctan(t), gain
+    # the candidates are the real stationary x, valued by Horner's rule on the
+    # contrast polynomial.  phi in [-pi/2, pi/2] is theta in [-w pi/2, w pi/2]:
+    # for w = 1 the x in [-1, 1], after the ends 1 and -1; otherwise the whole
+    # circle, with theta = pi (x = inf, where the contrast is the top
+    # coefficient) last
+    poly = coeffs[:, 2 * s :]
+    x = poly_roots(coeffs[:, s : 2 * s])
+    real, x = is_real(x), x.real
+    if w == 1:
+        real = np.concatenate((np.ones((m, 2), bool), real & (np.abs(x) <= 1.0 + 1e-12)), axis=1)
+        x = np.concatenate((np.tile([1.0, -1.0], (m, 1)), x), axis=1)
+    val = poly[:, -1:]
+    for k in range(s - 2, -1, -1):
+        val = val * x + poly[:, k : k + 1]
+    one_x2 = den = 1.0 + x * x
+    for _ in range(s // 2 - 1):
+        den = den * one_x2
+    val = np.where(real, val / den, -np.inf)
+    if w > 1:
+        x = np.concatenate((x, np.full((m, 1), np.inf)), axis=1)
+        val = np.concatenate((val, poly[:, -1:]), axis=1)
+    x, gain = _select(x, val, poly[:, 0])
+    return 2.0 * np.arctan(x) / w, gain
 
 
 def _gain_bounds(vals, d: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """An upper bound on each row's contrast gain over ``phi = 0``, and the rounding slack
     within which :func:`_best_angles`'s gain may exceed it.
 
-    The restricted contrast is ``c + sum_k a_k cos(k phi) + b_k sin(k phi)`` over the
-    frequencies ``k`` of ``_HARMONICS``; its samples at the angles of :func:`_bound_table`
-    give the coefficients exactly, and no angle gains more than
-    ``sum_k hypot(a_k, b_k) - a_k``.  The slack is ``1e-12 (1 + max |sample|)``.
+    With the harmonics of :func:`_harmonic_table`, no angle gains more than
+    ``sum_j hypot(a_j, b_j) - a_j``.  The slack is ``1e-12`` times one plus
+    ``|c| + sum_j hypot(a_j, b_j)``, a bound on the contrast's magnitude.
     """
-    weights, harmonics = _BOUND_TABLES[alpha, d]
-    z = vals @ weights
-    if alpha == 2:
-        z = z * z
-    s, k = weights.shape[1] // 2, harmonics.shape[1] // 2
-    samples = z[:, :s] + z[:, s:]
-    ab = samples @ harmonics
-    a = ab[:, :k]
-    return (np.hypot(a, ab[:, k:]) - a).sum(axis=1), 1e-12 * (1.0 + np.abs(samples).max(axis=1))
+    table = _TABLES[alpha, d]
+    s = table.shape[0] // 3  # s = 2D + 1
+    h = _monomials(vals, alpha) @ table[:s].T
+    a, b = h[:, 1 : s // 2 + 1], h[:, s // 2 + 1 :]
+    radius = np.hypot(a, b)
+    return (radius - a).sum(axis=1), 1e-12 * (1.0 + np.abs(h[:, 0]) + radius.sum(axis=1))
 
 
 def _rotate_rows(v: np.ndarray, p, q, phi) -> None:

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import atan, atan2, ceil, cos, pi, sin, sqrt
+from math import atan, atan2, ceil, cos, gcd, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from tensorbss.cumulants import cumulant_tensor
 from tensorbss.simulate import score
 from tensorbss.jacobi import (
     ANGLE_TOL,
-    QUADRATIC_FORM_SPECS,
+    _HARMONICS,
     ContrastSpec,
     _best_angles,
     _gain_bounds,
@@ -26,6 +26,10 @@ from tensorbss.jacobi import (
     sweep_cyclic,
     sweep_greedy,
 )
+
+# the specs whose restricted contrast has one harmonic: a quadratic form in
+# (cos 4 phi, sin 4 phi)
+QUADRATIC_FORM_SPECS = {spec for spec, ks in _HARMONICS.items() if len(ks) == 1}
 
 rng = np.random.default_rng(1234)
 
@@ -309,6 +313,17 @@ class TestSweepGreedy:
         res_g = sweep_greedy(g, ContrastSpec(2, 4))
         # both land in the same signed-permutation class of rotations
         assert np.min(row_max(res_c.Q.T @ res_g.Q)) > 0.999
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_signed_order3_same_class_as_cyclic(self, n):
+        # (1, 3) keeps its own candidate rule: the angles in [-pi/2, pi/2]
+        # with both ends; positive skews keep the signed contrast meaningful
+        for seed in range(50):
+            kappa = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+            g, _ = rotated_diag(kappa, 3, seed=100 + seed)
+            res_c = sweep_cyclic(g, ContrastSpec(1, 3))
+            res_g = sweep_greedy(g, ContrastSpec(1, 3))
+            assert np.min(row_max(res_c.Q.T @ res_g.Q)) > 0.999, seed
 
     def test_trace_strictly_increasing(self):
         g, _ = rotated_diag([-1.2, -2.0, 1.5], 4, seed=22)
@@ -843,6 +858,58 @@ class TestGreedyOracle:
         _, res = ica(s @ r.standard_normal((6, 6)).T, strategy="greedy")
         assert res.rotations > 0
         assert calls == [(m, 4, 4) for m in rows]
+
+
+def monomial_weights(alpha, d, phi):
+    """The restricted contrast at ``phi`` as weights on a row's monomials, by polarization."""
+    eye = np.eye(d + 1)
+    single = [_restricted(e, d, alpha, phi) for e in eye]
+    if alpha == 1:
+        return single
+    # x_i x_j weighs C(e_i + e_j) - C(e_i) - C(e_j) for i < j, and x_i^2 C(e_i)
+    return [_restricted(eye[i] + eye[j], d, alpha, phi) - single[i] - single[j] if i < j
+            else single[i] for i, j in zip(*np.triu_indices(d + 1))]
+
+
+class TestHarmonicTable:
+    """The tables the angle solve and the gain bound read, generated at import."""
+
+    @pytest.mark.parametrize("alpha,d", ALL_SPECS)
+    def test_harmonics_are_exact_multiples(self, alpha, d):
+        # a least-squares fit from 64 angles: the spec's harmonics model the
+        # contrast, and every coefficient is within 1e-9 2^-8 of a multiple of
+        # 2^-8, which the table holds
+        ks = _HARMONICS[alpha, d]
+        w, D = gcd(*ks), max(ks) // gcd(*ks)
+        theta = np.linspace(0.0, 2.0 * pi, 64, endpoint=False)
+        samples = np.array([monomial_weights(alpha, d, t / w) for t in theta])
+        j = np.arange(1, D + 1) * theta[:, None]
+        design = np.hstack([np.ones((theta.size, 1)), np.cos(j), np.sin(j)])
+        fit = np.linalg.lstsq(design, samples, rcond=None)[0]
+        assert np.abs(design @ fit - samples).max() <= 1e-12
+        assert np.abs(256.0 * fit - np.round(256.0 * fit)).max() <= 1e-9
+        table = jacobi._TABLES[alpha, d]
+        np.testing.assert_array_equal(np.round(256.0 * fit) / 256.0, table[: 2 * D + 1])
+
+    def test_signed_order3_stationary_rows(self):
+        # the hand-derived table the generator replaced: d/dphi of the contrast
+        # times (1 + h^2)^3 / 3, ascending in h = tan(phi / 2), over (a, b, e, g)
+        reference = np.array([
+            [0.0, 1.0, -1.0, 0.0],
+            [-2.0, 4.0, 4.0, -2.0],
+            [-4.0, -11.0, 11.0, 4.0],
+            [4.0, -16.0, -16.0, 4.0],
+            [4.0, 11.0, -11.0, -4.0],
+            [-2.0, 4.0, 4.0, -2.0],
+            [0.0, -1.0, 1.0, 0.0],
+        ])
+        np.testing.assert_array_equal(jacobi._TABLES[1, 3][7:14], reference)
+
+    def test_order4_base_is_the_diagonal_squares(self):
+        # the contrast polynomial's constant term, the contrast at phi = 0, is a^2 + g^2
+        i, j = np.triu_indices(5)
+        expected = ((i == j) & ((i == 0) | (i == 4))).astype(float)
+        np.testing.assert_array_equal(jacobi._TABLES[2, 4][10], expected)
 
 
 class TestGainBound:
